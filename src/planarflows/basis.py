@@ -324,18 +324,16 @@ def eval_expansion(spec, expansion, values):
 # ---------------------------------------------------------------------------
 # convenience: sample values straight off a weighted network
 
-def flag_values_from_network(spec, network, n, size_cap=60):
+def flag_values_from_network(spec, network, n):
     out = {}
     for p in range(1, n + 1):
         for q in range(p, n + 1):
             S = list(range(p, q + 1))
-            out[(p, q)] = fg_value(
-                spec, network, S, list(range(1, len(S) + 1)), size_cap=size_cap
-            )
+            out[(p, q)] = fg_value(spec, network, S, list(range(1, len(S) + 1)))
     return out
 
 
-def pressed_values_from_network(spec, network, n, n_prime, size_cap=60):
+def pressed_values_from_network(spec, network, n, n_prime):
     out = {}
     for iv, ivp in pressed_basis(n, n_prime):
         if iv == ():
@@ -345,6 +343,5 @@ def pressed_values_from_network(spec, network, n, n_prime, size_cap=60):
             network,
             list(range(iv[0], iv[1] + 1)),
             list(range(ivp[0], ivp[1] + 1)),
-            size_cap=size_cap,
         )
     return out

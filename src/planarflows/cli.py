@@ -42,7 +42,6 @@ def _load_pattern_pair(path):
 
 
 def _default_sets(pattern_a):
-    a = pattern_a if not hasattr(pattern_a, "to_two_pattern") else pattern_a
     from .patterns import _normalize_pattern
 
     a = _normalize_pattern(pattern_a)
@@ -151,9 +150,7 @@ def cmd_eval_fg(args):
     spec = sr.parse_semiring(args.semiring)
     net = network_from_json(_load(args.network), spec)
     fargs = _load(args.args)
-    value = fg_value(
-        spec, net, fargs["I"], fargs["Iprime"], size_cap=args.size_cap
-    )
+    value = fg_value(spec, net, fargs["I"], fargs["Iprime"])
     _emit({"value": spec.to_json(value)}, args.output)
     return 0
 
@@ -235,7 +232,6 @@ def build_parser():
         prog="planarflows",
         description="flow-generated functions and quadratic relation checks",
     )
-    parser.add_argument("--seed", type=int, default=0, help="seed for sampling")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("check-balance", help="decide balancedness of a pattern pair")
@@ -262,7 +258,6 @@ def build_parser():
     p.add_argument("--network", required=True)
     p.add_argument("--semiring", required=True)
     p.add_argument("--args", required=True)
-    p.add_argument("--size-cap", type=int, default=40)
     p.add_argument("--output")
     p.set_defaults(func=cmd_eval_fg)
 

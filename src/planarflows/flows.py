@@ -17,7 +17,7 @@ from .errors import (
     PlanarFlowsError,
     SizeMismatch,
 )
-from .network import SplitNetwork, topological_order
+from .network import SplitNetwork
 from .patterns import PlanarMatching, is_proper
 
 
@@ -77,55 +77,91 @@ def _check_indices(network, I, Iprime):
     return I, Iprime
 
 
+def _walk(network, I, Iprime, step, add, done):
+    """Sum over the (I|I')-flows, each built once by a memoised walk.
+
+    A state is the tuple of path heads, as topological ranks.  The unfinished
+    head of least rank moves next, so each flow has exactly one sequence of
+    moves, and every vertex behind the heads ranks below every unfinished
+    head: paths are vertex-disjoint exactly when their heads are distinct.
+    ``step(value, k, tail, head)`` extends ``value``, the sum over the
+    completions of the state reached, by path k's move tail -> head (tail is
+    None for the source itself); ``add`` joins two moves and ``done`` is the
+    value of the finished state.  Returns None when there is no flow.
+    """
+    order, rank, succ = network.view
+    sources = [network.sources[i - 1] for i in I]
+    start = tuple(rank[s] for s in sources)
+    targets = tuple(rank[network.sinks[j - 1]] for j in Iprime)
+    if len(set(start)) < len(start):
+        return None
+    paths = range(len(start))
+    memo = {}
+    stack = [(start, 0, None)]
+    while stack:
+        heads, k, moves = stack.pop()
+        if moves is None:
+            if heads in memo:
+                continue
+            k = -1
+            for p in paths:
+                h = heads[p]
+                if h != targets[p] and (k < 0 or h < heads[k]):
+                    k = p
+            if k < 0:
+                memo[heads] = done
+                continue
+            h, limit = heads[k], targets[k]
+            moves = []
+            stack.append((heads, k, moves))
+            for u in succ[h]:
+                if u <= limit and u not in heads:
+                    nxt = heads[:k] + (u,) + heads[k + 1:]
+                    moves.append((u, nxt))
+                    if nxt not in memo:
+                        stack.append((nxt, 0, None))
+            if stack[-1][2] is not moves:
+                continue
+            stack.pop()
+        acc = None
+        tail = order[heads[k]]
+        for u, nxt in moves:
+            value = memo[nxt]
+            if value is not None:
+                value = step(value, k, tail, order[u])
+                acc = value if acc is None else add(acc, value)
+        memo[heads] = acc
+    value = memo[start]
+    for k in reversed(paths):
+        if value is not None:
+            value = step(value, k, None, sources[k])
+    return value
+
+
 def enumerate_flows(network, I, Iprime, size_cap=40):
     """All (I|I')-flows, deterministically ordered.
 
-    Exhaustive backtracking over sources left to right; refuses networks
-    larger than ``size_cap`` vertices.
+    Refuses networks larger than ``size_cap`` vertices, since the output
+    can be exponential in the size.
     """
     I, Iprime = _check_indices(network, I, Iprime)
     if len(network.vertices) > size_cap:
         raise NetworkTooLarge(
             f"{len(network.vertices)} vertices exceeds the cap {size_cap}"
         )
-    starts = [network.sources[i - 1] for i in I]
-    targets = [network.sinks[j - 1] for j in Iprime]
-    adj = network.successors()
 
-    results = []
-    used = set()
-    paths = []
+    def step(chains, k, tail, head):
+        return [(k, head, chain) for chain in chains]
 
-    def extend(k):
-        if k == len(starts):
-            results.append(Flow(I, Iprime, tuple(paths)))
-            return
-        s, t = starts[k], targets[k]
-        if s in used:
-            return
-        trail = [s]
-        used.add(s)
-
-        def dfs(v):
-            if v == t:
-                paths.append(tuple(trail))
-                extend(k + 1)
-                paths.pop()
-                return
-            for u in adj[v]:
-                if u not in used:
-                    used.add(u)
-                    trail.append(u)
-                    dfs(u)
-                    trail.pop()
-                    used.remove(u)
-
-        dfs(s)
-        used.remove(s)
-
-    extend(0)
-    results.sort(key=lambda f: f.paths)
-    return results
+    flows = []
+    for chain in _walk(network, I, Iprime, step, list.__add__, [None]) or ():
+        paths = [[] for _ in I]
+        while chain:
+            k, v, chain = chain
+            paths[k].append(v)
+        flows.append(Flow(I, Iprime, tuple(map(tuple, paths))))
+    flows.sort(key=lambda f: f.paths)
+    return flows
 
 
 def flow_weight(spec, network, flow):
@@ -137,43 +173,28 @@ def flow_weight(spec, network, flow):
     return sr.fold_product(spec, present)
 
 
-def fg_value(spec, network, I, Iprime, size_cap=40):
+def fg_value(spec, network, I, Iprime):
     """FG-function value: sum over flows of the product of used weights."""
-    flows = enumerate_flows(network, I, Iprime, size_cap=size_cap)
-    if not flows:
-        return sr.fold_sum(spec, [])
-    return sr.fold_sum(spec, [flow_weight(spec, network, f) for f in flows])
+    I, Iprime = _check_indices(network, I, Iprime)
+    weights, mul = network.weights, spec.mul
+    if network.weight_mode == "vertex":
+        def step(value, k, tail, head):
+            return mul(weights[head], value)
+    else:
+        def step(value, k, tail, head):
+            w = weights.get((tail, head))
+            return value if w is None else mul(w, value)
+
+    value = _walk(network, I, Iprime, step, spec.add, spec.one())
+    return sr.fold_sum(spec, []) if value is None else value
 
 
 def path_weight_sum(spec, network, i, j):
-    """Sum of weights over all single paths from source i to sink j.
-
-    Dynamic programming over a topological order; no disjointness is
-    involved so this scales to long gadget chains.  Requires a zero.
-    """
+    """Sum of weights over all single paths from source i to sink j: the
+    one-path case of ``fg_value``.  Requires a zero."""
     if not spec.has_zero:
         raise PlanarFlowsError("path sums need an additive neutral")
-    s = network.sources[i - 1]
-    t = network.sinks[j - 1]
-    order = topological_order(network)
-    preds = network.predecessors()
-    vertex_mode = network.weight_mode == "vertex"
-    val = {}
-    for v in order:
-        acc = spec.zero()
-        if v == s:
-            acc = network.weights[s] if vertex_mode else spec.one()
-        for u in preds[v]:
-            term = val[u]
-            if not vertex_mode:
-                w = network.weights.get((u, v))
-                if w is not None:
-                    term = spec.mul(term, w)
-            acc = spec.add(acc, term)
-        if vertex_mode and v != s and acc != spec.zero():
-            acc = spec.mul(acc, network.weights[v])
-        val[v] = acc
-    return val.get(t, spec.zero())
+    return fg_value(spec, network, [i], [j])
 
 
 # ---------------------------------------------------------------------------

@@ -136,7 +136,7 @@ def flow_matrix(network, spec):
     return exact_matrix(spec, rows)
 
 
-def verify_lindstrom(network, spec, size_cap=None, flow_size_cap=40):
+def verify_lindstrom(network, spec, size_cap=None):
     """Check minor(flow matrix) = flow value for every index pair."""
     mat = flow_matrix(network, spec)
     n, np_ = network.n_sources, network.n_sinks
@@ -147,7 +147,7 @@ def verify_lindstrom(network, spec, size_cap=None, flow_size_cap=40):
         for I in combinations(range(1, n + 1), k):
             for Iprime in combinations(range(1, np_ + 1), k):
                 lhs = minor(mat, I, Iprime)
-                rhs = fg_value(spec, network, I, Iprime, size_cap=flow_size_cap)
+                rhs = fg_value(spec, network, I, Iprime)
                 checked += 1
                 if not spec.equal(lhs, rhs):
                     failures.append({"I": list(I), "Iprime": list(Iprime)})

@@ -8,8 +8,10 @@ clockwise order s_n, ..., s_1, t_1, ..., t_{n'}.
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 
 from .errors import ArityMismatch, PlanarFlowsError
 
@@ -48,6 +50,16 @@ class PlanarNetwork:
         for v in adj:
             adj[v].sort()
         return adj
+
+    @cached_property
+    def view(self):
+        """(order, rank, succ): the topological order, each vertex's position
+        in it, and per position the positions of the successors.  Built once:
+        networks are never mutated in place."""
+        order = topological_order(self)
+        rank = {v: r for r, v in enumerate(order)}
+        adj = self.successors()
+        return order, rank, [[rank[u] for u in adj[v]] for v in order]
 
     def with_vertex_weights(self, weights):
         if self.weight_mode != "vertex":
@@ -173,49 +185,48 @@ def _hull_position(point, hull):
     return None
 
 
-def find_cycle(network):
-    """Return the vertices of some directed cycle, or None if acyclic."""
-    adj = network.successors()
-    state = {v: 0 for v in network.vertices}
-    stack = []
-
-    def visit(v):
-        state[v] = 1
-        stack.append(v)
-        for u in adj[v]:
-            if state[u] == 1:
-                return stack[stack.index(u):] + [u]
-            if state[u] == 0:
-                found = visit(u)
-                if found:
-                    return found
-        stack.pop()
-        state[v] = 2
-        return None
-
-    for v in network.vertices:
-        if state[v] == 0:
-            found = visit(v)
-            if found:
-                return found
-    return None
-
-
-def topological_order(network):
+def _peel(network):
+    """Kahn's algorithm, always taking the least ready id: the order of the
+    peeled vertices and the in-degrees left (nonzero exactly off the order)."""
     adj = network.successors()
     indeg = {v: 0 for v in network.vertices}
     for _, head in network.edges:
         indeg[head] += 1
-    ready = sorted(v for v, d in indeg.items() if d == 0)
+    ready = [v for v, d in indeg.items() if d == 0]
+    heapq.heapify(ready)
     order = []
     while ready:
-        v = ready.pop(0)
+        v = heapq.heappop(ready)
         order.append(v)
         for u in adj[v]:
             indeg[u] -= 1
             if indeg[u] == 0:
-                ready.append(u)
-        ready.sort()
+                heapq.heappush(ready, u)
+    return order, indeg
+
+
+def find_cycle(network):
+    """Return the vertices of some directed cycle (first repeated last), or
+    None if acyclic.
+
+    Every vertex Kahn's algorithm cannot peel has an unpeeled predecessor, so
+    walking back along those must repeat a vertex.
+    """
+    order, indeg = _peel(network)
+    if len(order) == len(network.vertices):
+        return None
+    preds = network.predecessors()
+    v = next(v for v in network.vertices if indeg[v])
+    seen = {}
+    while v not in seen:
+        seen[v] = len(seen)
+        v = next(u for u in preds[v] if indeg[u])
+    cycle = list(seen)[seen[v]:][::-1]
+    return cycle + cycle[:1]
+
+
+def topological_order(network):
+    order, _ = _peel(network)
     if len(order) != len(network.vertices):
         raise PlanarFlowsError("network has a directed cycle")
     return order

@@ -181,32 +181,6 @@ def feasible_matchings(Y, Yp, A, Ap):
     return matchings
 
 
-def all_feasible_matchings_bruteforce(Y, Yp, A, Ap):
-    """Oracle: filter every perfect matching by the three conditions."""
-    points = [(LOWER, y) for y in sorted(Y)] + [(UPPER, y) for y in sorted(Yp)]
-    if len(points) % 2:
-        return []
-
-    def pairings(rest):
-        if not rest:
-            yield []
-            return
-        first = rest[0]
-        for k in range(1, len(rest)):
-            partner = rest[k]
-            remainder = rest[1:k] + rest[k + 1:]
-            for rem in pairings(remainder):
-                yield [(first, partner)] + rem
-
-    out = []
-    for cs in pairings(points):
-        m = PlanarMatching(cs)
-        if matching_is_feasible(m, Y, Yp, A, Ap) and is_noncrossing(Y, Yp, m):
-            out.append(m)
-    out.sort()
-    return out
-
-
 def flag_feasible_matchings(Y, A, p, q):
     """Nested bichromatic couple systems for the flag case (p >= q).
 

@@ -29,7 +29,6 @@ class RelationInstance:
     Yp: frozenset
     family_a: dict   # (A, A') -> multiplicity, subsets of (Y, Y')
     family_b: dict
-    size_cap: int = 60
 
     def __post_init__(self):
         self.X, self.Y = frozenset(self.X), frozenset(self.Y)
@@ -54,7 +53,7 @@ def evaluate_sq(ri):
     net = ri.network
 
     def f(I, Iprime):
-        return fg_value(spec, net, sorted(I), sorted(Iprime), size_cap=ri.size_cap)
+        return fg_value(spec, net, sorted(I), sorted(Iprime))
 
     def side(family):
         terms = []

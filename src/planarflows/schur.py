@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 from . import semiring as sr
 from .errors import BadLength, BadParams, NotAFlow, NotSemistandard
-from .flows import Flow, enumerate_flows
+from .flows import Flow, fg_value
 from .network import build_gv_grid
 
 
@@ -219,7 +219,7 @@ def flow_to_tableau(flow, N):
     return lam, mu, rows
 
 
-def count_flows(lam, mu, N, size_cap=80):
+def count_flows(lam, mu, N):
     lam = lam if isinstance(lam, Partition) else Partition(tuple(lam))
     mu = mu if isinstance(mu, Partition) else Partition(tuple(mu))
     r = lam.length
@@ -229,7 +229,7 @@ def count_flows(lam, mu, N, size_cap=80):
     net, _ = gv_grid(N, width)
     I = sorted(partition_to_set(mu, r))
     Iprime = sorted(partition_to_set(lam, r))
-    return len(enumerate_flows(net, I, Iprime, size_cap=size_cap))
+    return fg_value(sr.INTEGERS, net.unit_weights(sr.INTEGERS), I, Iprime)
 
 
 def verify_schur_identity(kind, params, N):

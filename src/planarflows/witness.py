@@ -25,7 +25,7 @@ from .errors import (
     PatternsBalanced,
     WitnessGeometryError,
 )
-from .flows import enumerate_flows
+from .flows import fg_value
 from .network import PlanarNetwork, proper_intersection_point, validate
 from .patterns import (
     LOWER,
@@ -460,7 +460,7 @@ def find_discriminating_matching(pattern_a, pattern_b):
     return result.witness, result.count_a, result.count_b
 
 
-def audit_witness(wn, X, Y, Xp, Yp, size_cap=200):
+def audit_witness(wn, X, Y, Xp, Yp):
     """Exhaustive flow-count check of the two defining properties.
 
     For every proper pair (C, C'): both flow sets are singletons when the
@@ -469,7 +469,7 @@ def audit_witness(wn, X, Y, Xp, Yp, size_cap=200):
     """
     X, Y = frozenset(X), frozenset(Y)
     Xp, Yp = frozenset(Xp), frozenset(Yp)
-    net = wn.network
+    net = wn.network.unit_weights(sr.INTEGERS)
     cases = []
     ok = True
     Ys, Yps = sorted(Y), sorted(Yp)
@@ -480,13 +480,9 @@ def audit_witness(wn, X, Y, Xp, Yp, size_cap=200):
             if not is_proper(Y, Yp, C, Cp):
                 continue
             feasible = matching_is_feasible(wn.matching, Y, Yp, C, Cp)
-            count1 = len(
-                enumerate_flows(net, sorted(X | C), sorted(Xp | Cp), size_cap=size_cap)
-            )
-            count2 = len(
-                enumerate_flows(
-                    net, sorted(X | (Y - C)), sorted(Xp | (Yp - Cp)), size_cap=size_cap
-                )
+            count1 = fg_value(sr.INTEGERS, net, sorted(X | C), sorted(Xp | Cp))
+            count2 = fg_value(
+                sr.INTEGERS, net, sorted(X | (Y - C)), sorted(Xp | (Yp - Cp))
             )
             good = (
                 count1 == 1 and count2 == 1
@@ -522,7 +518,6 @@ def demonstrate_violation(pattern_a, pattern_b, X, Y, Xp, Yp, n=None, nprime=Non
         Yp,
         embed_two(a, sorted(Y), sorted(Yp)),
         embed_two(b, sorted(Y), sorted(Yp)),
-        size_cap=max(200, len(wn.network.vertices)),
     )
     result = evaluate_sq(ri)
     return {

@@ -1,15 +1,42 @@
-"""Shared test utilities: independent oracles and pattern generators."""
+"""Shared test utilities: independent oracles, pattern generators and a
+small branching network."""
 
 import random
+from fractions import Fraction
 from itertools import combinations
 
+from planarflows.network import PlanarNetwork
 from planarflows.patterns import (
+    LOWER,
+    UPPER,
+    PlanarMatching,
     _normalize_pattern,
     is_balanced,
+    is_noncrossing,
     is_proper,
+    matching_is_feasible,
     stock_pattern,
     two_pattern,
 )
+
+
+def diamond_network():
+    """Three sources, three sinks, one branching diamond in the middle."""
+    F = Fraction
+    verts = {
+        "s1": (F(0), F(0)), "s2": (F(2), F(0)), "s3": (F(4), F(0)),
+        "v1": (F(3), F(2)), "c": (F(2), F(3)), "d": (F(4), F(3)),
+        "v2": (F(3), F(4)),
+        "t1": (F(0), F(6)), "t2": (F(3), F(6)), "t3": (F(6), F(6)),
+    }
+    edges = (
+        ("s2", "v1"), ("s3", "v1"), ("v1", "c"), ("v1", "d"),
+        ("c", "v2"), ("d", "v2"), ("v2", "t1"), ("v2", "t2"), ("s1", "t1"),
+    )
+    return PlanarNetwork(
+        verts, edges, ("s1", "s2", "s3"), ("t1", "t2", "t3"), "vertex",
+        {v: 1 for v in verts},
+    )
 
 
 def brute_force_flows(network, I, Iprime):
@@ -47,6 +74,33 @@ def brute_force_flows(network, I, Iprime):
             if not (set(p) & {v for q in sys for v in q})
         ]
     return sorted(tuple(sys) for sys in systems)
+
+
+def all_feasible_matchings_bruteforce(Y, Yp, A, Ap):
+    """Oracle: filter every perfect matching by the three conditions."""
+    points = [(LOWER, y) for y in sorted(Y)] + [(UPPER, y) for y in sorted(Yp)]
+    if len(points) % 2:
+        return []
+
+    def pairings(rest):
+        if not rest:
+            yield []
+            return
+        first = rest[0]
+        for k in range(1, len(rest)):
+            partner = rest[k]
+            remainder = rest[1:k] + rest[k + 1:]
+            for rem in pairings(remainder):
+                yield [(first, partner)] + rem
+
+    out = []
+    for cs in pairings(points):
+        m = PlanarMatching(cs)
+        if matching_is_feasible(m, Y, Yp, A, Ap) and is_noncrossing(Y, Yp, m):
+            out.append(m)
+    out.sort()
+    return out
+
 
 
 def proper_pairs(Y, Yp):

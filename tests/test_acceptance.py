@@ -342,7 +342,7 @@ def _sweep_contexts(n, np_):
 def test_criterion_8_double_flow_algebra():
     started = time.time()
     rng = random.Random(20250606)
-    from tests_fig import diamond_network  # local import, see sibling module
+    from helpers import diamond_network
 
     corpus = [
         _vertexify(build_gv_grid(2, 2)),

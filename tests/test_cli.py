@@ -1,5 +1,6 @@
 import json
 import os
+import sys
 
 import pytest
 
@@ -163,6 +164,58 @@ def test_validate_network_failure(capsys, tmp_path):
     code, report = run(capsys, "validate-network", "--network", str(net_file))
     assert code == 1
     assert not report["acyclic"]
+
+
+def _eval_fg(capsys, tmp_path, data, I, Iprime):
+    net_file = tmp_path / "net.json"
+    net_file.write_text(json.dumps(data))
+    args_file = tmp_path / "args.json"
+    args_file.write_text(json.dumps({"I": I, "Iprime": Iprime}))
+    return run(capsys, "eval-fg", "--network", str(net_file), "--semiring",
+               "integers", "--args", str(args_file))
+
+
+def _chain(n):
+    """Vertex-weighted path v0 -> ... -> v(n-1) along the x axis."""
+    return {
+        "vertices": [{"id": f"v{i}", "x": str(i), "y": "0"} for i in range(n)],
+        "edges": [[f"v{i}", f"v{i + 1}"] for i in range(n - 1)],
+        "sources": ["v0"],
+        "sinks": [f"v{n - 1}"],
+        "weight_mode": "vertex",
+        "weights": {f"v{i}": 2 if i % 100 == 0 else 1 for i in range(n)},
+    }
+
+
+def test_eval_fg_refuses_a_cyclic_network(capsys, tmp_path):
+    data = {
+        "vertices": [
+            {"id": "a", "x": "0", "y": "0"},
+            {"id": "b", "x": "1", "y": "1"},
+        ],
+        "edges": [["a", "b"], ["b", "a"]],
+        "sources": ["a"],
+        "sinks": ["b"],
+        "weight_mode": "vertex",
+        "weights": {"a": 1, "b": 1},
+    }
+    code, out = _eval_fg(capsys, tmp_path, data, [1], [1])
+    assert code == 2 and out is None
+
+
+def test_eval_fg_on_a_chain_longer_than_the_recursion_limit(capsys, tmp_path):
+    n = sys.getrecursionlimit() + 200
+    code, out = _eval_fg(capsys, tmp_path, _chain(n), [1], [1])
+    assert code == 0
+    assert out == {"value": 2 ** len(range(0, n, 100))}
+
+
+def test_validate_network_on_a_chain_longer_than_the_recursion_limit(capsys, tmp_path):
+    net_file = tmp_path / "chain.json"
+    net_file.write_text(json.dumps(_chain(sys.getrecursionlimit() + 200)))
+    code, report = run(capsys, "validate-network", "--network", str(net_file))
+    assert code == 0
+    assert report["acyclic"] and report["cycle"] is None and report["ok"]
 
 
 def test_usage_errors(capsys):

@@ -1,10 +1,9 @@
 import random
 from collections import Counter
-from fractions import Fraction
 
 import pytest
 
-from planarflows import INTEGERS, TROPICAL_INT, star_extend
+from planarflows import INTEGERS, RATIONALS, TROPICAL_INT, polynomial_ring, star_extend
 from planarflows.errors import (
     CoupleNotInMatching,
     EmptySumWithoutNeutral,
@@ -20,6 +19,7 @@ from planarflows.flows import (
     flow_weight,
     path_weight_sum,
 )
+from planarflows.lindstrom import compile_matrix_to_network, exact_matrix
 from planarflows.network import (
     PlanarNetwork,
     build_grid,
@@ -27,28 +27,15 @@ from planarflows.network import (
     build_half_grid,
     split_vertices,
 )
-from planarflows.patterns import LOWER, UPPER
+from planarflows.patterns import LOWER, UPPER, _normalize_pattern
+from planarflows.witness import demonstrate_violation
 
-from helpers import brute_force_flows
-
-
-def diamond_network():
-    """Three sources, three sinks, one branching diamond in the middle."""
-    F = Fraction
-    verts = {
-        "s1": (F(0), F(0)), "s2": (F(2), F(0)), "s3": (F(4), F(0)),
-        "v1": (F(3), F(2)), "c": (F(2), F(3)), "d": (F(4), F(3)),
-        "v2": (F(3), F(4)),
-        "t1": (F(0), F(6)), "t2": (F(3), F(6)), "t3": (F(6), F(6)),
-    }
-    edges = (
-        ("s2", "v1"), ("s3", "v1"), ("v1", "c"), ("v1", "d"),
-        ("c", "v2"), ("d", "v2"), ("v2", "t1"), ("v2", "t2"), ("s1", "t1"),
-    )
-    return PlanarNetwork(
-        verts, edges, ("s1", "s2", "s3"), ("t1", "t2", "t3"), "vertex",
-        {v: 1 for v in verts},
-    )
+from helpers import (
+    brute_force_flows,
+    contexts_for,
+    diamond_network,
+    random_unbalanced_patterns,
+)
 
 
 def test_interval_flow_is_unique_on_half_grid():
@@ -142,6 +129,78 @@ def test_path_weight_sum_matches_fg_on_singletons():
             assert path_weight_sum(INTEGERS, net, i, j) == fg_value(
                 INTEGERS, net, [i], [j]
             )
+
+
+def _differential_corpus():
+    nets = [
+        build_grid(3, 3),
+        build_grid(2, 4),
+        build_half_grid(4),
+        build_gv_grid(3, 4),
+        diamond_network(),
+        split_vertices(build_half_grid(3)).network,
+        split_vertices(diamond_network()).network,
+    ]
+    # n = 3 matrices whose compiled networks have few enough flows to list
+    for rows in ([[1, 0, 0], [2, 1, 0], [1, 3, 1]], [[0, 1, 0], [0, 0, 1], [1, 0, 0]],
+                 [[1, 1, 0], [1, 2, 1], [0, 1, 2]], [[2, 0, 0], [2, -2, 1], [-1, -2, -1]]):
+        nets.append(compile_matrix_to_network(exact_matrix(RATIONALS, rows))[0])
+    for a, b in random_unbalanced_patterns(5, 3, max_total=6):
+        shape = _normalize_pattern(a)
+        ctx = contexts_for(shape.m, shape.m_prime)[-1]
+        nets.append(demonstrate_violation(a, b, *ctx)["network"].network)
+    return nets
+
+
+def _reweighted(net, spec, rng):
+    """``net`` with random weights from ``spec``; edge weights on a random
+    subset of edges, the others counting as one."""
+    if net.weight_mode == "vertex":
+        return net.with_vertex_weights({v: spec.random_value(rng) for v in net.vertices})
+    weights = {e: spec.random_value(rng) for e in net.edges if rng.random() < 0.7}
+    return PlanarNetwork(net.vertices, net.edges, net.sources, net.sinks, "edge", weights)
+
+
+def _brute_value(spec, net, I, Ip):
+    """Sum over brute-force flows of the used weights' product; None if none."""
+    total = None
+    for system in brute_force_flows(net, I, Ip):
+        if net.weight_mode == "vertex":
+            factors = [net.weights[v] for path in system for v in path]
+        else:
+            factors = [net.weights[e] for path in system
+                       for e in zip(path, path[1:]) if e in net.weights]
+        weight = spec.one()
+        for w in factors:
+            weight = spec.mul(weight, w)
+        total = weight if total is None else spec.add(total, weight)
+    return total
+
+
+def test_engine_matches_brute_force_across_networks_and_semirings():
+    rng = random.Random(2024)
+    semirings = [INTEGERS, TROPICAL_INT, star_extend(TROPICAL_INT), polynomial_ring("a", "b")]
+    seen = Counter()
+    for base in _differential_corpus():
+        n, np_ = base.n_sources, base.n_sinks
+        for spec in semirings:
+            net = _reweighted(base, spec, rng)
+            for _ in range(6):
+                k = rng.randint(0, min(n, np_, 3))
+                I = sorted(rng.sample(range(1, n + 1), k))
+                Ip = sorted(rng.sample(range(1, np_ + 1), k))
+                flows = enumerate_flows(net, I, Ip, size_cap=len(net.vertices))
+                assert [f.paths for f in flows] == brute_force_flows(net, I, Ip)
+                expect = _brute_value(spec, net, I, Ip)
+                seen["empty" if expect is None else "nonempty"] += 1
+                if expect is None and not spec.has_zero:
+                    with pytest.raises(EmptySumWithoutNeutral):
+                        fg_value(spec, net, I, Ip)
+                    seen["raised"] += 1
+                    continue
+                got = fg_value(spec, net, I, Ip)
+                assert spec.equal(got, spec.zero() if expect is None else expect)
+    assert seen["empty"] and seen["nonempty"] and seen["raised"]
 
 
 # ---------------------------------------------------------------------------

@@ -15,9 +15,11 @@ from planarflows.network import (
     build_standard,
     concatenate,
     edge_to_vertex_mode,
+    find_cycle,
     network_from_json,
     network_to_json,
     split_vertices,
+    topological_order,
     truncated_grid,
     validate,
 )
@@ -133,6 +135,18 @@ def test_validate_detects_cycle():
     bad = PlanarNetwork(g.vertices, edges, g.sources, g.sinks)
     report = validate(bad)
     assert not report["acyclic"] and report["cycle"]
+
+
+def test_find_cycle_reports_a_directed_cycle():
+    g = build_grid(3, 3)
+    for extra in ((("1,3", "3,1"),), (("2,2", "2,2"),), (("1,2", "2,1"), ("3,3", "3,2"))):
+        net = PlanarNetwork(g.vertices, g.edges + extra, g.sources, g.sinks)
+        cycle = find_cycle(net)
+        assert cycle[0] == cycle[-1] and len(set(cycle)) == len(cycle) - 1
+        assert all(e in net.edges for e in zip(cycle, cycle[1:]))
+        with pytest.raises(PlanarFlowsError):
+            topological_order(net)
+    assert find_cycle(g) is None
 
 
 def test_validate_detects_crossing():

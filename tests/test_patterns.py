@@ -7,7 +7,6 @@ from planarflows.errors import BadParams, BadSizes, NotProper, SizeMismatch
 from planarflows.patterns import (
     LOWER,
     UPPER,
-    all_feasible_matchings_bruteforce,
     apply_exchange,
     embed_matching,
     embed_one,
@@ -24,7 +23,7 @@ from planarflows.patterns import (
     two_pattern,
 )
 
-from helpers import proper_pairs
+from helpers import all_feasible_matchings_bruteforce, proper_pairs
 
 
 def test_two_level_picture_example():

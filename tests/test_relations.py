@@ -47,7 +47,6 @@ def test_dodgson_on_compiled_matrix_network():
         {1, 2},
         embed_two(a0, [1, 2], [1, 2]),
         embed_two(b0, [1, 2], [1, 2]),
-        size_cap=len(net.vertices),
     )
     result = evaluate_sq(ri)
     assert result["equal"]
@@ -80,7 +79,7 @@ def test_p3_tropical_on_half_grid():
 
 
 def test_star_wrapping_for_semirings_without_zero():
-    from tests_fig import diamond_network
+    from helpers import diamond_network
     from planarflows.semiring import STAR
 
     # sink 3 is unreachable, so tropical evaluation needs the star wrapper

@@ -157,7 +157,6 @@ def test_skew_schur_equals_flow_value():
             net,
             sorted(partition_to_set(mu_p, r)),
             sorted(partition_to_set(lam_p, r)),
-            size_cap=60,
         )
         via_tableaux, _ = schur_poly(lam_p, mu_p, N)
         assert direct == via_tableaux

@@ -103,7 +103,7 @@ def test_flag_counterexample_network():
     res = demonstrate_violation(a, b, set(), {1, 2, 3}, {1}, {2})
     assert (res["lhs"], res["rhs"]) == (1, 0)
     net = res["network"].network
-    f = lambda I, Ip: fg_value(INTEGERS, net, I, Ip, size_cap=200)
+    f = lambda I, Ip: fg_value(INTEGERS, net, I, Ip)
     assert f([1, 3], [1, 2]) * f([2], [1]) == 1
     assert f([1, 2], [1, 2]) * f([3], [1]) == 0
 
