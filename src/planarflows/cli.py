@@ -16,7 +16,7 @@ from .errors import PlanarFlowsError
 from .flows import fg_value
 from .lindstrom import compile_matrix_to_network, flow_matrix, matrix_from_json
 from .network import network_from_json, network_to_json, validate
-from .patterns import is_balanced, pattern_from_json
+from .patterns import _normalize_pattern, embed_two, is_balanced, pattern_from_json
 from .relations import RelationInstance, evaluate_sq
 from .schur import verify_schur_identity
 from .witness import audit_witness, demonstrate_violation
@@ -42,8 +42,6 @@ def _load_pattern_pair(path):
 
 
 def _default_sets(pattern_a):
-    from .patterns import _normalize_pattern
-
     a = _normalize_pattern(pattern_a)
     m, mp = a.m, a.m_prime
     if m >= mp:
@@ -89,8 +87,6 @@ def cmd_verify_relation(args):
     spec = sr.parse_semiring(args.semiring)
     net = network_from_json(_load(args.network), spec)
     sets = _sets_from_file(args.sets) if args.sets else _default_sets(a)
-    from .patterns import _normalize_pattern, embed_two
-
     a2, b2 = _normalize_pattern(a), _normalize_pattern(b)
     X, Y, Xp, Yp = sets
     ri = RelationInstance(

@@ -73,6 +73,10 @@ class NotAFlow(PlanarFlowsError):
     """A path system is not a valid vertex-disjoint flow."""
 
 
+class BadNetwork(PlanarFlowsError):
+    """A network's JSON form is malformed; the message names the field."""
+
+
 class NetworkTooLarge(PlanarFlowsError):
     """Exhaustive flow enumeration refused beyond the size cap."""
 

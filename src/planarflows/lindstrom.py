@@ -20,7 +20,7 @@ from .errors import (
     RingRequired,
     SizeMismatch,
 )
-from .flows import fg_value, path_weight_sum
+from .flows import fg_value
 from .network import PlanarNetwork, concatenate
 from .patterns import _normalize_pattern, embed_two, is_balanced
 
@@ -122,18 +122,29 @@ def minor(matrix, I, Iprime):
 
 
 def flow_matrix(network, spec):
-    """Entry (j, i) = weight sum of source-i to sink-j paths."""
+    """Entry (j, i) = weight sum of source-i to sink-j paths (a missing edge
+    weight is one), by one forward sweep per source over the vertices that
+    reach a sink."""
     if not spec.has_zero or not spec.has_additive_inverse:
         raise RingRequired("flow matrices are defined over rings")
-    rows = []
-    for j in range(1, network.n_sinks + 1):
-        rows.append(
-            [
-                path_weight_sum(spec, network, i, j)
-                for i in range(1, network.n_sources + 1)
-            ]
-        )
-    return exact_matrix(spec, rows)
+    order, rank, succ = network.view
+    weights, vertex_mode = network.weights, network.weight_mode == "vertex"
+    live = {rank[t] for t in network.sinks}
+    for r in reversed(range(len(order))):
+        if any(u in live for u in succ[r]):
+            live.add(r)
+    succ = [[u for u in heads if u in live] for heads in succ]
+    columns = []
+    for s in network.sources:
+        r0 = rank[s]
+        sums = {r0: weights[s] if vertex_mode else spec.one()} if r0 in live else {}
+        for r in range(r0, len(order)):
+            for u in succ[r] if r in sums else ():
+                w = weights[order[u]] if vertex_mode else weights.get((order[r], order[u]))
+                value = sums[r] if w is None else spec.mul(w, sums[r])
+                sums[u] = spec.add(sums[u], value) if u in sums else value
+        columns.append([sums.get(rank[t], spec.zero()) for t in network.sinks])
+    return exact_matrix(spec, [[col[j] for col in columns] for j in range(network.n_sinks)])
 
 
 def verify_lindstrom(network, spec, size_cap=None):

@@ -12,10 +12,9 @@ import heapq
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
+from math import lcm
 
-from .errors import ArityMismatch, PlanarFlowsError
-
-Point = tuple  # (Fraction, Fraction)
+from .errors import ArityMismatch, BadNetwork, PlanarFlowsError
 
 
 @dataclass
@@ -157,31 +156,16 @@ def convex_hull(points):
     return lower[:-1] + upper[:-1]
 
 
-def _hull_position(point, hull):
-    """Perimeter parameter of a point on the hull boundary, else None.
-
-    The parameter is (edge index + fraction along the edge) with the hull
-    traversed clockwise, so coincident points get equal parameters.
-    """
-    k = len(hull)
-    if k == 1:
-        return Fraction(0) if point == hull[0] else None
-    clockwise = list(reversed(hull))
-    for idx in range(len(clockwise)):
-        a = clockwise[idx]
+def _hull_position(point, clockwise):
+    """Perimeter parameter of a point inside an edge of the clockwise hull,
+    else None: the edge index plus the fraction along the edge."""
+    for idx, a in enumerate(clockwise):
         b = clockwise[(idx + 1) % len(clockwise)]
-        if a == b:
-            continue
-        if cross(a, b, point) != 0 or not on_segment(point, a, b):
-            continue
-        if point == b:
-            continue  # attribute to the next edge's start
-        dx, dy = b[0] - a[0], b[1] - a[1]
-        if abs(dx) >= abs(dy):
-            t = Fraction(point[0] - a[0], dx)
-        else:
-            t = Fraction(point[1] - a[1], dy)
-        return idx + t
+        if cross(a, b, point) == 0 and on_segment(point, a, b):
+            dx, dy = b[0] - a[0], b[1] - a[1]
+            if abs(dx) >= abs(dy):
+                return idx + Fraction(point[0] - a[0], dx)
+            return idx + Fraction(point[1] - a[1], dy)
     return None
 
 
@@ -233,7 +217,11 @@ def topological_order(network):
 
 
 def validate(network):
-    """Report acyclicity, terminal boundary order, and segment planarity."""
+    """Report acyclicity, terminal boundary order, and segment planarity.
+
+    The geometry runs exactly on an integer image of the drawing (scaled by
+    the LCM of the coordinate denominators).  A sweep over the edges in order
+    of their boxes' low y tests only pairs whose boxes overlap."""
     report = {
         "acyclic": True,
         "cycle": None,
@@ -248,11 +236,16 @@ def validate(network):
         report["acyclic"] = False
         report["cycle"] = cycle
 
-    hull = convex_hull(network.vertices.values())
+    scale = lcm(*(c.denominator for p in network.vertices.values() for c in p))
+    coords = {v: tuple(c.numerator * (scale // c.denominator) for c in p)
+              for v, p in network.vertices.items()}
+    clockwise = convex_hull(coords.values())[::-1]
+    corner = {p: idx for idx, p in enumerate(clockwise)}
     ordered_terms = list(reversed(network.sources)) + list(network.sinks)
     positions = []
     for term in ordered_terms:
-        pos = _hull_position(network.vertices[term], hull)
+        p = coords[term]
+        pos = corner[p] if p in corner else _hull_position(p, clockwise)
         if pos is None:
             report["terminal_order_ok"] = False
             report["terminal_issues"].append(f"{term} not on the convex boundary")
@@ -268,36 +261,33 @@ def validate(network):
                 "terminals are not in clockwise order s_n..s_1,t_1..t_n'"
             )
 
-    coords = network.vertices
-    edges = list(network.edges)
-    boxes = []
-    for a, b in edges:
-        pa, pb = coords[a], coords[b]
-        boxes.append(
-            (min(pa[0], pb[0]), max(pa[0], pb[0]), min(pa[1], pb[1]), max(pa[1], pb[1]))
-        )
-    for i in range(len(edges)):
-        a, b = edges[i]
-        pa, pb = coords[a], coords[b]
-        bi = boxes[i]
-        for j in range(i + 1, len(edges)):
-            bj = boxes[j]
-            if bi[1] < bj[0] or bj[1] < bi[0] or bi[3] < bj[2] or bj[3] < bi[2]:
+    edges = network.edges
+    segments = [(coords[a], coords[b]) for a, b in edges]
+    boxes = [
+        (min(p[0], q[0]), max(p[0], q[0]), min(p[1], q[1]), max(p[1], q[1]))
+        for p, q in segments
+    ]
+    found = []
+    active = []
+    for j in sorted(range(len(edges)), key=lambda k: boxes[k][2]):
+        x0, x1, y0, _ = boxes[j]
+        active = [i for i in active if boxes[i][3] >= y0]
+        for i in active:
+            if boxes[i][1] < x0 or x1 < boxes[i][0]:
                 continue
-            c, d = edges[j]
-            pc, pd = coords[c], coords[d]
-            shared = {pa, pb} & {pc, pd}
-            if shared:
+            (pa, pb), (pc, pd) = segments[min(i, j)], segments[max(i, j)]
+            if {pa, pb} & {pc, pd}:
                 # Touching at a shared endpoint is fine; anything beyond a
                 # single shared point (overlap or a second crossing) is not.
-                hit = proper_intersection_point(pa, pb, pc, pd)
-                if hit is not None:
-                    report["planar_ok"] = False
-                    report["crossings"].append([list(edges[i]), list(edges[j])])
-                continue
-            if segments_intersect(pa, pb, pc, pd):
-                report["planar_ok"] = False
-                report["crossings"].append([list(edges[i]), list(edges[j])])
+                hit = proper_intersection_point(pa, pb, pc, pd) is not None
+            else:
+                hit = segments_intersect(pa, pb, pc, pd)
+            if hit:
+                found.append((min(i, j), max(i, j)))
+        active.append(j)
+    found.sort()
+    report["planar_ok"] = not found
+    report["crossings"] = [[list(edges[i]), list(edges[j])] for i, j in found]
 
     report["ok"] = (
         report["acyclic"] and report["terminal_order_ok"] and report["planar_ok"]
@@ -582,21 +572,45 @@ def network_to_json(network, spec=None):
 
 
 def network_from_json(data, spec=None):
-    vertices = {
-        item["id"]: (Fraction(item["x"]), Fraction(item["y"]))
-        for item in data["vertices"]
-    }
-    edges = tuple((tail, head) for tail, head in data["edges"])
-    weight_mode = data.get("weight_mode", "vertex")
+    """Parse a network; malformed input raises ``BadNetwork`` naming the field.
+    With a ``spec``, every vertex of a vertex-weighted network needs a weight."""
+    def expect(ok, where, what):
+        if not ok:
+            raise BadNetwork(f"{where}: {what}")
+
+    def parse(where, fn, value):
+        try:
+            return fn(value)
+        except (ArithmeticError, LookupError, PlanarFlowsError, TypeError, ValueError) as e:
+            raise BadNetwork(f"{where}: {e}") from None
+
+    def ids(where, value, count=None):
+        ok = isinstance(value, list) and count in (None, len(value))
+        expect(ok, where, f"expected {count or 'a list of'} vertex ids")
+        for v in value:
+            expect(isinstance(v, str) and v in vertices, where, f"unknown vertex {v!r}")
+        return tuple(value)
+
+    expect(isinstance(data, dict), "network", "expected a JSON object")
+    for name, kind in (("vertices", list), ("edges", list), ("weights", dict)):
+        value = data.get(name, {} if kind is dict else None)
+        expect(isinstance(value, kind), name, f"expected a JSON {kind.__name__}")
+    vertices = {}
+    for k, item in enumerate(data["vertices"]):
+        ok = isinstance(item, dict) and isinstance(item.get("id"), str)
+        expect(ok and item["id"] not in vertices, f"vertices[{k}]", "needs a new string id")
+        vertices[item["id"]] = tuple(
+            parse(f"vertices[{k}].{c}", Fraction, item.get(c)) for c in "xy")
+    edges = tuple(ids(f"edges[{k}]", e, 2) for k, e in enumerate(data["edges"]))
+    mode = data.get("weight_mode", "vertex")
+    expect(mode in ("vertex", "edge"), "weight_mode", f"unknown mode {mode!r}")
+    keys = set(edges) if mode == "edge" else vertices
     weights = {}
     for name, value in data.get("weights", {}).items():
-        key = tuple(name.split("->", 1)) if "->" in name else name
-        weights[key] = spec.from_json(value) if spec else value
-    return PlanarNetwork(
-        vertices,
-        edges,
-        tuple(data["sources"]),
-        tuple(data["sinks"]),
-        weight_mode,
-        weights,
-    )
+        key = tuple(name.split("->", 1)) if mode == "edge" else name
+        expect(key in keys, f"weights[{name!r}]", f"unknown {mode}")
+        weights[key] = parse(f"weights[{name!r}]", spec.from_json, value) if spec else value
+    for v in vertices if spec and mode == "vertex" else ():
+        expect(v in weights, "weights", f"no weight for vertex {v!r}")
+    sources, sinks = ids("sources", data.get("sources")), ids("sinks", data.get("sinks"))
+    return PlanarNetwork(vertices, edges, sources, sinks, mode, weights)

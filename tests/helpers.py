@@ -5,7 +5,15 @@ import random
 from fractions import Fraction
 from itertools import combinations
 
-from planarflows.network import PlanarNetwork
+from planarflows.network import (
+    PlanarNetwork,
+    convex_hull,
+    cross,
+    find_cycle,
+    on_segment,
+    proper_intersection_point,
+    segments_intersect,
+)
 from planarflows.patterns import (
     LOWER,
     UPPER,
@@ -37,6 +45,97 @@ def diamond_network():
         verts, edges, ("s1", "s2", "s3"), ("t1", "t2", "t3"), "vertex",
         {v: 1 for v in verts},
     )
+
+
+def scanned_hull_position(point, hull):
+    """Perimeter parameter of a point on the hull boundary, found by scanning
+    every hull edge clockwise; None off the boundary."""
+    k = len(hull)
+    if k == 1:
+        return Fraction(0) if point == hull[0] else None
+    clockwise = list(reversed(hull))
+    for idx in range(len(clockwise)):
+        a = clockwise[idx]
+        b = clockwise[(idx + 1) % len(clockwise)]
+        if a == b:
+            continue
+        if cross(a, b, point) != 0 or not on_segment(point, a, b):
+            continue
+        if point == b:
+            continue  # attribute to the next edge's start
+        dx, dy = b[0] - a[0], b[1] - a[1]
+        if abs(dx) >= abs(dy):
+            t = Fraction(point[0] - a[0], dx)
+        else:
+            t = Fraction(point[1] - a[1], dy)
+        return idx + t
+    return None
+
+
+def validate_oracle(network):
+    """Independent planarity report: the drawing's own coordinates, a hull
+    scan per terminal and an exact test of every pair of edges."""
+    report = {
+        "acyclic": True,
+        "cycle": None,
+        "terminal_order_ok": True,
+        "terminal_issues": [],
+        "planar_ok": True,
+        "crossings": [],
+    }
+    cycle = find_cycle(network)
+    if cycle is not None:
+        report["acyclic"] = False
+        report["cycle"] = cycle
+
+    hull = convex_hull(network.vertices.values())
+    ordered_terms = list(reversed(network.sources)) + list(network.sinks)
+    positions = []
+    for term in ordered_terms:
+        pos = scanned_hull_position(network.vertices[term], hull)
+        if pos is None:
+            report["terminal_order_ok"] = False
+            report["terminal_issues"].append(f"{term} not on the convex boundary")
+        positions.append(pos)
+    if report["terminal_order_ok"] and positions:
+        vals = [p for p in positions if p is not None]
+        descents = sum(
+            1 for i in range(len(vals)) if vals[(i + 1) % len(vals)] < vals[i]
+        )
+        if descents > 1:
+            report["terminal_order_ok"] = False
+            report["terminal_issues"].append(
+                "terminals are not in clockwise order s_n..s_1,t_1..t_n'"
+            )
+
+    coords = network.vertices
+    edges = list(network.edges)
+    boxes = []
+    for a, b in edges:
+        pa, pb = coords[a], coords[b]
+        boxes.append(
+            (min(pa[0], pb[0]), max(pa[0], pb[0]), min(pa[1], pb[1]), max(pa[1], pb[1]))
+        )
+    for i in range(len(edges)):
+        pa, pb = coords[edges[i][0]], coords[edges[i][1]]
+        bi = boxes[i]
+        for j in range(i + 1, len(edges)):
+            bj = boxes[j]
+            if bi[1] < bj[0] or bj[1] < bi[0] or bi[3] < bj[2] or bj[3] < bi[2]:
+                continue
+            pc, pd = coords[edges[j][0]], coords[edges[j][1]]
+            if {pa, pb} & {pc, pd}:
+                hit = proper_intersection_point(pa, pb, pc, pd) is not None
+            else:
+                hit = segments_intersect(pa, pb, pc, pd)
+            if hit:
+                report["planar_ok"] = False
+                report["crossings"].append([list(edges[i]), list(edges[j])])
+
+    report["ok"] = (
+        report["acyclic"] and report["terminal_order_ok"] and report["planar_ok"]
+    )
+    return report
 
 
 def brute_force_flows(network, I, Iprime):

@@ -240,3 +240,47 @@ def test_output_is_byte_stable(capsys, tmp_path):
         )
         assert code == 1
     assert first.read_bytes() == second.read_bytes()
+
+
+def _two_vertices(**changes):
+    data = {
+        "vertices": [{"id": "a", "x": "0", "y": "0"}, {"id": "b", "x": "1", "y": "1"}],
+        "edges": [["a", "b"]],
+        "sources": ["a"],
+        "sinks": ["b"],
+        "weight_mode": "vertex",
+        "weights": {"a": 1, "b": 1},
+    }
+    data.update(changes)
+    return data
+
+
+@pytest.mark.parametrize("data, message, needs_semiring", [
+    ({"vertices": "oops"}, "vertices: expected a JSON list", False),
+    ([1, 2], "network: expected a JSON object", False),
+    (_two_vertices(edges=[["a", "b"], ["b", "zz"]]), "edges[1]: unknown vertex 'zz'", False),
+    (_two_vertices(edges=[["a", "b", "a"]]), "edges[0]: expected 2 vertex ids", False),
+    (_two_vertices(sinks=["c"]), "sinks: unknown vertex 'c'", False),
+    (_two_vertices(vertices=[{"id": "a", "x": "0", "y": "0"}, {"id": "b", "x": "one", "y": "1"}]),
+     "vertices[1].x: ", False),
+    (_two_vertices(vertices=[{"id": "a", "x": "0", "y": "0"}, {"id": "a", "x": "1", "y": "1"}]),
+     "vertices[1]: needs a new string id", False),
+    (_two_vertices(weight_mode="faces"), "weight_mode: unknown mode 'faces'", False),
+    (_two_vertices(weight_mode="edge", weights={"a->c": 1}), "weights['a->c']: unknown edge", False),
+    (_two_vertices(weights={"a": 1}), "weights: no weight for vertex 'b'", True),
+    (_two_vertices(weights={"a": 1, "b": "two"}), "weights['b']: ", True),
+])
+def test_malformed_networks_are_refused_naming_the_field(
+        capsys, tmp_path, data, message, needs_semiring):
+    net_file = tmp_path / "net.json"
+    net_file.write_text(json.dumps(data))
+    args_file = tmp_path / "args.json"
+    args_file.write_text(json.dumps({"I": [1], "Iprime": [1]}))
+    commands = [["eval-fg", "--network", str(net_file), "--semiring", "integers",
+                 "--args", str(args_file)]]
+    if not needs_semiring:  # validate-network parses no weight values
+        commands.append(["validate-network", "--network", str(net_file)])
+    for argv in commands:
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and message in captured.err

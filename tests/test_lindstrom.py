@@ -4,7 +4,7 @@ from itertools import permutations
 
 import pytest
 
-from planarflows import INTEGERS, RATIONALS, polynomial_ring
+from planarflows import INTEGERS, RATIONALS, TROPICAL_INT, polynomial_ring
 from planarflows.errors import PatternsUnbalanced, RingRequired, SizeMismatch
 from planarflows.lindstrom import (
     adjacent_swap_gadget,
@@ -17,7 +17,14 @@ from planarflows.lindstrom import (
     quasi_diagonal_gadget,
     verify_lindstrom,
 )
-from planarflows.network import build_grid, build_half_grid, validate
+from planarflows.flows import path_weight_sum
+from planarflows.network import (
+    PlanarNetwork,
+    build_grid,
+    build_gv_grid,
+    build_half_grid,
+    validate,
+)
 from planarflows.patterns import one_pattern, stock_pattern
 
 
@@ -234,3 +241,56 @@ def test_quasi_diagonal_respects_terminal_order():
     assert validate(g)["ok"]
     fm = flow_matrix(g, RATIONALS)
     assert fm.entries == ((Fraction(2), Fraction(0), Fraction(0)),)
+
+
+def _path_sum_matrix(net, spec):
+    return tuple(
+        tuple(path_weight_sum(spec, net, i, j) for i in range(1, net.n_sources + 1))
+        for j in range(1, net.n_sinks + 1)
+    )
+
+
+def test_flow_matrix_matches_path_weight_sums():
+    rng = random.Random(12)
+    nets = []
+    for net in (build_grid(4, 3), build_grid(2, 5), build_half_grid(4), build_half_grid(5)):
+        nets.append((net.with_vertex_weights(
+            {v: rng.randint(-3, 3) for v in net.vertices}), INTEGERS))
+    ring = polynomial_ring("x1", "x2", "x3")
+    gv = build_gv_grid(3, 4, {h: ring.var(h - 1) for h in (1, 2, 3)})
+    assert len(gv.weights) < len(gv.edges)  # vertical edges weigh one
+    nets.append((gv, ring))
+    for n in (3, 4, 5):
+        rows = [[Fraction(rng.randint(-5, 5), rng.randint(1, 3)) for _ in range(n)]
+                for _ in range(n)]
+        nets.append((compile_matrix_to_network(exact_matrix(RATIONALS, rows))[0], RATIONALS))
+    # s1 -> s2 -> t1 -> t2: paths pass through other terminals.
+    F = Fraction
+    chain = PlanarNetwork(
+        {"s1": (F(0), F(0)), "s2": (F(1), F(0)), "t1": (F(1), F(1)), "t2": (F(0), F(1))},
+        (("s1", "s2"), ("s2", "t1"), ("t1", "t2")),
+        ("s1", "s2"), ("t1", "t2"), "vertex", {"s1": 2, "s2": 3, "t1": 5, "t2": 7},
+    )
+    assert flow_matrix(chain, INTEGERS).entries == ((30, 15), (210, 105))
+    nets.append((chain, INTEGERS))
+    # A dead end with no weight: no source-to-sink path uses it.
+    grid = build_grid(3, 3)
+    nets.append((PlanarNetwork(
+        {**grid.vertices, "dead": (F(5), F(5))}, grid.edges + (("2,2", "dead"),),
+        grid.sources, grid.sinks, "vertex", {v: rng.randint(1, 3) for v in grid.vertices},
+    ), INTEGERS))
+    for net, spec in nets:
+        assert flow_matrix(net, spec).entries == _path_sum_matrix(net, spec)
+    with pytest.raises(RingRequired):
+        flow_matrix(chain, TROPICAL_INT)
+
+
+def test_an_8x8_matrix_compiles_to_a_valid_network_that_realizes_it():
+    rng = random.Random(88)
+    rows = [[Fraction(rng.randint(-9, 9), rng.randint(1, 5)) for _ in range(8)]
+            for _ in range(8)]
+    mat = exact_matrix(RATIONALS, rows)
+    net, _ = compile_matrix_to_network(mat)
+    assert len(net.edges) > 3000
+    assert flow_matrix(net, RATIONALS).entries == mat.entries
+    assert validate(net)["ok"]

@@ -1,12 +1,19 @@
 import random
+from collections import Counter
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 
 from planarflows import INTEGERS, RATIONALS, polynomial_ring
 from planarflows.errors import ArityMismatch, PlanarFlowsError
 from planarflows.flows import enumerate_flows, fg_value
-from planarflows.lindstrom import flow_matrix, mat_mul
+from planarflows.lindstrom import (
+    compile_matrix_to_network,
+    exact_matrix,
+    flow_matrix,
+    mat_mul,
+)
 from planarflows.network import (
     PlanarNetwork,
     build_grid,
@@ -14,6 +21,8 @@ from planarflows.network import (
     build_half_grid,
     build_standard,
     concatenate,
+    convex_hull,
+    cross,
     edge_to_vertex_mode,
     find_cycle,
     network_from_json,
@@ -22,6 +31,15 @@ from planarflows.network import (
     topological_order,
     truncated_grid,
     validate,
+)
+from planarflows.patterns import _normalize_pattern
+from planarflows.witness import demonstrate_violation
+
+from helpers import (
+    contexts_for,
+    random_unbalanced_patterns,
+    scanned_hull_position,
+    validate_oracle,
 )
 
 
@@ -273,3 +291,94 @@ def test_network_json_round_trip():
     assert json.dumps(data, sort_keys=True) == json.dumps(
         network_to_json(back, INTEGERS), sort_keys=True
     )
+
+
+def _random_drawing(rng):
+    """A small drawing on a coarse lattice with denominators 1, 2 and 3, so
+    coincident vertices, collinear overlaps, shared endpoints, axis-parallel
+    edges, cycles and terminals inside hull edges all come up often.  Some
+    coordinates are plain ints."""
+    def coord():
+        d = rng.choice((1, 1, 2, 3))
+        k = rng.randint(0, 3 * d)
+        return k if d == 1 and rng.random() < 0.5 else Fraction(k, d)
+
+    ids = [f"v{k}" for k in range(rng.randint(1, 9))]
+    vertices = {v: (coord(), coord()) for v in ids}
+    edges = tuple(
+        (rng.choice(ids), rng.choice(ids)) for _ in range(rng.randint(0, 12))
+    )
+    sources = tuple(rng.sample(ids, rng.randint(0, min(3, len(ids)))))
+    sinks = tuple(rng.sample(ids, rng.randint(0, min(3, len(ids)))))
+    return PlanarNetwork(vertices, edges, sources, sinks)
+
+
+def _drawing_features(net, report):
+    coords = net.vertices
+    points = list(coords.values())
+    hull = convex_hull(points)
+    segments = [(coords[a], coords[b]) for a, b in net.edges]
+    return {
+        "coincident vertices": len(set(points)) < len(points),
+        "plain int coordinate": any(type(c) is int for p in points for c in p),
+        "cycle": not report["acyclic"],
+        "crossing": bool(report["crossings"]),
+        "shared endpoint": any(
+            {p, q} & {r, s} for (p, q), (r, s) in combinations(segments, 2)
+        ),
+        "vertical edge": any(p[0] == q[0] and p != q for p, q in segments),
+        "horizontal edge": any(p[1] == q[1] and p != q for p, q in segments),
+        "terminal inside a hull edge": any(
+            getattr(scanned_hull_position(coords[t], hull), "denominator", 1) != 1
+            for t in net.sources + net.sinks
+        ),
+        "terminal off the hull": any(
+            "boundary" in issue for issue in report["terminal_issues"]
+        ),
+        "terminals out of order": any(
+            "clockwise" in issue for issue in report["terminal_issues"]
+        ),
+        "collinear overlap": any(
+            cross(coords[a], coords[b], coords[c]) == 0
+            and cross(coords[a], coords[b], coords[d]) == 0
+            and coords[a] != coords[b]
+            for (a, b), (c, d) in report["crossings"]
+        ),
+    }
+
+
+def test_validate_matches_the_all_pairs_oracle_on_random_drawings():
+    rng = random.Random(31)
+    seen = Counter()
+    for _ in range(2500):
+        net = _random_drawing(rng)
+        expected = validate_oracle(net)
+        assert validate(net) == expected
+        features = _drawing_features(net, expected)
+        seen.update(name for name, present in features.items() if present)
+    assert len(seen) == len(features) and min(seen.values()) >= 20, seen
+
+
+def test_validate_matches_the_all_pairs_oracle_on_compiled_and_witness_networks():
+    rng = random.Random(8)
+    nets = []
+    for n in (3, 4, 5, 6):
+        rows = [[Fraction(rng.randint(-5, 5), rng.randint(1, 4)) for _ in range(n)]
+                for _ in range(n)]
+        nets.append(compile_matrix_to_network(exact_matrix(RATIONALS, rows))[0])
+    for a, b in random_unbalanced_patterns(5, 6):
+        shape = _normalize_pattern(a)
+        for ctx in contexts_for(shape.m, shape.m_prime):
+            nets.append(demonstrate_violation(a, b, *ctx)["network"].network)
+    largest = max(c.denominator for net in nets for p in net.vertices.values() for c in p)
+    assert largest.bit_length() > 40
+    for net in nets:
+        report = validate(net)
+        assert report["ok"] and report == validate_oracle(net)
+        # The same drawing with a few chords between random vertices: cycles,
+        # crossings and overlaps at the network's own coordinates.
+        ids = list(net.vertices)
+        for _ in range(1 if len(ids) > 100 else 4):
+            chords = tuple((rng.choice(ids), rng.choice(ids)) for _ in range(3))
+            chorded = PlanarNetwork(net.vertices, net.edges + chords, net.sources, net.sinks)
+            assert validate(chorded) == validate_oracle(chorded)
