@@ -12,12 +12,12 @@ import sys
 
 from . import basis as basis_mod
 from . import semiring as sr
-from .errors import PlanarFlowsError
+from .errors import BadInput, PlanarFlowsError
 from .flows import fg_value
 from .lindstrom import compile_matrix_to_network, flow_matrix, matrix_from_json
 from .network import network_from_json, network_to_json, validate
 from .patterns import _normalize_pattern, embed_two, is_balanced, pattern_from_json
-from .relations import RelationInstance, evaluate_sq
+from .relations import RelationInstance, default_sets, evaluate_sq
 from .schur import verify_schur_identity
 from .witness import audit_witness, demonstrate_violation
 
@@ -37,28 +37,22 @@ def _emit(data, output):
 
 
 def _load_pattern_pair(path):
+    """Both patterns of a pattern file, a bad field named from the file's root."""
     data = _load(path)
-    return pattern_from_json(data["A0"]), pattern_from_json(data["B0"])
+    pair = []
+    for key in ("A0", "B0"):
+        if not isinstance(data, dict) or not isinstance(data.get(key), dict):
+            raise BadInput(f"{key}: expected a pattern object")
+        try:
+            pair.append(pattern_from_json(data[key]))
+        except BadInput as exc:
+            raise BadInput(f"{key}.{exc}") from None
+    return pair
 
 
-def _default_sets(pattern_a):
-    a = _normalize_pattern(pattern_a)
-    m, mp = a.m, a.m_prime
-    if m >= mp:
-        d = (m - mp) // 2
-        return (
-            frozenset(),
-            frozenset(range(1, m + 1)),
-            frozenset(range(1, d + 1)),
-            frozenset(range(d + 1, d + mp + 1)),
-        )
-    d = (mp - m) // 2
-    return (
-        frozenset(range(1, d + 1)),
-        frozenset(range(d + 1, d + m + 1)),
-        frozenset(),
-        frozenset(range(1, mp + 1)),
-    )
+def _default_sets(pattern):
+    shape = _normalize_pattern(pattern)
+    return default_sets(shape.m, shape.m_prime)
 
 
 def _sets_from_file(path):

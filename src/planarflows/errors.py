@@ -77,6 +77,10 @@ class BadNetwork(PlanarFlowsError):
     """A network's JSON form is malformed; the message names the field."""
 
 
+class BadInput(PlanarFlowsError):
+    """A pattern's or matrix's JSON form is malformed; the message names the field."""
+
+
 class NetworkTooLarge(PlanarFlowsError):
     """Exhaustive flow enumeration refused beyond the size cap."""
 

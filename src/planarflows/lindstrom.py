@@ -15,13 +15,14 @@ from itertools import combinations
 
 from . import semiring as sr
 from .errors import (
+    BadInput,
     PatternsUnbalanced,
     PlanarFlowsError,
     RingRequired,
     SizeMismatch,
 )
 from .flows import fg_value
-from .network import PlanarNetwork, concatenate
+from .network import PlanarNetwork
 from .patterns import _normalize_pattern, embed_two, is_balanced
 
 
@@ -59,7 +60,24 @@ def exact_matrix(spec, rows):
 
 
 def matrix_from_json(data, spec):
-    rows = [[spec.from_json(v) for v in row] for row in data["entries"]]
+    """Parse a matrix; malformed input raises ``BadInput`` naming the field,
+    such as ``entries[1]`` for a short row or ``entries[0][2]`` for a bad value."""
+    def parse(r, c, value):
+        try:
+            return spec.from_json(value)
+        except (ArithmeticError, PlanarFlowsError, TypeError, ValueError) as e:
+            raise BadInput(f"entries[{r}][{c}]: {e}") from None
+
+    entries = data.get("entries") if isinstance(data, dict) else None
+    if not isinstance(entries, list):
+        raise BadInput("entries: expected a list of rows")
+    rows = []
+    for r, row in enumerate(entries):
+        if not isinstance(row, list):
+            raise BadInput(f"entries[{r}]: expected a list")
+        if len(row) != len(entries[0]):
+            raise BadInput(f"entries[{r}]: has {len(row)} values, entries[0] has {len(entries[0])}")
+        rows.append([parse(r, c, value) for c, value in enumerate(row)])
     return exact_matrix(spec, rows)
 
 
@@ -166,80 +184,28 @@ def verify_lindstrom(network, spec, size_cap=None):
 
 
 # ---------------------------------------------------------------------------
-# elementary gadgets
-
-def _terminal_rows(r, nprime=None):
-    nprime = r if nprime is None else nprime
-    vertices = {}
-    for i in range(1, r + 1):
-        vertices[f"s{i}"] = (Fraction(i), Fraction(0))
-    for j in range(1, nprime + 1):
-        vertices[f"t{j}"] = (Fraction(j), Fraction(1))
-    sources = tuple(f"s{i}" for i in range(1, r + 1))
-    sinks = tuple(f"t{j}" for j in range(1, nprime + 1))
-    return vertices, sources, sinks
-
-
-def quasi_diagonal_gadget(diag, n, nprime):
-    """n sources to n' sinks; channel i carries weight d_i, others die."""
-    vertices, sources, sinks = _terminal_rows(n, nprime)
-    edges = []
-    weights = {}
-    for i, d in enumerate(diag, start=1):
-        e = (f"s{i}", f"t{i}")
-        edges.append(e)
-        weights[e] = d
-    return PlanarNetwork(vertices, tuple(edges), sources, sinks, "edge", weights)
-
-
-def adjacent_swap_gadget(r, i, spec):
-    """Flow matrix equals the transposition of channels i, i+1.
-
-    The direct channels at i and i+1 carry weight -1 and a middle hub adds a
-    weight-one detour, so straight-through weights cancel to zero while the
-    crossings survive with weight one.
-    """
-    vertices, sources, sinks = _terminal_rows(r)
-    hub = "hub"
-    vertices[hub] = (Fraction(2 * i + 1, 2), Fraction(1, 2))
-    one = spec.one()
-    minus_one = spec.negate(one)
-    edges = []
-    weights = {}
-    for j in range(1, r + 1):
-        e = (f"s{j}", f"t{j}")
-        edges.append(e)
-        weights[e] = minus_one if j in (i, i + 1) else one
-    for e in [(f"s{i}", hub), (f"s{i + 1}", hub), (hub, f"t{i}"), (hub, f"t{i + 1}")]:
-        edges.append(e)
-        weights[e] = one
-    return PlanarNetwork(vertices, tuple(edges), sources, sinks, "edge", weights)
-
-
-def adjacent_add_gadget(r, i, x, spec):
-    """Identity channels plus a weight-x edge from source i to sink i+1."""
-    vertices, sources, sinks = _terminal_rows(r)
-    one = spec.one()
-    edges = []
-    weights = {}
-    for j in range(1, r + 1):
-        e = (f"s{j}", f"t{j}")
-        edges.append(e)
-        weights[e] = one
-    e = (f"s{i}", f"t{i + 1}")
-    edges.append(e)
-    weights[e] = x
-    return PlanarNetwork(vertices, tuple(edges), sources, sinks, "edge", weights)
-
+# elementary gadgets on one wire layout
 
 @dataclass(frozen=True)
 class GadgetFactor:
     kind: str       # "quasi-diagonal" | "swap" | "add"
     size: tuple     # (n_rows, n_cols) of the factor matrix
     index: int      # i for swap/add, 0 for quasi-diagonal
-    value: object   # x for add, None otherwise
-    matrix: ExactMatrix
-    network: PlanarNetwork
+    value: object   # x for add, the diagonal for quasi-diagonal, None for swap
+
+    @property
+    def matrix(self):
+        """Swap: the transposition of channels i, i+1.  Add: the identity
+        plus x at (i+1, i).  Quasi-diagonal: d_j at (j, j), zero elsewhere."""
+        (n_rows, n_cols), i = self.size, self.index
+        diag = self.value if self.kind == "quasi-diagonal" else [Fraction(1)] * n_rows
+        rows = [[diag[r] if r == c and r < len(diag) else Fraction(0) for c in range(n_cols)]
+                for r in range(n_rows)]
+        if self.kind == "swap":
+            rows[i - 1], rows[i] = rows[i], rows[i - 1]
+        elif self.kind == "add":
+            rows[i][i - 1] = self.value
+        return exact_matrix(sr.RATIONALS, rows)
 
 
 @dataclass
@@ -254,37 +220,76 @@ class GadgetChain:
         return acc
 
 
-def _identity_rows(spec, r):
-    return [
-        [spec.one() if i == j else spec.zero() for j in range(r)] for i in range(r)
-    ]
+def _assemble(factors, spec):
+    """Edge-weighted network realizing the ordered product of ``factors``
+    (bottom to top), laid out on vertical wires.
+
+    Channel j is the wire x = j, its source at height 0; factor y sits at
+    height y and adds vertices only on the wires it touches, fed by their
+    current heads.  A swap adds a vertex on each of its wires and a hub
+    between them: the direct edges carry -1 and the four hub edges +1.  An
+    add puts a vertex on wire i+1, fed by wire i+1 (weight one) and wire i
+    (weight x).  The quasi-diagonal adds a row of n' vertices, wire j <=
+    len(diag) feeding it with weight d_j.  Whatever a factor adds lies in
+    the strip between its wires above their heads, so the drawing is planar.
+    A wire ending below the top row gets one straight edge up to its sink.
+    Every vertex id is its position "x,y"; a missing edge weight means one.
+    """
+    one = spec.one()
+    vertices, edges, weights = {}, [], {}
+
+    def vertex(x, y):
+        v = f"{x},{y}"
+        vertices[v] = (Fraction(x), Fraction(y))
+        return v
+
+    def edge(tail, head, weight=None):
+        edges.append((tail, head))
+        if weight is not None:
+            weights[(tail, head)] = weight
+
+    heads = [vertex(j, 0) for j in range(1, factors[0].size[1] + 1)]
+    sources = tuple(heads)
+    for y, factor in enumerate(factors, start=1):
+        i = factor.index
+        if factor.kind == "swap":
+            left, right = heads[i - 1], heads[i]
+            hub = vertex(Fraction(2 * i + 1, 2), Fraction(2 * y - 1, 2))
+            heads[i - 1], heads[i] = vertex(i, y), vertex(i + 1, y)
+            edge(left, heads[i - 1], spec.negate(one))
+            edge(right, heads[i], spec.negate(one))
+            for tail, head in ((left, hub), (right, hub), (hub, heads[i - 1]), (hub, heads[i])):
+                edge(tail, head, one)
+        elif factor.kind == "add":
+            new = vertex(i + 1, y)
+            edge(heads[i], new)
+            edge(heads[i - 1], new, factor.value)
+            heads[i] = new
+        else:
+            row = [vertex(j, y) for j in range(1, factor.size[0] + 1)]
+            for tail, head, d in zip(heads, row, factor.value):
+                edge(tail, head, d)
+            heads = row
+    for j, head in enumerate(heads, start=1):
+        if vertices[head][1] < len(factors):
+            heads[j - 1] = vertex(j, len(factors))
+            edge(head, heads[j - 1])
+    return PlanarNetwork(vertices, tuple(edges), sources, tuple(heads), "edge", weights)
 
 
-def _swap_matrix(spec, r, i):
-    rows = _identity_rows(spec, r)
-    rows[i - 1][i - 1] = spec.zero()
-    rows[i][i] = spec.zero()
-    rows[i - 1][i] = spec.one()
-    rows[i][i - 1] = spec.one()
-    return exact_matrix(spec, rows)
+def quasi_diagonal_gadget(diag, n, nprime):
+    """n sources to n' sinks; channel i carries weight d_i, others die."""
+    return _assemble([GadgetFactor("quasi-diagonal", (nprime, n), 0, tuple(diag))], sr.RATIONALS)
 
 
-def _add_matrix(spec, r, i, x):
-    rows = _identity_rows(spec, r)
-    rows[i][i - 1] = x
-    return exact_matrix(spec, rows)
+def adjacent_swap_gadget(r, i, spec):
+    """Flow matrix equals the transposition of channels i, i+1."""
+    return _assemble([GadgetFactor("swap", (r, r), i, None)], spec)
 
 
-def _swap_factor(spec, r, i):
-    return GadgetFactor(
-        "swap", (r, r), i, None, _swap_matrix(spec, r, i), adjacent_swap_gadget(r, i, spec)
-    )
-
-
-def _add_factor(spec, r, i, x):
-    return GadgetFactor(
-        "add", (r, r), i, x, _add_matrix(spec, r, i, x), adjacent_add_gadget(r, i, x, spec)
-    )
+def adjacent_add_gadget(r, i, x, spec):
+    """Identity channels plus a weight-x path from source i to sink i+1."""
+    return _assemble([GadgetFactor("add", (r, r), i, x)], spec)
 
 
 def compile_matrix_to_network(matrix):
@@ -292,14 +297,13 @@ def compile_matrix_to_network(matrix):
 
     Gaussian elimination restricted to adjacent row/column operations
     reduces the matrix to quasi-diagonal form; inverting the operation
-    sequence yields a factorization into gadget shapes, which concatenate
-    bottom-up into one network.
+    sequence yields a factorization into gadget shapes, laid bottom-up on
+    one set of wires.
     """
-    spec = sr.RATIONALS
     nprime, n = matrix.n_rows, matrix.n_cols
     work = [[Fraction(v) for v in row] for row in matrix.entries]
 
-    row_ops = []  # applied left to right: (kind, i, x)
+    row_ops = []  # applied left to right: (kind, i, value of the inverse factor)
     col_ops = []
 
     def do_row_swap(i):  # rows i, i+1 (1-based i)
@@ -309,7 +313,7 @@ def compile_matrix_to_network(matrix):
     def do_row_add(i, x):  # row_{i+1} += x * row_i
         for c in range(n):
             work[i][c] += x * work[i - 1][c]
-        row_ops.append(("add", i, x))
+        row_ops.append(("add", i, -x))
 
     def do_col_swap(i):
         for r in range(nprime):
@@ -319,7 +323,7 @@ def compile_matrix_to_network(matrix):
     def do_col_add(i, x):  # col_i += x * col_{i+1}
         for r in range(nprime):
             work[r][i - 1] += x * work[r][i]
-        col_ops.append(("add", i, x))
+        col_ops.append(("add", i, -x))
 
     for k in range(min(n, nprime)):
         pivot = None
@@ -368,42 +372,13 @@ def compile_matrix_to_network(matrix):
             if r != c and work[r][c] != 0:
                 raise PlanarFlowsError("elimination failed to reach diagonal form")
 
-    diag = [work[i][i] for i in range(min(n, nprime))]
-
-    factors = []
-    # Bottom of the stack: inverses of the column ops in application order.
-    for kind, i, x in col_ops:
-        if kind == "swap":
-            factors.append(_swap_factor(spec, n, i))
-        else:
-            factors.append(_add_factor(spec, n, i, -x))
-    factors.append(
-        GadgetFactor(
-            "quasi-diagonal",
-            (nprime, n),
-            0,
-            None,
-            exact_matrix(
-                spec,
-                [
-                    [diag[i] if (i == j and i < len(diag)) else Fraction(0) for j in range(n)]
-                    for i in range(nprime)
-                ],
-            ),
-            quasi_diagonal_gadget(diag, n, nprime),
-        )
-    )
-    # Top of the stack: inverses of the row ops in reverse application order.
-    for kind, i, x in reversed(row_ops):
-        if kind == "swap":
-            factors.append(_swap_factor(spec, nprime, i))
-        else:
-            factors.append(_add_factor(spec, nprime, i, -x))
-
-    network = factors[0].network
-    for factor in factors[1:]:
-        network = concatenate(network, factor.network)
-    return network, GadgetChain(tuple(factors))
+    diag = tuple(work[i][i] for i in range(min(n, nprime)))
+    # Bottom of the stack: inverses of the column ops in application order;
+    # top: inverses of the row ops in reverse application order.
+    factors = [GadgetFactor(kind, (n, n), i, x) for kind, i, x in col_ops]
+    factors.append(GadgetFactor("quasi-diagonal", (nprime, n), 0, diag))
+    factors += [GadgetFactor(kind, (nprime, nprime), i, x) for kind, i, x in reversed(row_ops)]
+    return _assemble(factors, sr.RATIONALS), GadgetChain(tuple(factors))
 
 
 # ---------------------------------------------------------------------------

@@ -14,6 +14,7 @@ from dataclasses import dataclass
 from itertools import combinations
 
 from .errors import (
+    BadInput,
     BadParams,
     BadSizes,
     NotProper,
@@ -477,10 +478,6 @@ def stock_pattern(kind, **params):
     raise BadParams(f"unknown stock pattern kind {kind!r}")
 
 
-def stock_pattern_kinds():
-    return ["p3", "p4", "quintuple", "aa4", "aa5", "dodgson", "homogeneous3", "rowdecomposition3"]
-
-
 # ---------------------------------------------------------------------------
 # JSON
 
@@ -505,13 +502,35 @@ def pattern_to_json(pattern):
 
 
 def pattern_from_json(data):
-    if data.get("flag"):
-        members = [
-            (frozenset(item["A"]), item.get("mult", 1)) for item in data["members"]
-        ]
-        return one_pattern(data["m"], data["p"], members)
-    members = [
-        (frozenset(item["A"]), frozenset(item.get("Aprime", [])), item.get("mult", 1))
-        for item in data["members"]
-    ]
-    return two_pattern(data["m"], data["m_prime"], members)
+    """Parse a pattern; malformed input raises ``BadInput`` naming the field,
+    such as ``members[0].A``."""
+    def integer(where, value):
+        if type(value) is not int:
+            raise BadInput(f"{where}: expected an integer")
+        return value
+
+    def subset(where, value):
+        if not isinstance(value, list) or any(type(a) is not int for a in value):
+            raise BadInput(f"{where}: expected a list of integers")
+        return frozenset(value)
+
+    if not isinstance(data, dict):
+        raise BadInput("pattern: expected a JSON object")
+    flag = bool(data.get("flag"))
+    m = integer("m", data.get("m"))
+    size = "p" if flag else "m_prime"
+    other = integer(size, data.get(size))
+    if not isinstance(data.get("members"), list):
+        raise BadInput("members: expected a list")
+    members = []
+    for k, item in enumerate(data["members"]):
+        where = f"members[{k}]"
+        if not isinstance(item, dict):
+            raise BadInput(f"{where}: expected a JSON object")
+        A = subset(f"{where}.A", item.get("A"))
+        mult = integer(f"{where}.mult", item.get("mult", 1))
+        if flag:
+            members.append((A, mult))
+        else:
+            members.append((A, subset(f"{where}.Aprime", item.get("Aprime", [])), mult))
+    return one_pattern(m, other, members) if flag else two_pattern(m, other, members)

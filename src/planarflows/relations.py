@@ -78,8 +78,19 @@ class InstanceConfig:
 
     max_cases: int = 4
     vertex_budget: int = DEFAULT_VERTEX_BUDGET
-    seed: int = 0
-    extra_shift: bool = True
+
+
+def default_sets(m, m_prime):
+    """The first (X, Y, X', Y') for a shape (m, m'): the longer of Y, Y' is
+    [m] or [m']; on the shorter side X or X' takes the first |m - m'| // 2
+    slots and Y or Y' the ones after."""
+    if m >= m_prime:
+        d = (m - m_prime) // 2
+        return (frozenset(), frozenset(range(1, m + 1)),
+                frozenset(range(1, d + 1)), frozenset(range(d + 1, d + m_prime + 1)))
+    d = (m_prime - m) // 2
+    return (frozenset(range(1, d + 1)), frozenset(range(d + 1, d + m + 1)),
+            frozenset(), frozenset(range(1, m_prime + 1)))
 
 
 def default_instances(m, m_prime, config=None):
@@ -89,7 +100,7 @@ def default_instances(m, m_prime, config=None):
     added when n = n' fits the budget.  Sets are order-preserving samples.
     """
     config = config or InstanceConfig()
-    rng = random.Random(config.seed)
+    rng = random.Random(0)
     cases = []
 
     def grid_case(X, Y, Xp, Yp):
@@ -98,21 +109,10 @@ def default_instances(m, m_prime, config=None):
         net = truncated_grid(n, np_, config.vertex_budget)
         cases.append((net, X, Y, Xp, Yp))
 
-    if m >= m_prime:
-        d = (m - m_prime) // 2
-        X = frozenset()
-        Y = frozenset(range(1, m + 1))
-        Xp = frozenset(range(1, d + 1))
-        Yp = frozenset(range(d + 1, d + m_prime + 1))
-    else:
-        d = (m_prime - m) // 2
-        X = frozenset(range(1, d + 1))
-        Y = frozenset(range(d + 1, d + m + 1))
-        Xp = frozenset()
-        Yp = frozenset(range(1, m_prime + 1))
+    X, Y, Xp, Yp = default_sets(m, m_prime)
     grid_case(X, Y, Xp, Yp)
 
-    if config.extra_shift and len(cases) < config.max_cases:
+    if len(cases) < config.max_cases:
         # Shift everything one slot to the right and add a spectator column.
         X2 = frozenset(x + 1 for x in X)
         Y2 = frozenset(y + 1 for y in Y)

@@ -93,16 +93,6 @@ def ssyt_fillings(lam, mu, N):
     yield from rec(0)
 
 
-def tableau_rows(lam, mu, filling):
-    """Row-wise entry lists, bottom to top."""
-    out = []
-    for row in range(1, lam.length + 1):
-        out.append(
-            [filling[(row, col)] for col in range(mu.parts[row - 1] + 1, lam.parts[row - 1] + 1)]
-        )
-    return out
-
-
 def check_semistandard(lam, mu, rows, N):
     lam = lam if isinstance(lam, Partition) else Partition(tuple(lam))
     mu = mu if isinstance(mu, Partition) else Partition(tuple(mu))

@@ -284,3 +284,60 @@ def test_malformed_networks_are_refused_naming_the_field(
         assert main(argv) == 2
         captured = capsys.readouterr()
         assert captured.out == "" and message in captured.err
+
+
+def _dodgson_pair(**changes):
+    with open(fixture("dodgson.json")) as fh:
+        data = json.load(fh)
+    data.update(changes)
+    return data
+
+
+def _without(data, key):
+    return {k: v for k, v in data.items() if k != key}
+
+
+_DODGSON = _dodgson_pair()
+
+
+@pytest.mark.parametrize("data, message", [
+    ({"A0": "oops", "B0": [1]}, "A0: expected a pattern object"),
+    ({"A0": _DODGSON["A0"]}, "B0: expected a pattern object"),
+    ([1, 2], "A0: expected a pattern object"),
+    (_dodgson_pair(A0=_without(_DODGSON["A0"], "m_prime")), "A0.m_prime: expected an integer"),
+    (_dodgson_pair(B0=dict(_DODGSON["B0"], m="3")), "B0.m: expected an integer"),
+    (_dodgson_pair(A0=dict(_DODGSON["A0"], members={})), "A0.members: expected a list"),
+    (_dodgson_pair(A0=dict(_DODGSON["A0"], members=[7])), "A0.members[0]: expected a JSON object"),
+    (_dodgson_pair(A0=dict(_DODGSON["A0"], members=[{"A": "13"}])),
+     "A0.members[0].A: expected a list of integers"),
+    (_dodgson_pair(B0=dict(_DODGSON["B0"], members=[{"A": [1], "Aprime": [1.5]}])),
+     "B0.members[0].Aprime: expected a list of integers"),
+    ({"A0": {"flag": True, "m": 3, "members": [{"A": [1, 3]}]}, "B0": {}},
+     "A0.p: expected an integer"),
+    ({"A0": {"flag": True, "m": 3, "p": 2, "members": [{"A": [1, 3], "mult": None}]}, "B0": {}},
+     "A0.members[0].mult: expected an integer"),
+])
+def test_malformed_patterns_are_refused_naming_the_field(capsys, tmp_path, data, message):
+    pattern_file = tmp_path / "patterns.json"
+    pattern_file.write_text(json.dumps(data))
+    for command in ("check-balance", "witness"):
+        assert main([command, "--patterns", str(pattern_file)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and message in captured.err
+
+
+@pytest.mark.parametrize("data, message", [
+    ({"entries": 5}, "entries: expected a list of rows"),
+    ([[1, 2]], "entries: expected a list of rows"),
+    ({"entries": [[1, 2], [3]]}, "entries[1]: has 1 values, entries[0] has 2"),
+    ({"entries": [[1, 2], 3]}, "entries[1]: expected a list"),
+    ({"entries": [["x", 2]]}, "entries[0][0]: "),
+    ({"entries": [[1, "2"], [3, [4]]]}, "entries[1][1]: "),
+    ({"entries": [["1/0"]]}, "entries[0][0]: "),
+])
+def test_malformed_matrices_are_refused_naming_the_field(capsys, tmp_path, data, message):
+    mat_file = tmp_path / "m.json"
+    mat_file.write_text(json.dumps(data))
+    assert main(["compile-matrix", "--matrix", str(mat_file)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and message in captured.err

@@ -185,6 +185,38 @@ def test_compiler_handles_rank_deficiency():
     assert flow_matrix(net, RATIONALS).entries == zero.entries
 
 
+def _random_matrix(rng, n_rows, n_cols, density=1.0):
+    return exact_matrix(RATIONALS, [
+        [Fraction(rng.randint(-6, 6), rng.randint(1, 4)) if rng.random() < density
+         else Fraction(0) for _ in range(n_cols)]
+        for _ in range(n_rows)
+    ])
+
+
+def test_compiled_networks_add_a_bounded_number_of_vertices_per_factor():
+    # Sources, at most three vertices per factor, the quasi-diagonal row and
+    # one sink per wire that ends below the top row.
+    rng = random.Random(41)
+    for _ in range(20):
+        nr, nc = rng.randint(3, 6), rng.randint(3, 6)
+        net, chain = compile_matrix_to_network(_random_matrix(rng, nr, nc, rng.random()))
+        assert len(net.vertices) <= nc + 2 * nr + 3 * len(chain.factors)
+        assert all(v == f"{x},{y}" for v, (x, y) in net.vertices.items())
+
+
+def test_compiled_rectangular_and_rank_deficient_networks_satisfy_lindstrom():
+    rng = random.Random(42)
+    mats = [_random_matrix(rng, nr, nc) for nr, nc in ((1, 4), (4, 1), (2, 4), (4, 3), (3, 2))]
+    mats += [_random_matrix(rng, nr, nc, 0.4) for nr, nc in ((3, 3), (4, 4), (2, 3))]
+    row = [Fraction(rng.randint(1, 5), rng.randint(1, 3)) for _ in range(4)]
+    mats.append(exact_matrix(RATIONALS, [[k * v for v in row] for k in (1, -2, 0, 3)]))
+    mats.append(exact_matrix(RATIONALS, [[Fraction(0)] * 3 for _ in range(4)]))
+    for mat in mats:
+        net, _ = compile_matrix_to_network(mat)
+        assert flow_matrix(net, RATIONALS).entries == mat.entries
+        assert verify_lindstrom(net, RATIONALS)["ok"]
+
+
 def test_check_matrix_sq_dodgson():
     rng = random.Random(30)
     a0, b0 = stock_pattern("dodgson")
@@ -285,10 +317,10 @@ def test_flow_matrix_matches_path_weight_sums():
         flow_matrix(chain, TROPICAL_INT)
 
 
-def test_an_8x8_matrix_compiles_to_a_valid_network_that_realizes_it():
+def test_a_10x10_matrix_compiles_to_a_valid_network_that_realizes_it():
     rng = random.Random(88)
-    rows = [[Fraction(rng.randint(-9, 9), rng.randint(1, 5)) for _ in range(8)]
-            for _ in range(8)]
+    rows = [[Fraction(rng.randint(-9, 9), rng.randint(1, 5)) for _ in range(10)]
+            for _ in range(10)]
     mat = exact_matrix(RATIONALS, rows)
     net, _ = compile_matrix_to_network(mat)
     assert len(net.edges) > 3000
