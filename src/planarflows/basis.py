@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 from . import semiring as sr
 from .errors import BadParams, DivisionUnsupported, NotInvertible
-from .flows import enumerate_flows, fg_value
+from .flows import FlowFunction, enumerate_flows
 from .network import build_half_grid
 
 
@@ -22,13 +22,6 @@ def intervals(n, include_empty=True):
         for q in range(p, n + 1):
             out.append((p, q))
     return out
-
-
-def interval_set(iv):
-    if iv == ():
-        return frozenset()
-    p, q = iv
-    return frozenset(range(p, q + 1))
 
 
 def _interval_ending_at(i, length):
@@ -325,23 +318,12 @@ def eval_expansion(spec, expansion, values):
 # convenience: sample values straight off a weighted network
 
 def flag_values_from_network(spec, network, n):
-    out = {}
-    for p in range(1, n + 1):
-        for q in range(p, n + 1):
-            S = list(range(p, q + 1))
-            out[(p, q)] = fg_value(spec, network, S, list(range(1, len(S) + 1)))
-    return out
+    f = FlowFunction(spec, network)
+    return {(p, q): f(range(p, q + 1), range(1, q - p + 2))
+            for p in range(1, n + 1) for q in range(p, n + 1)}
 
 
 def pressed_values_from_network(spec, network, n, n_prime):
-    out = {}
-    for iv, ivp in pressed_basis(n, n_prime):
-        if iv == ():
-            continue
-        out[(iv, ivp)] = fg_value(
-            spec,
-            network,
-            list(range(iv[0], iv[1] + 1)),
-            list(range(ivp[0], ivp[1] + 1)),
-        )
-    return out
+    f = FlowFunction(spec, network)
+    return {(iv, ivp): f(range(iv[0], iv[1] + 1), range(ivp[0], ivp[1] + 1))
+            for iv, ivp in pressed_basis(n, n_prime) if iv != ()}

@@ -55,14 +55,18 @@ def _default_sets(pattern):
     return default_sets(shape.m, shape.m_prime)
 
 
+def _indices(data, key, default=None):
+    """``data[key]`` as a list of integers; a bad or missing one is named."""
+    value = data.get(key, default) if isinstance(data, dict) else None
+    if not isinstance(value, list) or any(type(a) is not int for a in value):
+        raise BadInput(f"{key}: expected a list of integers")
+    return value
+
+
 def _sets_from_file(path):
     data = _load(path)
-    return (
-        frozenset(data.get("X", [])),
-        frozenset(data["Y"]),
-        frozenset(data.get("Xprime", [])),
-        frozenset(data.get("Yprime", [])),
-    )
+    return tuple(frozenset(_indices(data, key, None if key == "Y" else []))
+                 for key in ("X", "Y", "Xprime", "Yprime"))
 
 
 def cmd_check_balance(args):
@@ -140,7 +144,7 @@ def cmd_eval_fg(args):
     spec = sr.parse_semiring(args.semiring)
     net = network_from_json(_load(args.network), spec)
     fargs = _load(args.args)
-    value = fg_value(spec, net, fargs["I"], fargs["Iprime"])
+    value = fg_value(spec, net, _indices(fargs, "I"), _indices(fargs, "Iprime"))
     _emit({"value": spec.to_json(value)}, args.output)
     return 0
 
@@ -180,6 +184,8 @@ def cmd_schur(args):
 def cmd_reconstruct(args):
     spec = sr.parse_semiring(args.semiring)
     data = _load(args.basis)
+    if not isinstance(data, dict) or not isinstance(data.get("values"), dict):
+        raise BadInput("values: expected a JSON object")
     case = data.get("case", "flag-intervals")
 
     def parse_iv(text):

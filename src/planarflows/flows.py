@@ -77,7 +77,7 @@ def _check_indices(network, I, Iprime):
     return I, Iprime
 
 
-def _walk(network, I, Iprime, step, add, done):
+def _walk(network, I, Iprime, step, add, done, memo):
     """Sum over the (I|I')-flows, each built once by a memoised walk.
 
     A state is the tuple of path heads, as topological ranks.  The unfinished
@@ -87,7 +87,9 @@ def _walk(network, I, Iprime, step, add, done):
     ``step(value, k, tail, head)`` extends ``value``, the sum over the
     completions of the state reached, by path k's move tail -> head (tail is
     None for the source itself); ``add`` joins two moves and ``done`` is the
-    value of the finished state.  Returns None when there is no flow.
+    value of the finished state.  ``memo`` maps states to those sums; it
+    depends on the targets, never on the start, so calls with the same I'
+    may share it.  Returns None when there is no flow.
     """
     order, rank, succ = network.view
     sources = [network.sources[i - 1] for i in I]
@@ -96,7 +98,6 @@ def _walk(network, I, Iprime, step, add, done):
     if len(set(start)) < len(start):
         return None
     paths = range(len(start))
-    memo = {}
     stack = [(start, 0, None)]
     while stack:
         heads, k, moves = stack.pop()
@@ -154,7 +155,7 @@ def enumerate_flows(network, I, Iprime, size_cap=40):
         return [(k, head, chain) for chain in chains]
 
     flows = []
-    for chain in _walk(network, I, Iprime, step, list.__add__, [None]) or ():
+    for chain in _walk(network, I, Iprime, step, list.__add__, [None], {}) or ():
         paths = [[] for _ in I]
         while chain:
             k, v, chain = chain
@@ -173,20 +174,38 @@ def flow_weight(spec, network, flow):
     return sr.fold_product(spec, present)
 
 
+class FlowFunction:
+    """The FG-function ``f(I, I')`` of one weighted network over ``spec``.
+
+    The network is checked once, and each target tuple I' keeps one walk
+    memo across calls, so calls that share I' share every walk state.  The
+    memos live as long as the object: hold one per caller, not globally.
+    """
+
+    def __init__(self, spec, network):
+        network.view  # refuses a cyclic network
+        self.spec, self.network, self._memos = spec, network, {}
+        weights, mul = network.weights, spec.mul
+        if network.weight_mode == "vertex":
+            def step(value, k, tail, head):
+                return mul(weights[head], value)
+        else:
+            def step(value, k, tail, head):
+                w = weights.get((tail, head))
+                return value if w is None else mul(w, value)
+        self._step, self._one = step, spec.one()
+
+    def __call__(self, I, Iprime):
+        """Sum over the (I|I')-flows of the product of the used weights."""
+        I, Iprime = _check_indices(self.network, I, Iprime)
+        memo = self._memos.setdefault(Iprime, {})
+        value = _walk(self.network, I, Iprime, self._step, self.spec.add, self._one, memo)
+        return sr.fold_sum(self.spec, []) if value is None else value
+
+
 def fg_value(spec, network, I, Iprime):
     """FG-function value: sum over flows of the product of used weights."""
-    I, Iprime = _check_indices(network, I, Iprime)
-    weights, mul = network.weights, spec.mul
-    if network.weight_mode == "vertex":
-        def step(value, k, tail, head):
-            return mul(weights[head], value)
-    else:
-        def step(value, k, tail, head):
-            w = weights.get((tail, head))
-            return value if w is None else mul(w, value)
-
-    value = _walk(network, I, Iprime, step, spec.add, spec.one())
-    return sr.fold_sum(spec, []) if value is None else value
+    return FlowFunction(spec, network)(I, Iprime)
 
 
 def path_weight_sum(spec, network, i, j):

@@ -21,7 +21,7 @@ from .errors import (
     RingRequired,
     SizeMismatch,
 )
-from .flows import fg_value
+from .flows import FlowFunction
 from .network import PlanarNetwork
 from .patterns import _normalize_pattern, embed_two, is_balanced
 
@@ -168,6 +168,7 @@ def flow_matrix(network, spec):
 def verify_lindstrom(network, spec, size_cap=None):
     """Check minor(flow matrix) = flow value for every index pair."""
     mat = flow_matrix(network, spec)
+    f = FlowFunction(spec, network)
     n, np_ = network.n_sources, network.n_sinks
     cap = size_cap if size_cap is not None else min(n, np_)
     checked = 0
@@ -176,7 +177,7 @@ def verify_lindstrom(network, spec, size_cap=None):
         for I in combinations(range(1, n + 1), k):
             for Iprime in combinations(range(1, np_ + 1), k):
                 lhs = minor(mat, I, Iprime)
-                rhs = fg_value(spec, network, I, Iprime)
+                rhs = f(I, Iprime)
                 checked += 1
                 if not spec.equal(lhs, rhs):
                     failures.append({"I": list(I), "Iprime": list(Iprime)})

@@ -8,11 +8,11 @@ from itertools import combinations
 
 from . import semiring as sr
 from .errors import InconsistentSets, RingRequired
-from .flows import fg_value
+from .flows import FlowFunction
 from .network import build_half_grid, truncated_grid
 from .patterns import _normalize_pattern, embed_two
 
-DEFAULT_VERTEX_BUDGET = 25
+DEFAULT_VERTEX_BUDGET = 36
 
 
 def consistent(X, Y, Xp, Yp):
@@ -50,10 +50,7 @@ def evaluate_sq(ri):
     moving to its star extension.
     """
     spec = _effective_spec(ri.spec)
-    net = ri.network
-
-    def f(I, Iprime):
-        return fg_value(spec, net, sorted(I), sorted(Iprime))
+    f = FlowFunction(spec, ri.network)
 
     def side(family):
         terms = []

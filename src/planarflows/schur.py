@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 from . import semiring as sr
 from .errors import BadLength, BadParams, NotAFlow, NotSemistandard
-from .flows import Flow, fg_value
+from .flows import Flow, FlowFunction
 from .network import build_gv_grid
 
 
@@ -124,15 +124,15 @@ def schur_poly(lam, mu=None, N=1):
     lam = lam if isinstance(lam, Partition) else Partition(tuple(lam))
     mu = mu if isinstance(mu, Partition) else Partition(tuple(mu or (0,) * lam.length))
     ring = schur_ring(N)
-    total = ring.zero()
+    counts = {}
     for filling in ssyt_fillings(lam, mu, N):
         exps = [0] * N
         for v in filling.values():
             exps[v - 1] += 1
-        total = total + sr.Polynomial(N, {tuple(exps): 1})
+        counts[tuple(exps)] = counts.get(tuple(exps), 0) + 1
     if not _skew_cells(lam, mu):
-        total = ring.one()
-    return total, ring
+        return ring.one(), ring
+    return sr.Polynomial(N, counts), ring
 
 
 def gv_grid(N, width):
@@ -219,7 +219,7 @@ def count_flows(lam, mu, N):
     net, _ = gv_grid(N, width)
     I = sorted(partition_to_set(mu, r))
     Iprime = sorted(partition_to_set(lam, r))
-    return fg_value(sr.INTEGERS, net.unit_weights(sr.INTEGERS), I, Iprime)
+    return FlowFunction(sr.INTEGERS, net.unit_weights(sr.INTEGERS))(I, Iprime)
 
 
 def verify_schur_identity(kind, params, N):

@@ -9,6 +9,7 @@ objects: ``int``, ``fractions.Fraction``, :class:`Polynomial`, or the
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from fractions import Fraction
 
 from .errors import (
@@ -40,18 +41,33 @@ class Polynomial:
     """Multivariate polynomial over the integers in canonical form.
 
     ``terms`` maps exponent tuples (one slot per variable, negative entries
-    allowed for Laurent monomials) to nonzero integer coefficients.
+    allowed for Laurent monomials) to nonzero integer coefficients.  They are
+    stored packed: exponent i sits in bits [i*w, (i+1)*w) of one int key,
+    biased by 2**(w-1), so a monomial product is one int addition.  A product
+    re-packs at a doubled w while the sum of its factors' exponent bounds
+    (each an upper bound on every |exponent|) could leave the field.
     """
 
-    __slots__ = ("nvars", "terms")
+    __slots__ = ("nvars", "_width", "_bound", "_packed")
 
     def __init__(self, nvars, terms=None):
-        self.nvars = nvars
-        clean = {}
-        for exps, coeff in (terms or {}).items():
-            if coeff:
-                clean[tuple(exps)] = coeff
-        self.terms = clean
+        clean = {tuple(e): c for e, c in (terms or {}).items() if c}
+        if any(len(e) != nvars for e in clean):
+            raise ValueError(f"exponent tuples must have {nvars} entries")
+        bound = max(map(abs, [x for e in clean for x in e]), default=0)
+        width = _width_for(bound, 8)
+        packed = {_pack(e, width): c for e, c in clean.items()}
+        self.nvars, self._width, self._bound, self._packed = nvars, width, bound, packed
+
+    def _new(self, width, bound, packed):
+        """A polynomial in the same variables from packed terms."""
+        poly = object.__new__(Polynomial)
+        poly.nvars, poly._width, poly._bound, poly._packed = self.nvars, width, bound, packed
+        return poly
+
+    @property
+    def terms(self):
+        return _Terms(self)
 
     @classmethod
     def constant(cls, nvars, c):
@@ -64,34 +80,57 @@ class Polynomial:
         return cls(nvars, {tuple(exps): 1})
 
     def __add__(self, other):
-        terms = dict(self.terms)
-        for exps, coeff in other.terms.items():
-            terms[exps] = terms.get(exps, 0) + coeff
-        return Polynomial(self.nvars, terms)
+        width = max(self._width, other._width)
+        a, b = _packed_at(self, width), _packed_at(other, width)
+        if len(a) < len(b):
+            a, b = b, a
+        terms = dict(a)
+        get = terms.get
+        for key, coeff in b.items():
+            coeff += get(key, 0)
+            if coeff:
+                terms[key] = coeff
+            else:
+                del terms[key]
+        return self._new(width, max(self._bound, other._bound), terms)
 
     def __neg__(self):
-        return Polynomial(self.nvars, {e: -c for e, c in self.terms.items()})
+        return self._new(self._width, self._bound, {k: -c for k, c in self._packed.items()})
 
     def __mul__(self, other):
-        terms = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                key = tuple(a + b for a, b in zip(e1, e2))
-                terms[key] = terms.get(key, 0) + c1 * c2
-        return Polynomial(self.nvars, terms)
+        bound = self._bound + other._bound
+        width = _width_for(bound, max(self._width, other._width))
+        a, b = _packed_at(self, width), _packed_at(other, width)
+        if len(a) > len(b):
+            a, b = b, a
+        # the key of the monomial 1: the bias in each of the nvars fields
+        one = (1 << width - 1) * ((1 << width * self.nvars) - 1) // ((1 << width) - 1)
+        if len(a) == 1:  # a monomial times b: shift every key of b
+            ((key, coeff),) = a.items()
+            shift = key - one
+            terms = {k + shift: coeff * c for k, c in b.items()}
+        else:
+            terms = {}
+            get = terms.get
+            for k1, c1 in a.items():
+                k1 -= one
+                for k2, c2 in b.items():
+                    key = k1 + k2
+                    terms[key] = get(key, 0) + c1 * c2
+            terms = {k: c for k, c in terms.items() if c}
+        return self._new(width, bound, terms)
 
     def __eq__(self, other):
-        return (
-            isinstance(other, Polynomial)
-            and self.nvars == other.nvars
-            and self.terms == other.terms
-        )
+        if not isinstance(other, Polynomial) or self.nvars != other.nvars:
+            return False
+        width = max(self._width, other._width)
+        return _packed_at(self, width) == _packed_at(other, width)
 
     def __hash__(self):
         return hash((self.nvars, frozenset(self.terms.items())))
 
     def is_zero(self):
-        return not self.terms
+        return not self._packed
 
     def substitute(self, values):
         """Evaluate at integer/Fraction values (all exponents must be >= 0)."""
@@ -106,15 +145,64 @@ class Polynomial:
         return total
 
     def __repr__(self):
-        if not self.terms:
+        if not self._packed:
             return "Poly(0)"
         bits = []
-        for exps in sorted(self.terms):
+        for exps, coeff in sorted(self.terms.items()):
             mono = "*".join(
                 f"v{i}^{e}" for i, e in enumerate(exps) if e
             ) or "1"
-            bits.append(f"{self.terms[exps]}*{mono}")
+            bits.append(f"{coeff}*{mono}")
         return "Poly(" + " + ".join(bits) + ")"
+
+
+def _width_for(bound, width):
+    """The least doubling of ``width`` whose biased field holds +-bound."""
+    while bound >= 1 << (width - 1):
+        width *= 2
+    return width
+
+
+def _pack(exps, width):
+    key, bias = 0, 1 << (width - 1)
+    for e in reversed(exps):
+        key = key << width | e + bias
+    return key
+
+
+def _unpack(key, nvars, width):
+    mask, bias = (1 << width) - 1, 1 << (width - 1)
+    return tuple((key >> width * i & mask) - bias for i in range(nvars))
+
+
+def _packed_at(poly, width):
+    """The packed terms of ``poly`` with fields ``width`` bits wide."""
+    if poly._width == width:
+        return poly._packed
+    n, w = poly.nvars, poly._width
+    return {_pack(_unpack(k, n, w), width): c for k, c in poly._packed.items()}
+
+
+class _Terms(Mapping):
+    """Read-only tuple-keyed view of a polynomial's packed terms."""
+
+    __slots__ = ("_poly",)
+
+    def __init__(self, poly):
+        self._poly = poly
+
+    def __len__(self):
+        return len(self._poly._packed)
+
+    def __iter__(self):
+        p = self._poly
+        return (_unpack(k, p.nvars, p._width) for k in p._packed)
+
+    def __getitem__(self, exps):
+        p = self._poly
+        if len(exps) != p.nvars or any(abs(e) > p._bound for e in exps):
+            raise KeyError(exps)
+        return p._packed[_pack(exps, p._width)]
 
 
 def _frac_to_json(x):
@@ -228,27 +316,15 @@ class IntegerRing(Semiring):
         return data
 
 
-class RationalField(Semiring):
+class RationalField(IntegerRing):
     name = "rationals"
-    has_zero = True
-    has_one = True
-    has_additive_inverse = True
     has_division = True
-
-    def add(self, a, b):
-        return a + b
-
-    def mul(self, a, b):
-        return a * b
 
     def zero(self):
         return Fraction(0)
 
     def one(self):
         return Fraction(1)
-
-    def negate(self, a):
-        return -a
 
     def divide(self, a, b):
         if b == 0:
@@ -414,11 +490,11 @@ class PolynomialRing(Semiring):
 
     def to_json(self, a):
         out = []
-        for exps in sorted(a.terms):
+        for exps, coeff in sorted(a.terms.items()):
             entry = {
                 name: e for name, e in zip(self.variables, exps) if e
             }
-            out.append({"exps": entry, "coeff": a.terms[exps]})
+            out.append({"exps": entry, "coeff": coeff})
         return out
 
     def from_json(self, data):

@@ -25,7 +25,7 @@ from .errors import (
     PatternsBalanced,
     WitnessGeometryError,
 )
-from .flows import fg_value
+from .flows import FlowFunction
 from .network import PlanarNetwork, proper_intersection_point, validate
 from .patterns import (
     LOWER,
@@ -469,7 +469,7 @@ def audit_witness(wn, X, Y, Xp, Yp):
     """
     X, Y = frozenset(X), frozenset(Y)
     Xp, Yp = frozenset(Xp), frozenset(Yp)
-    net = wn.network.unit_weights(sr.INTEGERS)
+    f = FlowFunction(sr.INTEGERS, wn.network.unit_weights(sr.INTEGERS))
     cases = []
     ok = True
     Ys, Yps = sorted(Y), sorted(Yp)
@@ -480,10 +480,8 @@ def audit_witness(wn, X, Y, Xp, Yp):
             if not is_proper(Y, Yp, C, Cp):
                 continue
             feasible = matching_is_feasible(wn.matching, Y, Yp, C, Cp)
-            count1 = fg_value(sr.INTEGERS, net, sorted(X | C), sorted(Xp | Cp))
-            count2 = fg_value(
-                sr.INTEGERS, net, sorted(X | (Y - C)), sorted(Xp | (Yp - Cp))
-            )
+            count1 = f(X | C, Xp | Cp)
+            count2 = f(X | (Y - C), Xp | (Yp - Cp))
             good = (
                 count1 == 1 and count2 == 1
                 if feasible

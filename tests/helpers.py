@@ -47,6 +47,43 @@ def diamond_network():
     )
 
 
+class TuplePolynomial:
+    """Reference polynomial: exponent tuples mapped to nonzero integer
+    coefficients, multiplied pair by pair with tuple arithmetic."""
+
+    def __init__(self, nvars, terms=None):
+        self.nvars = nvars
+        self.terms = {tuple(e): c for e, c in (terms or {}).items() if c}
+
+    def __add__(self, other):
+        terms = dict(self.terms)
+        for e, c in other.terms.items():
+            terms[e] = terms.get(e, 0) + c
+        return TuplePolynomial(self.nvars, terms)
+
+    def __neg__(self):
+        return TuplePolynomial(self.nvars, {e: -c for e, c in self.terms.items()})
+
+    def __mul__(self, other):
+        terms = {}
+        for e1, c1 in self.terms.items():
+            for e2, c2 in other.terms.items():
+                e = tuple(a + b for a, b in zip(e1, e2))
+                terms[e] = terms.get(e, 0) + c1 * c2
+        return TuplePolynomial(self.nvars, terms)
+
+    def __eq__(self, other):
+        return self.nvars == other.nvars and self.terms == other.terms
+
+    def substitute(self, values):
+        total = 0
+        for exps, coeff in self.terms.items():
+            for v, e in zip(values, exps):
+                coeff *= v**e
+            total += coeff
+        return total
+
+
 def scanned_hull_position(point, hull):
     """Perimeter parameter of a point on the hull boundary, found by scanning
     every hull edge clockwise; None off the boundary."""

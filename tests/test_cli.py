@@ -341,3 +341,37 @@ def test_malformed_matrices_are_refused_naming_the_field(capsys, tmp_path, data,
     assert main(["compile-matrix", "--matrix", str(mat_file)]) == 2
     captured = capsys.readouterr()
     assert captured.out == "" and message in captured.err
+
+
+def _half_grid_file(tmp_path):
+    net_file = tmp_path / "net.json"
+    net_file.write_text(json.dumps(network_to_json(build_half_grid(3).unit_weights(INTEGERS), INTEGERS)))
+    return str(net_file)
+
+
+@pytest.mark.parametrize("command, flag, data, message", [
+    ("witness", "--sets", {"Y": 5}, "Y: expected a list of integers"),
+    ("witness", "--sets", {"X": [1]}, "Y: expected a list of integers"),
+    ("witness", "--sets", [1, 2], "X: expected a list of integers"),
+    ("verify-relation", "--sets", {"Y": 5}, "Y: expected a list of integers"),
+    ("verify-relation", "--sets", {"Y": [1, 2, 3], "Yprime": ["1"]},
+     "Yprime: expected a list of integers"),
+    ("reconstruct", "--basis", {"values": 5, "n": 3}, "values: expected a JSON object"),
+    ("reconstruct", "--basis", [1], "values: expected a JSON object"),
+    ("eval-fg", "--args", {"I": 5, "Iprime": [1]}, "I: expected a list of integers"),
+    ("eval-fg", "--args", {"I": [1]}, "Iprime: expected a list of integers"),
+])
+def test_malformed_sets_basis_and_args_are_refused_naming_the_field(
+        capsys, tmp_path, command, flag, data, message):
+    data_file = tmp_path / "data.json"
+    data_file.write_text(json.dumps(data))
+    argv = [command, flag, str(data_file)]
+    if command in ("witness", "verify-relation"):
+        argv += ["--patterns", fixture("p3_flag.json")]
+    if command in ("verify-relation", "eval-fg"):
+        argv += ["--network", _half_grid_file(tmp_path), "--semiring", "integers"]
+    if command == "reconstruct":
+        argv += ["--semiring", "rationals", "--target", "1,2"]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and message in captured.err

@@ -11,6 +11,7 @@ from planarflows.errors import (
     SizeMismatch,
 )
 from planarflows.flows import (
+    FlowFunction,
     decompose_double_flow,
     enumerate_double_flows,
     enumerate_flows,
@@ -201,6 +202,63 @@ def test_engine_matches_brute_force_across_networks_and_semirings():
                 got = fg_value(spec, net, I, Ip)
                 assert spec.equal(got, spec.zero() if expect is None else expect)
     assert seen["empty"] and seen["nonempty"] and seen["raised"]
+
+
+def test_flow_function_matches_fresh_calls_and_brute_force():
+    """One FlowFunction per network answers many calls: target tuples
+    repeat with different sources (sharing the walk memo) and also occur
+    once; every value equals a fresh ``fg_value`` and the brute force."""
+    rng = random.Random(77)
+    semirings = [INTEGERS, TROPICAL_INT, star_extend(TROPICAL_INT), polynomial_ring("a", "b")]
+    seen = Counter()
+    for base in _differential_corpus():
+        n, np_ = base.n_sources, base.n_sinks
+        for spec in semirings:
+            net = _reweighted(base, spec, rng)
+            f = FlowFunction(spec, net)
+            sources_per_target = {}
+            for _ in range(10):
+                k = rng.randint(0, min(n, np_, 3))
+                Ip = sorted(rng.sample(range(1, np_ + 1), k))
+                for _ in range(rng.choice((1, 3))):
+                    I = sorted(rng.sample(range(1, n + 1), k))
+                    sources_per_target.setdefault(tuple(Ip), set()).add(tuple(I))
+                    expect = _brute_value(spec, net, I, Ip)
+                    if expect is None and not spec.has_zero:
+                        with pytest.raises(EmptySumWithoutNeutral):
+                            f(I, Ip)
+                        seen["raised"] += 1
+                        continue
+                    got = f(I, Ip)
+                    assert spec.equal(got, fg_value(spec, net, I, Ip))
+                    assert spec.equal(got, spec.zero() if expect is None else expect)
+                    seen["empty" if expect is None else "nonempty"] += 1
+            for sources in sources_per_target.values():
+                seen["shared targets" if len(sources) > 1 else "unshared targets"] += 1
+    assert all(seen[key] > 20 for key in
+               ("raised", "empty", "nonempty", "shared targets", "unshared targets"))
+
+
+class _CountingIntegers(type(INTEGERS)):
+    def __init__(self):
+        self.products = 0
+
+    def mul(self, a, b):
+        self.products += 1
+        return a * b
+
+
+def test_flow_function_reuses_walk_states_across_sources():
+    spec = _CountingIntegers()
+    net = build_grid(4, 4).unit_weights(INTEGERS)
+    f = FlowFunction(spec, net)
+    assert f([3, 4], [1, 2]) == fg_value(INTEGERS, net, [3, 4], [1, 2])
+    spec.products = 0
+    shared = f([2, 4], [1, 2])
+    reused = spec.products
+    spec.products = 0
+    assert fg_value(spec, net, [2, 4], [1, 2]) == shared
+    assert reused < spec.products
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -9,6 +10,8 @@ from planarflows.errors import (
     EmptySumWithoutNeutral,
     NotInvertible,
 )
+
+from helpers import TuplePolynomial
 
 ALL_SPECS = [
     sr.INTEGERS,
@@ -144,3 +147,92 @@ def test_parse_semiring():
     assert ring.variables == ("u", "v")
     with pytest.raises(ValueError):
         sr.parse_semiring("floats")
+
+
+# ---------------------------------------------------------------------------
+# packed polynomials against the tuple-keyed reference
+
+# exponent pools: small, Laurent, and at and past the 8-, 16- and 32-bit fields
+EXPONENTS = [(0, 1, 2), (-3, -1, 0, 1, 2), (-128, -127, -1, 0, 1, 126, 127, 128),
+             (-32769, -32768, 0, 1, 32767, 32768), (-(2**31) - 1, 0, 2**31 - 1, 2**31)]
+
+
+def _random_pair(rng, nvars, pool, max_terms=4):
+    terms = {tuple(rng.choice(pool) for _ in range(nvars)): rng.randint(-3, 3)
+             for _ in range(rng.randint(0, max_terms))}
+    return sr.Polynomial(nvars, terms), TuplePolynomial(nvars, terms)
+
+
+def _check_against(got, want, seen):
+    """``got`` has ``want``'s terms, and equals (with the same hash, repr and
+    JSON) a polynomial built afresh from them, whose field width may differ."""
+    assert got.terms == want.terms and want.terms == dict(got.terms)
+    assert len(got.terms) == len(want.terms)
+    assert Counter(got.terms.values()) == Counter(want.terms.values())
+    for exps, coeff in want.terms.items():
+        assert exps in got.terms and got.terms[exps] == coeff
+    fresh = sr.Polynomial(got.nvars, want.terms)
+    assert got == fresh and hash(got) == hash(fresh) and repr(got) == repr(fresh)
+    seen["widths differ"] += got._width != fresh._width
+    ring = sr.polynomial_ring(*[f"v{i}" for i in range(got.nvars)])
+    assert ring.to_json(got) == ring.to_json(fresh)
+    assert ring.from_json(ring.to_json(got)) == got
+    if all(0 <= e <= 2 for exps in want.terms for e in exps):
+        values = [Fraction(k + 2, 3) for k in range(got.nvars)]
+        assert got.substitute(values) == want.substitute(values)
+        seen["substituted"] += 1
+    elif any(e < 0 for exps in want.terms for e in exps):
+        with pytest.raises(ValueError):
+            got.substitute([1] * got.nvars)
+
+
+def test_packed_polynomials_match_the_tuple_reference():
+    rng = random.Random(606)
+    seen = Counter()
+    for nvars in (0, 1, 2, 3, 6):
+        for pool in EXPONENTS:
+            for _ in range(30):
+                p, rp = _random_pair(rng, nvars, pool)
+                q, rq = _random_pair(rng, nvars, pool)
+                m, rm = _random_pair(rng, nvars, pool, max_terms=1)
+                many, rmany = _random_pair(rng, nvars, (0, 1, 2), max_terms=12)
+                results = [(p + q, rp + rq), (p * q, rp * rq), (-p, -rp),
+                           (p + -p, rp + -rp), (m * many, rm * rmany),
+                           (many * m, rmany * rm), (m * p * q, rm * rp * rq),
+                           (many * (p + q), rmany * (rp + rq))]
+                for got, want in results:
+                    _check_against(got, want, seen)
+                    seen["zero" if not want.terms else "nonzero"] += 1
+                assert (p == q) == (rp == rq)
+                assert p * q == q * p and hash(p * q) == hash(q * p)
+                assert (p * q) * m == p * (q * m)
+                assert p * (q + m) == p * q + p * m
+    assert seen["widths differ"] > 0 and seen["substituted"] > 0 and seen["zero"] > 0
+
+
+def test_exponents_at_the_field_limit_multiply_exactly():
+    for limit in (127, 128, 32767, 32768, 2**31 - 1):
+        for sign in (1, -1):
+            e = sign * limit
+            terms = {(e, 0): 1, (0, 1): -2}
+            p, rp = sr.Polynomial(2, terms), TuplePolynomial(2, terms)
+            q, rq = p, rp
+            for _ in range(3):  # the exponent of v0 grows past the field each time
+                q, rq = q * p, rq * rp
+                assert q.terms == rq.terms
+            mixed = sr.Polynomial(2, {(-e, 0): 1}) * p * p
+            assert mixed.terms == (TuplePolynomial(2, {(-e, 0): 1}) * rp * rp).terms
+            one = sr.Polynomial(2, {(-e, 0): 1}) * sr.Polynomial(2, {(e, 0): 1})
+            unit = sr.Polynomial.constant(2, 1)
+            assert one == unit and hash(one) == hash(unit)
+            assert (0, 0) in one.terms and (e, 0) not in one.terms
+
+
+def test_polynomial_exponent_tuples_must_fit_the_variables():
+    with pytest.raises(ValueError):
+        sr.Polynomial(2, {(1,): 1})
+    # (256, 0) would carry into the second 8-bit field and alias (0, 1)
+    terms = sr.Polynomial(2, {(0, 1): 1}).terms
+    assert (256, 0) not in terms and (0, 1) in terms
+    with pytest.raises(KeyError):
+        terms[(256, 0)]
