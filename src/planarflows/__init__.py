@@ -1,18 +1,5 @@
 """Flow-generated functions on planar networks over commutative semirings."""
 
-from .semiring import (
-    INTEGERS,
-    POSITIVE_RATIONALS,
-    RATIONALS,
-    STAR,
-    TROPICAL_INT,
-    TROPICAL_RAT,
-    fold_product,
-    fold_sum,
-    polynomial_ring,
-    star_extend,
-)
-
 __all__ = [
     "INTEGERS",
     "RATIONALS",
@@ -27,3 +14,12 @@ __all__ = [
 ]
 
 __version__ = "0.1.0"
+
+
+def __getattr__(name):
+    """Serve ``__all__`` from ``semiring``, imported on first use (PEP 562)."""
+    if name in __all__:
+        from . import semiring
+
+        return getattr(semiring, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -2,6 +2,8 @@
 
 Exit codes: 0 when the check succeeds or a relation holds, 1 when a
 relation fails or patterns are unbalanced, 2 on usage or input errors.
+Each command imports the library modules it uses only when it runs, so a
+one-shot command compiles no module it does not need.
 """
 
 from __future__ import annotations
@@ -10,16 +12,7 @@ import argparse
 import json
 import sys
 
-from . import basis as basis_mod
-from . import semiring as sr
 from .errors import BadInput, PlanarFlowsError
-from .flows import fg_value
-from .lindstrom import compile_matrix_to_network, flow_matrix, matrix_from_json
-from .network import network_from_json, network_to_json, validate
-from .patterns import _normalize_pattern, embed_two, is_balanced, pattern_from_json
-from .relations import RelationInstance, default_sets, evaluate_sq
-from .schur import verify_schur_identity
-from .witness import audit_witness, demonstrate_violation
 
 
 def _load(path):
@@ -38,6 +31,8 @@ def _emit(data, output):
 
 def _load_pattern_pair(path):
     """Both patterns of a pattern file, a bad field named from the file's root."""
+    from .patterns import pattern_from_json
+
     data = _load(path)
     pair = []
     for key in ("A0", "B0"):
@@ -51,6 +46,9 @@ def _load_pattern_pair(path):
 
 
 def _default_sets(pattern):
+    from .patterns import _normalize_pattern
+    from .relations import default_sets
+
     shape = _normalize_pattern(pattern)
     return default_sets(shape.m, shape.m_prime)
 
@@ -70,6 +68,8 @@ def _sets_from_file(path):
 
 
 def cmd_check_balance(args):
+    from .patterns import is_balanced
+
     a, b = _load_pattern_pair(args.patterns)
     result = is_balanced(a, b)
     out = {"balanced": result.balanced}
@@ -81,12 +81,16 @@ def cmd_check_balance(args):
 
 
 def cmd_verify_relation(args):
+    from .network import network_from_json
+    from .patterns import _normalize_pattern, embed_two
+    from .relations import RelationInstance, evaluate_sq
+    from .semiring import parse_semiring
+
     a, b = _load_pattern_pair(args.patterns)
-    spec = sr.parse_semiring(args.semiring)
+    spec = parse_semiring(args.semiring)
     net = network_from_json(_load(args.network), spec)
-    sets = _sets_from_file(args.sets) if args.sets else _default_sets(a)
+    X, Y, Xp, Yp = _sets_from_file(args.sets) if args.sets else _default_sets(a)
     a2, b2 = _normalize_pattern(a), _normalize_pattern(b)
-    X, Y, Xp, Yp = sets
     ri = RelationInstance(
         spec,
         net,
@@ -117,15 +121,16 @@ def cmd_verify_relation(args):
 
 
 def cmd_witness(args):
+    from . import witness
+    from .network import network_to_json
+    from .semiring import INTEGERS
+
     a, b = _load_pattern_pair(args.patterns)
-    if args.sets:
-        X, Y, Xp, Yp = _sets_from_file(args.sets)
-    else:
-        X, Y, Xp, Yp = _default_sets(a)
-    result = demonstrate_violation(a, b, X, Y, Xp, Yp)
+    X, Y, Xp, Yp = _sets_from_file(args.sets) if args.sets else _default_sets(a)
+    result = witness.demonstrate_violation(a, b, X, Y, Xp, Yp)
     wn = result["network"]
     out = {
-        "network": network_to_json(wn.network, sr.INTEGERS),
+        "network": network_to_json(wn.network, INTEGERS),
         "matching": result["matching"].to_json(),
         "lhs": result["lhs"],
         "rhs": result["rhs"],
@@ -135,13 +140,22 @@ def cmd_witness(args):
         },
     }
     if args.audit:
-        out["audit_ok"] = audit_witness(wn, X, Y, Xp, Yp)["ok"]
+        audit = witness.audit_witness(wn, X, Y, Xp, Yp)
+        out["audit_ok"] = audit["ok"]
+        out["audit_failures"] = [
+            {k: case[k] for k in ("C", "Cprime", "feasible", "counts")}
+            for case in audit["cases"] if not case["ok"]
+        ]
     _emit(out, args.output)
     return 1 if not result["equal"] else 0
 
 
 def cmd_eval_fg(args):
-    spec = sr.parse_semiring(args.semiring)
+    from .flows import fg_value
+    from .network import network_from_json
+    from .semiring import parse_semiring
+
+    spec = parse_semiring(args.semiring)
     net = network_from_json(_load(args.network), spec)
     fargs = _load(args.args)
     value = fg_value(spec, net, _indices(fargs, "I"), _indices(fargs, "Iprime"))
@@ -150,11 +164,15 @@ def cmd_eval_fg(args):
 
 
 def cmd_compile_matrix(args):
-    mat = matrix_from_json(_load(args.matrix), sr.RATIONALS)
+    from .lindstrom import compile_matrix_to_network, flow_matrix, matrix_from_json
+    from .network import network_to_json
+    from .semiring import RATIONALS
+
+    mat = matrix_from_json(_load(args.matrix), RATIONALS)
     net, chain = compile_matrix_to_network(mat)
-    realized = flow_matrix(net, sr.RATIONALS)
+    realized = flow_matrix(net, RATIONALS)
     out = {
-        "network": network_to_json(net, sr.RATIONALS),
+        "network": network_to_json(net, RATIONALS),
         "factors": [
             {"kind": f.kind, "index": f.index, "size": list(f.size)}
             for f in chain.factors
@@ -167,7 +185,14 @@ def cmd_compile_matrix(args):
 
 
 def cmd_schur(args):
-    params = [int(x) for x in args.params.split(",")]
+    from .schur import verify_schur_identity
+
+    try:
+        params = [int(x) for x in args.params.split(",")]
+    except ValueError:
+        raise BadInput(f"params: expected comma-separated integers, got {args.params!r}") from None
+    if args.identity == "tworow" and len(params) != 4:
+        raise BadInput(f"params: tworow takes four integers i,j,k,l, got {len(params)}")
     result = verify_schur_identity(args.identity, params, args.nvars)
     ring = result["ring"]
     _emit(
@@ -182,11 +207,21 @@ def cmd_schur(args):
 
 
 def cmd_reconstruct(args):
-    spec = sr.parse_semiring(args.semiring)
+    from . import basis as basis_mod
+    from .semiring import parse_semiring
+
+    spec = parse_semiring(args.semiring)
     data = _load(args.basis)
     if not isinstance(data, dict) or not isinstance(data.get("values"), dict):
         raise BadInput("values: expected a JSON object")
-    case = data.get("case", "flag-intervals")
+    flag = data.get("case", "flag-intervals") == "flag-intervals"
+    fields = ["n"] if flag else ["n", "n_prime"]
+
+    def sides(text):  # "left|right" in the pressed case, one side in the flag case
+        parts = text.split("|")
+        if len(parts) != len(fields):
+            raise ValueError(f"expected {len(fields)} side(s) separated by '|'")
+        return parts
 
     def parse_iv(text):
         if not text:
@@ -194,29 +229,37 @@ def cmd_reconstruct(args):
         p, q = text.split("..")
         return (int(p), int(q))
 
-    if case == "flag-intervals":
-        values = {parse_iv(k): spec.from_json(v) for k, v in data["values"].items()}
-        assignment = basis_mod.flag_assignment(spec, data["n"], values)
-        target = frozenset(int(x) for x in args.target.split(","))
+    values = {}
+    for key, v in data["values"].items():
+        try:
+            ivs = tuple(parse_iv(side) for side in sides(key))
+            values[ivs[0] if flag else ivs] = spec.from_json(v)
+        except ValueError as exc:
+            raise BadInput(f"values[{key!r}]: {exc}") from None
+    sizes = [data.get(field) for field in fields]
+    for field, size in zip(fields, sizes):
+        if type(size) is not int or size < 1:
+            raise BadInput(f"{field}: expected a positive integer")
+    try:
+        sets = [frozenset(int(x) for x in side.split(",")) for side in sides(args.target)]
+        if len({len(S) for S in sets}) > 1 or any(
+                not S <= set(range(1, size + 1)) for S, size in zip(sets, sizes)):
+            raise ValueError
+    except ValueError:
+        shape = "|".join(f"a subset of 1..{size}" for size in sizes) + ("" if flag else " of equal sizes")
+        raise BadInput(f"target: expected {shape}, got {args.target!r}") from None
+    if flag:
+        assignment = basis_mod.flag_assignment(spec, sizes[0], values)
     else:
-        values = {}
-        for key, v in data["values"].items():
-            left, right = key.split("|")
-            values[(parse_iv(left), parse_iv(right))] = spec.from_json(v)
-        assignment = basis_mod.pressed_assignment(
-            spec, data["n"], data["n_prime"], values
-        )
-        left, right = args.target.split("|")
-        target = (
-            frozenset(int(x) for x in left.split(",")),
-            frozenset(int(x) for x in right.split(",")),
-        )
-    value = basis_mod.reconstruct_value(assignment, target)
+        assignment = basis_mod.pressed_assignment(spec, *sizes, values)
+    value = basis_mod.reconstruct_value(assignment, sets[0] if flag else tuple(sets))
     _emit({"value": spec.to_json(value)}, args.output)
     return 0
 
 
 def cmd_validate_network(args):
+    from .network import network_from_json, validate
+
     net = network_from_json(_load(args.network))
     report = validate(net)
     _emit(report, args.output)

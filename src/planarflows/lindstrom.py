@@ -23,7 +23,6 @@ from .errors import (
 )
 from .flows import FlowFunction
 from .network import PlanarNetwork
-from .patterns import _normalize_pattern, embed_two, is_balanced
 
 
 @dataclass(frozen=True)
@@ -391,6 +390,8 @@ def check_matrix_sq(matrix, pattern_a, pattern_b, X, Y, Xp, Yp, strict=True):
     Only balanced patterns are covered by the guarantee, so unbalanced input
     is refused.
     """
+    from .patterns import _normalize_pattern, embed_two, is_balanced
+
     a = _normalize_pattern(pattern_a)
     b = _normalize_pattern(pattern_b)
     if strict and not is_balanced(a, b).balanced:

@@ -504,19 +504,13 @@ def demonstrate_violation(pattern_a, pattern_b, X, Y, Xp, Yp, n=None, nprime=Non
     """Build the witness and evaluate both sides over the integers, w == 1."""
     a = _normalize_pattern(pattern_a)
     b = _normalize_pattern(pattern_b)
+    # embed_two checks |Y| and |Y'| against the patterns before anything is built.
+    family_a = embed_two(a, sorted(Y), sorted(Yp))
+    family_b = embed_two(b, sorted(Y), sorted(Yp))
     matching0, count_a, count_b = find_discriminating_matching(a, b)
     matching = embed_matching(matching0, sorted(Y), sorted(Yp))
     wn = build_witness_network(X, Y, Xp, Yp, matching, n=n, nprime=nprime)
-    ri = RelationInstance(
-        sr.INTEGERS,
-        wn.network,
-        X,
-        Y,
-        Xp,
-        Yp,
-        embed_two(a, sorted(Y), sorted(Yp)),
-        embed_two(b, sorted(Y), sorted(Yp)),
-    )
+    ri = RelationInstance(sr.INTEGERS, wn.network, X, Y, Xp, Yp, family_a, family_b)
     result = evaluate_sq(ri)
     return {
         "network": wn,

@@ -21,12 +21,8 @@ from planarflows.basis import (
     weights_from_intervals,
     weights_from_pressed,
 )
-from planarflows.flows import (
-    decompose_double_flow,
-    enumerate_double_flows,
-    exchange,
-    fg_value,
-)
+from planarflows.doubleflows import decompose_double_flow, enumerate_double_flows, exchange
+from planarflows.flows import fg_value
 from planarflows.lindstrom import (
     check_matrix_sq,
     compile_matrix_to_network,

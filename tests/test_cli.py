@@ -1,9 +1,11 @@
 import json
 import os
+import subprocess
 import sys
 
 import pytest
 
+import planarflows
 from planarflows import INTEGERS
 from planarflows.cli import main
 from planarflows.network import build_half_grid, network_to_json
@@ -360,6 +362,11 @@ def _half_grid_file(tmp_path):
     ("reconstruct", "--basis", [1], "values: expected a JSON object"),
     ("eval-fg", "--args", {"I": 5, "Iprime": [1]}, "I: expected a list of integers"),
     ("eval-fg", "--args", {"I": [1]}, "Iprime: expected a list of integers"),
+    ("reconstruct", "--basis", {"values": {"x": 1}, "n": 3}, "values['x']: "),
+    ("reconstruct", "--basis", {"values": {"1..1": 1}}, "n: expected a positive integer"),
+    ("reconstruct", "--basis", {"values": {"1..1": 1}, "n": "x"}, "n: expected a positive integer"),
+    ("reconstruct", "--basis", {"case": "pressed-double-intervals", "values": {"1..1|1..1": 1}, "n": 2},
+     "n_prime: expected a positive integer"),
 ])
 def test_malformed_sets_basis_and_args_are_refused_naming_the_field(
         capsys, tmp_path, command, flag, data, message):
@@ -375,3 +382,110 @@ def test_malformed_sets_basis_and_args_are_refused_naming_the_field(
     assert main(argv) == 2
     captured = capsys.readouterr()
     assert captured.out == "" and message in captured.err
+
+
+_BASIS = {
+    "case": "flag-intervals",
+    "n": 3,
+    "values": {"1..1": 2, "2..2": 3, "3..3": 5, "1..2": 7, "2..3": 11, "1..3": 13},
+}
+
+
+_PRESSED = {"case": "pressed-double-intervals", "n": 2, "n_prime": 2,
+            "values": {"1..1|1..1": 2, "1..1|2..2": 3, "2..2|1..1": 5, "1..2|1..2": 7}}
+
+
+@pytest.mark.parametrize("argv, basis, message", [
+    (["reconstruct", "--target", "1,9"], _BASIS, "target: expected a subset of 1..3, got '1,9'"),
+    (["reconstruct", "--target", "1,x"], _BASIS, "target: "),
+    (["reconstruct", "--target", "1,2"], _PRESSED, "target: expected a subset of 1..2|a subset"),
+    (["reconstruct", "--target", "1|1,2"], _PRESSED, "of equal sizes, got '1|1,2'"),
+    (["schur", "--identity", "tworow", "--params", "1,x", "--nvars", "3"], None, "params: "),
+    (["schur", "--identity", "tworow", "--params", "1", "--nvars", "3"], None,
+     "params: tworow takes four integers"),
+])
+def test_malformed_target_and_params_are_refused_naming_the_field(
+        capsys, tmp_path, argv, basis, message):
+    if basis is not None:
+        basis_file = tmp_path / "basis.json"
+        basis_file.write_text(json.dumps(basis))
+        argv = argv + ["--basis", str(basis_file), "--semiring", "tropical-int"]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and message in captured.err
+
+
+def test_witness_sets_of_the_wrong_size_are_refused_naming_the_sizes(capsys, tmp_path):
+    sets_file = tmp_path / "sets.json"
+    sets_file.write_text(json.dumps({"Y": [1, 2], "Yprime": []}))
+    argv = ["witness", "--patterns", fixture("unbalanced_p3.json"), "--sets", str(sets_file)]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "|Y|=2 |Y'|=0 but pattern is on ([3],[1])" in captured.err
+
+
+def test_witness_audit_lists_the_failing_cases(capsys, monkeypatch):
+    argv = ["witness", "--patterns", fixture("unbalanced_p3.json"), "--audit"]
+    code, out = run(capsys, *argv)
+    assert code == 1 and out["audit_ok"] and out["audit_failures"] == []
+
+    bad = {"C": [1], "Cprime": [], "feasible": True, "counts": [0, 1], "ok": False}
+    good = dict(bad, C=[2], counts=[1, 1], ok=True)
+    monkeypatch.setattr("planarflows.witness.audit_witness",
+                        lambda *args: {"ok": False, "cases": [good, bad]})
+    code, out = run(capsys, *argv)
+    assert code == 1 and out["audit_ok"] is False
+    assert out["audit_failures"] == [{"C": [1], "Cprime": [], "feasible": True, "counts": [0, 1]}]
+
+
+_CORE = {"cli", "errors"}
+_FLOWS = _CORE | {"flows", "network", "semiring"}
+
+
+def _isolation_argv(tmp_path, command):
+    net_file = _half_grid_file(tmp_path)
+    files = {"args.json": {"I": [1, 2], "Iprime": [1, 2]}, "basis.json": _BASIS,
+             "m.json": {"entries": [["1/2", 3], [0, "5"]]}}
+    for name, data in files.items():
+        (tmp_path / name).write_text(json.dumps(data))
+    return {
+        "check-balance": ["--patterns", fixture("rowdecomposition3.json")],
+        "verify-relation": ["--patterns", fixture("p3_flag.json"), "--semiring", "integers",
+                            "--network", net_file],
+        "witness": ["--patterns", fixture("unbalanced_p3.json"), "--audit"],
+        "eval-fg": ["--network", net_file, "--semiring", "integers",
+                    "--args", str(tmp_path / "args.json")],
+        "compile-matrix": ["--matrix", str(tmp_path / "m.json")],
+        "schur": ["--identity", "tworow", "--params", "1,2,2,3", "--nvars", "3"],
+        "reconstruct": ["--basis", str(tmp_path / "basis.json"), "--semiring", "tropical-int",
+                        "--target", "1,3"],
+        "validate-network": ["--network", net_file],
+    }[command]
+
+
+@pytest.mark.parametrize("command, code, modules", [
+    ("check-balance", 0, _CORE | {"patterns"}),
+    ("verify-relation", 0, _FLOWS | {"patterns", "relations"}),
+    ("witness", 1, _FLOWS | {"patterns", "relations", "witness"}),
+    ("eval-fg", 0, _FLOWS),
+    ("compile-matrix", 0, _FLOWS | {"lindstrom"}),
+    ("schur", 0, _FLOWS | {"schur"}),
+    ("reconstruct", 0, _FLOWS | {"basis"}),
+    ("validate-network", 0, _CORE | {"network"}),
+])
+def test_each_command_imports_only_the_modules_it_uses(tmp_path, command, code, modules):
+    script = (
+        "import json, sys\n"
+        "from planarflows import cli\n"
+        "code = cli.main(sys.argv[1:])\n"
+        "print(json.dumps([m for m in sys.modules if m.startswith('planarflows.')]))\n"
+        "sys.exit(code)\n"
+    )
+    argv = [command] + _isolation_argv(tmp_path, command)
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(planarflows.__file__)))
+    proc = subprocess.run([sys.executable, "-c", script] + argv, env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == code, proc.stderr
+    loaded = json.loads(proc.stdout.splitlines()[-1])
+    assert set(loaded) == {f"planarflows.{m}" for m in modules}

@@ -10,12 +10,10 @@ from planarflows.errors import (
     NetworkTooLarge,
     SizeMismatch,
 )
+from planarflows.doubleflows import decompose_double_flow, enumerate_double_flows, exchange
 from planarflows.flows import (
     FlowFunction,
-    decompose_double_flow,
-    enumerate_double_flows,
     enumerate_flows,
-    exchange,
     fg_value,
     flow_weight,
     path_weight_sum,
