@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 from . import semiring as sr
 from .errors import BadParams, DivisionUnsupported, NotInvertible
-from .flows import FlowFunction, enumerate_flows
+from .flows import FlowFunction
 from .network import build_half_grid
 
 
@@ -279,23 +279,23 @@ def _weight_exponents(n):
 def laurent_expand(n, target):
     """Expansion of a flag value as Laurent monomials in interval values.
 
-    One monomial per half-grid flow: the product of the per-vertex
-    cross-ratio substitutions, with like monomials collected.
+    The flow value of the half-grid whose vertex weights are their
+    cross-ratio substitutions, one variable per nonempty interval: each
+    flow contributes one monomial and like monomials are collected.
     """
     target = frozenset(target)
-    net = build_half_grid(n)
-    k = len(target)
-    flows = enumerate_flows(net, sorted(target), list(range(1, k + 1)), size_cap=60)
-    wexp = _weight_exponents(n)
-    collected = {}
-    for flow in flows:
-        mono = {}
-        for v in flow.vertices():
-            for iv, e in wexp[v].items():
-                mono[iv] = mono.get(iv, 0) + e
-        key = tuple(sorted((iv, e) for iv, e in mono.items() if e))
-        collected[key] = collected.get(key, 0) + 1
-    monomials = tuple(sorted(collected.items()))
+    ivs = intervals(n, include_empty=False)
+    weights = {
+        v: sr.Polynomial(len(ivs), {tuple(exps.get(iv, 0) for iv in ivs): 1})
+        for v, exps in _weight_exponents(n).items()
+    }
+    ring = sr.PolynomialRing(f"{p}..{q}" for p, q in ivs)
+    net = build_half_grid(n).with_vertex_weights(weights)
+    value = FlowFunction(ring, net)(target, range(1, len(target) + 1))
+    monomials = tuple(sorted(
+        (tuple((ivs[k], e) for k, e in enumerate(exps) if e), mult)
+        for exps, mult in value.terms.items()
+    ))
     return LaurentExpansion(target, monomials)
 
 

@@ -193,6 +193,8 @@ def cmd_schur(args):
         raise BadInput(f"params: expected comma-separated integers, got {args.params!r}") from None
     if args.identity == "tworow" and len(params) != 4:
         raise BadInput(f"params: tworow takes four integers i,j,k,l, got {len(params)}")
+    if args.nvars < 0:
+        raise BadInput(f"nvars: expected a nonnegative integer, got {args.nvars}")
     result = verify_schur_identity(args.identity, params, args.nvars)
     ring = result["ring"]
     _emit(
@@ -214,7 +216,11 @@ def cmd_reconstruct(args):
     data = _load(args.basis)
     if not isinstance(data, dict) or not isinstance(data.get("values"), dict):
         raise BadInput("values: expected a JSON object")
-    flag = data.get("case", "flag-intervals") == "flag-intervals"
+    case = data.get("case", "flag-intervals")
+    if case not in ("flag-intervals", "pressed-double-intervals"):
+        raise BadInput(
+            f"case: expected 'flag-intervals' or 'pressed-double-intervals', got {case!r}")
+    flag = case == "flag-intervals"
     fields = ["n"] if flag else ["n", "n_prime"]
 
     def sides(text):  # "left|right" in the pressed case, one side in the flag case
@@ -252,7 +258,12 @@ def cmd_reconstruct(args):
         assignment = basis_mod.flag_assignment(spec, sizes[0], values)
     else:
         assignment = basis_mod.pressed_assignment(spec, *sizes, values)
-    value = basis_mod.reconstruct_value(assignment, sets[0] if flag else tuple(sets))
+    try:
+        value = basis_mod.reconstruct_value(assignment, sets[0] if flag else tuple(sets))
+    except KeyError as exc:  # the descent needs an interval the basis lacks
+        ivs = [exc.args[0]] if flag else exc.args[0]
+        text = "|".join(f"{iv[0]}..{iv[1]}" if iv else "" for iv in ivs)
+        raise BadInput(f"values: no value for interval {text!r}") from None
     _emit({"value": spec.to_json(value)}, args.output)
     return 0
 

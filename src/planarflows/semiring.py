@@ -248,15 +248,8 @@ class Semiring:
     def divide(self, a, b):
         raise DivisionUnsupported(f"{self.name} has no division")
 
-    def contains(self, a):
-        raise NotImplementedError
-
     def equal(self, a, b):
         return a == b
-
-    def from_int(self, k):
-        """Map a nonnegative flow count into the semiring (used by tests)."""
-        raise NotImplementedError
 
     def random_value(self, rng):
         raise NotImplementedError
@@ -298,12 +291,6 @@ class IntegerRing(Semiring):
     def negate(self, a):
         return -a
 
-    def contains(self, a):
-        return isinstance(a, int) and not isinstance(a, bool)
-
-    def from_int(self, k):
-        return k
-
     def random_value(self, rng):
         return rng.randint(-9, 9)
 
@@ -330,12 +317,6 @@ class RationalField(IntegerRing):
         if b == 0:
             raise NotInvertible("division by zero")
         return Fraction(a) / b
-
-    def contains(self, a):
-        return isinstance(a, (int, Fraction)) and not isinstance(a, bool)
-
-    def from_int(self, k):
-        return Fraction(k)
 
     def random_value(self, rng):
         return Fraction(rng.randint(-9, 9), rng.randint(1, 9))
@@ -365,14 +346,6 @@ class PositiveRationals(Semiring):
 
     def divide(self, a, b):
         return Fraction(a) / b
-
-    def contains(self, a):
-        return isinstance(a, (int, Fraction)) and not isinstance(a, bool) and a > 0
-
-    def from_int(self, k):
-        if k <= 0:
-            raise ValueError("positive rationals cannot represent a zero count")
-        return Fraction(k)
 
     def random_value(self, rng):
         return Fraction(rng.randint(1, 9), rng.randint(1, 9))
@@ -406,9 +379,6 @@ class TropicalIntegers(Semiring):
     def divide(self, a, b):
         return a - b
 
-    def contains(self, a):
-        return isinstance(a, int) and not isinstance(a, bool)
-
     def random_value(self, rng):
         return rng.randint(-9, 9)
 
@@ -423,9 +393,6 @@ class TropicalIntegers(Semiring):
 
 class TropicalRationals(TropicalIntegers):
     name = "tropical-rat"
-
-    def contains(self, a):
-        return isinstance(a, (int, Fraction)) and not isinstance(a, bool)
 
     def random_value(self, rng):
         return Fraction(rng.randint(-9, 9), rng.randint(1, 9))
@@ -473,12 +440,6 @@ class PolynomialRing(Semiring):
 
     def negate(self, a):
         return -a
-
-    def contains(self, a):
-        return isinstance(a, Polynomial) and a.nvars == len(self.variables)
-
-    def from_int(self, k):
-        return self.const(k)
 
     def random_value(self, rng):
         n = len(self.variables)
@@ -544,14 +505,6 @@ class StarExtended(Semiring):
         if a is STAR:
             return STAR
         return self.inner.divide(a, b)
-
-    def contains(self, a):
-        return a is STAR or self.inner.contains(a)
-
-    def from_int(self, k):
-        if k == 0:
-            return STAR
-        return self.inner.from_int(k)
 
     def random_value(self, rng):
         if rng.random() < 0.2:

@@ -15,6 +15,7 @@ resolved by splitting the crossing point into a short extra edge.
 
 from __future__ import annotations
 
+from collections import namedtuple
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -47,12 +48,13 @@ def _circle_point(t):
     return ((1 - t * t) / denom, 2 * t / denom)
 
 
-def _lower_param(n, e):
-    return Fraction(-(n + 1 - e))
-
-
-def _upper_param(n, e):
-    return Fraction(n + 1 - e)
+# The upper half mirrors the lower: Y' sits at parameter +(n'+1-e) where Y
+# sits at -(n+1-e), and every upper thin path and bridge runs reversed.
+_Side = namedtuple("_Side", "key terminal path bridge doubled reversed")
+_SIDES = (
+    _Side(LOWER, "s", "L", "lower-bridge", "xsrc", False),
+    _Side(UPPER, "t", "U", "upper-bridge", "xsnk", True),
+)
 
 
 @dataclass
@@ -88,98 +90,68 @@ def _nesting_children(couples):
     return roots, children
 
 
-def _build_core(n_tilde, matching, lower_ts, upper_ts):
-    """Steps 1-5 on a ground set where every terminal is matched."""
-    pts = {}
+def _build_core(n_tilde, matching, params):
+    """Steps 1-5 on a ground set where every terminal is matched.
+
+    ``params[side][e]`` is the circle parameter of tilde terminal e.
+    """
     vertices = {}
     edges = []
     edge_class = {}
     couple_paths = {}
 
-    for e in range(1, n_tilde + 1):
-        pts[("s", e)] = _circle_point(lower_ts[e])
-        pts[("t", e)] = _circle_point(upper_ts[e])
-        vertices[f"s{e}"] = pts[("s", e)]
-        vertices[f"t{e}"] = pts[("t", e)]
+    def add(e, cls):
+        edges.append(e)
+        edge_class[e] = cls
 
-    lower = matching.lower_couples()
-    upper = matching.upper_couples()
+    for e in range(1, n_tilde + 1):
+        for side in _SIDES:
+            vertices[f"{side.terminal}{e}"] = _circle_point(params[side.key][e])
+
+    couples = (matching.lower_couples(), matching.upper_couples())
+    lower, upper = couples
     verticals = matching.verticals()
 
+    # Each couple becomes a subdivided segment whose edges alternate in
+    # direction; its even and odd inner vertices carry the bridges.
     evens = {}
     odds = {}
-
-    def subdivide(i, j, side):
-        a = pts[("s" if side == "low" else "t", i)]
-        b = pts[("s" if side == "low" else "t", j)]
-        count = j - i
-        prefix = "L" if side == "low" else "U"
-        names = [f"s{i}" if side == "low" else f"t{i}"]
-        for k in range(1, count + 1):
-            frac = Fraction(k, count + 1)
-            p = (a[0] + frac * (b[0] - a[0]), a[1] + frac * (b[1] - a[1]))
-            name = f"{prefix}{i}.{j}.{k}"
-            vertices[name] = p
-            names.append(name)
-        names.append(f"s{j}" if side == "low" else f"t{j}")
-        ev = [names[k] for k in range(1, count + 1) if k % 2 == 1]
-        od = [names[k] for k in range(1, count + 1) if k % 2 == 0]
-        path_edges = []
-        for k in range(len(names) - 1):
-            left_odd = k % 2 == 0
-            if side == "low":
-                e = (names[k], names[k + 1]) if left_odd else (names[k + 1], names[k])
-            else:
-                e = (names[k + 1], names[k]) if left_odd else (names[k], names[k + 1])
-            path_edges.append(e)
-        return names, ev, od, path_edges
-
-    for i, j in lower:
-        names, ev, od, path_edges = subdivide(i, j, "low")
-        couple_paths[((LOWER, i), (LOWER, j))] = tuple(names)
-        evens[("low", i, j)] = ev
-        odds[("low", i, j)] = od
-        for e in path_edges:
-            edges.append(e)
-            edge_class[e] = "thin"
-    for i, j in upper:
-        names, ev, od, path_edges = subdivide(i, j, "up")
-        couple_paths[((UPPER, i), (UPPER, j))] = tuple(names)
-        evens[("up", i, j)] = ev
-        odds[("up", i, j)] = od
-        for e in path_edges:
-            edges.append(e)
-            edge_class[e] = "thin"
+    for side in _SIDES:
+        for i, j in couples[side.key]:
+            a = vertices[f"{side.terminal}{i}"]
+            b = vertices[f"{side.terminal}{j}"]
+            names = [f"{side.terminal}{i}"]
+            for k in range(1, j - i + 1):
+                frac = Fraction(k, j - i + 1)
+                name = f"{side.path}{i}.{j}.{k}"
+                vertices[name] = (a[0] + frac * (b[0] - a[0]), a[1] + frac * (b[1] - a[1]))
+                names.append(name)
+            names.append(f"{side.terminal}{j}")
+            couple_paths[((side.key, i), (side.key, j))] = tuple(names)
+            evens[(side.key, i, j)] = names[1:-1:2]
+            odds[(side.key, i, j)] = names[2:-1:2]
+            for k in range(len(names) - 1):
+                edge = (names[k], names[k + 1])
+                add(edge if (k % 2 == 0) != side.reversed else edge[::-1], "thin")
 
     # Lower and upper bridges between nested couples.
-    low_roots, low_children = _nesting_children(lower)
-    up_roots, up_children = _nesting_children(upper)
-    for (i, j), kids in low_children.items():
-        if not kids:
-            continue
-        W = [v for kid in kids for v in evens[("low", kid[0], kid[1])]]
-        V = odds[("low", i, j)]
-        if len(W) != len(V):
-            raise WitnessGeometryError("bridge endpoint counts disagree")
-        for w, v in zip(W, V):
-            e = (w, v)
-            edges.append(e)
-            edge_class[e] = "lower-bridge"
-    for (i, j), kids in up_children.items():
-        if not kids:
-            continue
-        W = [v for kid in kids for v in evens[("up", kid[0], kid[1])]]
-        V = odds[("up", i, j)]
-        if len(W) != len(V):
-            raise WitnessGeometryError("bridge endpoint counts disagree")
-        for v, w in zip(V, W):
-            e = (v, w)
-            edges.append(e)
-            edge_class[e] = "upper-bridge"
+    roots = []
+    for side in _SIDES:
+        side_roots, children = _nesting_children(couples[side.key])
+        roots.append(side_roots)
+        for (i, j), kids in children.items():
+            if not kids:
+                continue
+            W = [v for kid in kids for v in evens[(side.key, *kid)]]
+            V = odds[(side.key, i, j)]
+            if len(W) != len(V):
+                raise WitnessGeometryError("bridge endpoint counts disagree")
+            for w, v in zip(W, V):
+                add((v, w) if side.reversed else (w, v), side.bridge)
 
     # Middle bridges between maximal couples.
-    Q = [v for c in sorted(low_roots) for v in evens[("low", c[0], c[1])]]
-    Qp = [v for c in sorted(up_roots) for v in evens[("up", c[0], c[1])]]
+    Q = [v for c in sorted(roots[LOWER]) for v in evens[(LOWER, *c)]]
+    Qp = [v for c in sorted(roots[UPPER]) for v in evens[(UPPER, *c)]]
     if len(Q) != len(Qp) or len(Q) != len(lower) or len(upper) != len(lower):
         raise WitnessGeometryError("middle bridge counts disagree")
     middle = list(zip(Q, Qp))
@@ -190,7 +162,7 @@ def _build_core(n_tilde, matching, lower_ts, upper_ts):
     for b in middle:
         pa, pb = vertices[b[0]], vertices[b[1]]
         for i, j in verticals:
-            pc, pd = pts[("s", i)], pts[("t", j)]
+            pc, pd = vertices[f"s{i}"], vertices[f"t{j}"]
             hit = proper_intersection_point(pa, pb, pc, pd)
             if hit is None:
                 continue
@@ -233,13 +205,9 @@ def _build_core(n_tilde, matching, lower_ts, upper_ts):
             chain.extend([lo, hi])
         chain.append(b[1])
         for k in range(0, len(chain) - 1, 2):
-            e = (chain[k], chain[k + 1])
-            edges.append(e)
-            edge_class[e] = "b-edge"
+            add((chain[k], chain[k + 1]), "b-edge")
         for k in range(1, len(chain) - 1, 2):
-            e = (chain[k], chain[k + 1])
-            edges.append(e)
-            edge_class[e] = "extra"
+            add((chain[k], chain[k + 1]), "extra")
 
     for (i, j), crossings in vert_cross.items():
         crossings.sort()
@@ -253,9 +221,7 @@ def _build_core(n_tilde, matching, lower_ts, upper_ts):
         chain.append(f"t{j}")
         couple_paths[((LOWER, i), (UPPER, j))] = tuple(chain)
         for k in range(0, len(chain) - 1, 2):
-            e = (chain[k], chain[k + 1])
-            edges.append(e)
-            edge_class[e] = "v-edge"
+            add((chain[k], chain[k + 1]), "v-edge")
 
     return vertices, edges, edge_class, couple_paths
 
@@ -318,56 +284,39 @@ def build_witness_network(X, Y, Xp, Yp, matching, n=None, nprime=None, _offset=0
         raise NotPlanarMatching("matching chords cross")
 
     # Doubling reduction: tilde positions for Y plus pairs for X.
-    lower_ts = {}
+    grounds = ((X, Y, n), (Xp, Yp, nprime))
+    params = ({}, {})
+    doubled = ([], [])
     tilde_pos = {}
-    pos = 0
-    doubled_low = []
-    for e in sorted(X | Y):
-        base = _lower_param(n, e) + Fraction(_offset * e * e, 1024)
-        if e in X:
-            pos += 1
-            lower_ts[pos] = base - Fraction(1, 4)
-            first = pos
-            pos += 1
-            lower_ts[pos] = base + Fraction(1, 4)
-            doubled_low.append((first, pos, e))
-        else:
-            pos += 1
-            lower_ts[pos] = base
-            tilde_pos[(LOWER, e)] = pos
-    n_tilde = pos
-
-    upper_ts = {}
-    pos = 0
-    doubled_up = []
-    for e in sorted(Xp | Yp):
-        base = _upper_param(nprime, e) - Fraction(_offset * e * e, 1024)
-        if e in Xp:
-            pos += 1
-            upper_ts[pos] = base + Fraction(1, 4)
-            first = pos
-            pos += 1
-            upper_ts[pos] = base - Fraction(1, 4)
-            doubled_up.append((first, pos, e))
-        else:
-            pos += 1
-            upper_ts[pos] = base
-            tilde_pos[(UPPER, e)] = pos
-    if pos != n_tilde:
+    for side in _SIDES:
+        xs, ys, m = grounds[side.key]
+        sign = 1 if side.reversed else -1
+        pos = 0
+        for e in sorted(xs | ys):
+            base = sign * (Fraction(m + 1 - e) - Fraction(_offset * e * e, 1024))
+            if e in xs:
+                params[side.key][pos + 1] = base + Fraction(sign, 4)
+                params[side.key][pos + 2] = base - Fraction(sign, 4)
+                doubled[side.key].append((pos + 1, pos + 2, e))
+                pos += 2
+            else:
+                pos += 1
+                params[side.key][pos] = base
+                tilde_pos[(side.key, e)] = pos
+    n_tilde = len(params[LOWER])
+    if len(params[UPPER]) != n_tilde:
         raise InconsistentSets("doubling produced unequal tilde sizes")
 
     couples = [
         tuple(sorted(((p[0], tilde_pos[p]), (q[0], tilde_pos[q]))))
         for p, q in matching.couples
     ]
-    for first, second, _ in doubled_low:
-        couples.append(((LOWER, first), (LOWER, second)))
-    for first, second, _ in doubled_up:
-        couples.append(((UPPER, first), (UPPER, second)))
+    for side in _SIDES:
+        couples += [((side.key, a), (side.key, b)) for a, b, _ in doubled[side.key]]
     tilde_matching = PlanarMatching(couples)
 
     vertices, edges, edge_class, couple_paths = _build_core(
-        n_tilde, tilde_matching, lower_ts, upper_ts
+        n_tilde, tilde_matching, params
     )
 
     order = _processing_order(couple_paths, edge_class, edges)
@@ -375,18 +324,13 @@ def build_witness_network(X, Y, Xp, Yp, matching, n=None, nprime=None, _offset=0
     # Shrink doubled couples back into single terminals.
     removed = set()
     rename = {}
-    for first, second, e in doubled_low:
-        path = couple_paths[((LOWER, first), (LOWER, second))]
-        if len(path) != 3:
-            raise WitnessGeometryError("doubled couple path must have 3 vertices")
-        removed.update((path[0], path[2]))
-        rename[path[1]] = f"xsrc{e}"
-    for first, second, e in doubled_up:
-        path = couple_paths[((UPPER, first), (UPPER, second))]
-        if len(path) != 3:
-            raise WitnessGeometryError("doubled couple path must have 3 vertices")
-        removed.update((path[0], path[2]))
-        rename[path[1]] = f"xsnk{e}"
+    for side in _SIDES:
+        for first, second, e in doubled[side.key]:
+            path = couple_paths[((side.key, first), (side.key, second))]
+            if len(path) != 3:
+                raise WitnessGeometryError("doubled couple path must have 3 vertices")
+            removed.update((path[0], path[2]))
+            rename[path[1]] = f"{side.doubled}{e}"
 
     def keep(edge):
         return edge[0] not in removed and edge[1] not in removed
@@ -405,32 +349,25 @@ def build_witness_network(X, Y, Xp, Yp, matching, n=None, nprime=None, _offset=0
 
     # Terminal lists over the full ground sets, padding gaps with isolated
     # terminals placed at their own circle slots.
-    sources = []
-    for e in range(1, n + 1):
-        if e in X:
-            sources.append(f"xsrc{e}")
-        elif e in Y:
-            sources.append(f"s{tilde_pos[(LOWER, e)]}")
-        else:
-            vid = f"pad_s{e}"
-            final_vertices[vid] = _circle_point(_lower_param(n, e))
-            sources.append(vid)
-    sinks = []
-    for e in range(1, nprime + 1):
-        if e in Xp:
-            sinks.append(f"xsnk{e}")
-        elif e in Yp:
-            sinks.append(f"t{tilde_pos[(UPPER, e)]}")
-        else:
-            vid = f"pad_t{e}"
-            final_vertices[vid] = _circle_point(_upper_param(nprime, e))
-            sinks.append(vid)
+    terminals = ([], [])
+    for side in _SIDES:
+        xs, ys, m = grounds[side.key]
+        sign = 1 if side.reversed else -1
+        for e in range(1, m + 1):
+            if e in xs:
+                vid = f"{side.doubled}{e}"
+            elif e in ys:
+                vid = f"{side.terminal}{tilde_pos[(side.key, e)]}"
+            else:
+                vid = f"pad_{side.terminal}{e}"
+                final_vertices[vid] = _circle_point(Fraction(sign * (m + 1 - e)))
+            terminals[side.key].append(vid)
 
     network = PlanarNetwork(
         final_vertices,
         tuple(final_edges),
-        tuple(sources),
-        tuple(sinks),
+        tuple(terminals[LOWER]),
+        tuple(terminals[UPPER]),
         "vertex",
         {v: 1 for v in final_vertices},
     )

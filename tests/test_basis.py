@@ -5,6 +5,7 @@ from itertools import combinations
 import pytest
 
 from planarflows import (
+    INTEGERS,
     POSITIVE_RATIONALS,
     RATIONALS,
     TROPICAL_INT,
@@ -25,7 +26,7 @@ from planarflows.basis import (
     weights_from_pressed,
 )
 from planarflows.errors import DivisionUnsupported, NotInvertible
-from planarflows.flows import fg_value
+from planarflows.flows import FlowFunction, fg_value
 from planarflows.network import build_grid, build_half_grid
 from planarflows.semiring import STAR
 
@@ -133,6 +134,16 @@ def test_laurent_exponent_range():
             for S in combinations(range(1, n + 1), r):
                 exp = laurent_expand(n, S)
                 assert exp.exponent_range() <= {-1, 0, 1, 2}, (n, S)
+
+
+def test_laurent_expansion_past_sixty_vertices():
+    # The half-grid of size 11 has 66 vertices; the expansion has no vertex cap.
+    target = {2, 5, 8, 11}
+    exp = laurent_expand(11, target)
+    unit = build_half_grid(11).unit_weights(INTEGERS)
+    assert sum(mult for _, mult in exp.monomials) == FlowFunction(INTEGERS, unit)(
+        target, range(1, 5))
+    assert exp.exponent_range() <= {-1, 0, 1, 2}
 
 
 def test_laurent_evaluation_matches_reconstruction():

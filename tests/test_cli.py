@@ -403,6 +403,13 @@ _PRESSED = {"case": "pressed-double-intervals", "n": 2, "n_prime": 2,
     (["schur", "--identity", "tworow", "--params", "1,x", "--nvars", "3"], None, "params: "),
     (["schur", "--identity", "tworow", "--params", "1", "--nvars", "3"], None,
      "params: tworow takes four integers"),
+    (["schur", "--identity", "tworow", "--params", "1,2,2,3", "--nvars", "-1"], None,
+     "nvars: expected a nonnegative integer, got -1"),
+    (["reconstruct", "--target", "1,3"],
+     dict(_BASIS, values={k: v for k, v in _BASIS["values"].items() if k != "2..3"}),
+     "values: no value for interval '2..3'"),
+    (["reconstruct", "--target", "1"], {"case": "flag", "n": 3, "values": {"1..1": 2}},
+     "case: expected 'flag-intervals' or 'pressed-double-intervals', got 'flag'"),
 ])
 def test_malformed_target_and_params_are_refused_naming_the_field(
         capsys, tmp_path, argv, basis, message):
