@@ -53,18 +53,28 @@ def _default_sets(pattern):
     return default_sets(shape.m, shape.m_prime)
 
 
-def _indices(data, key, default=None):
-    """``data[key]`` as a list of integers; a bad or missing one is named."""
+def _indices(data, key, default=None, top=None):
+    """``data[key]`` as a list of distinct integers in 1..top (any positive
+    integer when ``top`` is None); a bad or missing one is named."""
     value = data.get(key, default) if isinstance(data, dict) else None
     if not isinstance(value, list) or any(type(a) is not int for a in value):
         raise BadInput(f"{key}: expected a list of integers")
+    allowed = "positive" if top is None else f"in 1..{top}"
+    for k, a in enumerate(value):
+        if a in value[:k]:
+            raise BadInput(f"{key}: index {a} repeats")
+        if a < 1 or top is not None and a > top:
+            raise BadInput(f"{key}: index {a} is not {allowed}")
     return value
 
 
-def _sets_from_file(path):
+def _sets_from_file(path, net=None):
+    """(X, Y, X', Y'); X and Y index sources and X', Y' sinks of ``net``,
+    when given."""
     data = _load(path)
-    return tuple(frozenset(_indices(data, key, None if key == "Y" else []))
-                 for key in ("X", "Y", "Xprime", "Yprime"))
+    tops = (None, None) if net is None else (net.n_sources, net.n_sinks)
+    return tuple(frozenset(_indices(data, key, None if key == "Y" else [], tops[k // 2]))
+                 for k, key in enumerate(("X", "Y", "Xprime", "Yprime")))
 
 
 def cmd_check_balance(args):
@@ -82,25 +92,14 @@ def cmd_check_balance(args):
 
 def cmd_verify_relation(args):
     from .network import network_from_json
-    from .patterns import _normalize_pattern, embed_two
     from .relations import RelationInstance, evaluate_sq
     from .semiring import parse_semiring
 
     a, b = _load_pattern_pair(args.patterns)
     spec = parse_semiring(args.semiring)
     net = network_from_json(_load(args.network), spec)
-    X, Y, Xp, Yp = _sets_from_file(args.sets) if args.sets else _default_sets(a)
-    a2, b2 = _normalize_pattern(a), _normalize_pattern(b)
-    ri = RelationInstance(
-        spec,
-        net,
-        X,
-        Y,
-        Xp,
-        Yp,
-        embed_two(a2, sorted(Y), sorted(Yp)),
-        embed_two(b2, sorted(Y), sorted(Yp)),
-    )
+    X, Y, Xp, Yp = _sets_from_file(args.sets, net) if args.sets else _default_sets(a)
+    ri = RelationInstance.from_patterns(a, b, X, Y, Xp, Yp, spec, net)
     result = evaluate_sq(ri)
     eff = result["spec"]
     _emit(
@@ -158,7 +157,8 @@ def cmd_eval_fg(args):
     spec = parse_semiring(args.semiring)
     net = network_from_json(_load(args.network), spec)
     fargs = _load(args.args)
-    value = fg_value(spec, net, _indices(fargs, "I"), _indices(fargs, "Iprime"))
+    value = fg_value(spec, net, _indices(fargs, "I", top=net.n_sources),
+                     _indices(fargs, "Iprime", top=net.n_sinks))
     _emit({"value": spec.to_json(value)}, args.output)
     return 0
 

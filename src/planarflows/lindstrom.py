@@ -390,30 +390,13 @@ def check_matrix_sq(matrix, pattern_a, pattern_b, X, Y, Xp, Yp, strict=True):
     Only balanced patterns are covered by the guarantee, so unbalanced input
     is refused.
     """
-    from .patterns import _normalize_pattern, embed_two, is_balanced
+    from .patterns import is_balanced
+    from .relations import RelationInstance
 
-    a = _normalize_pattern(pattern_a)
-    b = _normalize_pattern(pattern_b)
-    if strict and not is_balanced(a, b).balanced:
+    ri = RelationInstance.from_patterns(pattern_a, pattern_b, X, Y, Xp, Yp, matrix.spec)
+    if strict and not is_balanced(pattern_a, pattern_b).balanced:
         raise PatternsUnbalanced("the minor identity only covers balanced patterns")
-    spec = matrix.spec
-    X, Y = frozenset(X), frozenset(Y)
-    Xp, Yp = frozenset(Xp), frozenset(Yp)
-
-    def f(I, Iprime):
-        return minor(matrix, sorted(I), sorted(Iprime))
-
-    def side(family):
-        acc = spec.zero()
-        for (A, Ap), mult in family.items():
-            term = spec.mul(f(X | A, Xp | Ap), f(X | (Y - A), Xp | (Yp - Ap)))
-            for _ in range(mult):
-                acc = spec.add(acc, term)
-        return acc
-
-    lhs = side(embed_two(a, sorted(Y), sorted(Yp)))
-    rhs = side(embed_two(b, sorted(Y), sorted(Yp)))
-    return {"lhs": lhs, "rhs": rhs, "equal": spec.equal(lhs, rhs)}
+    return ri.sides(matrix.spec, lambda I, Iprime: minor(matrix, sorted(I), sorted(Iprime)))
 
 
 def minor_function(matrix):

@@ -106,10 +106,14 @@ def matching_from_parts(lower=(), upper=(), vertical=()):
     return PlanarMatching(couples)
 
 
-def circle_positions(Y, Yp):
+def _circle_points(Y, Yp):
     """Cyclic layout: lower elements ascending, then upper descending."""
-    pts = [(LOWER, y) for y in sorted(Y)] + [(UPPER, y) for y in sorted(Yp, reverse=True)]
-    return {p: k for k, p in enumerate(pts)}
+    return [(LOWER, y) for y in sorted(Y)] + [(UPPER, y) for y in sorted(Yp, reverse=True)]
+
+
+def circle_positions(Y, Yp):
+    """Each point's index in the cyclic layout."""
+    return {p: k for k, p in enumerate(_circle_points(Y, Yp))}
 
 
 def chords_cross(pos, c1, c2):
@@ -127,15 +131,19 @@ def is_noncrossing(Y, Yp, matching):
     return True
 
 
+def _odd_points(Yp, A, Ap):
+    """The feasibility rule for the coloring with A, A' white: the points
+    whose side and color differ (white lower, black upper).  A couple is
+    feasible exactly when one endpoint is odd, so a same-side couple has
+    two colors and a cross-side couple one."""
+    return {(LOWER, a) for a in A} | {(UPPER, y) for y in Yp if y not in Ap}
+
+
 def matching_is_feasible(matching, Y, Yp, A, Ap):
     """Color conditions only; planarity of the matching is assumed/checked."""
-    white = {(LOWER, a) for a in A} | {(UPPER, a) for a in Ap}
+    odd = _odd_points(Yp, A, Ap)
     for p, q in matching.couples:
-        same_side = p[0] == q[0]
-        same_color = (p in white) == (q in white)
-        if same_side and same_color:
-            return False
-        if not same_side and not same_color:
+        if (p in odd) == (q in odd):
             return False
     return True
 
@@ -150,16 +158,10 @@ def feasible_matchings(Y, Yp, A, Ap):
         raise NotProper(
             f"|Y|-|Y'| = {len(Y) - len(Yp)} != 2(|A|-|A'|) = {2 * (len(A) - len(Ap))}"
         )
-    points = [(LOWER, y) for y in sorted(Y)]
-    points += [(UPPER, y) for y in sorted(Yp, reverse=True)]
+    points = _circle_points(Y, Yp)
     if len(points) % 2:
         return []
-    white = {(LOWER, a) for a in A} | {(UPPER, a) for a in Ap}
-
-    def couple_ok(p, q):
-        same_side = p[0] == q[0]
-        same_color = (p in white) == (q in white)
-        return same_color != same_side
+    odd = _odd_points(Yp, A, Ap)
 
     def rec(segment):
         if not segment:
@@ -168,7 +170,7 @@ def feasible_matchings(Y, Yp, A, Ap):
         first = segment[0]
         for k in range(1, len(segment), 2):
             partner = segment[k]
-            if not couple_ok(first, partner):
+            if (first in odd) == (partner in odd):
                 continue
             inside = segment[1:k]
             outside = segment[k + 1:]
@@ -230,21 +232,12 @@ class TwoPattern:
             c[(A, Ap)] += mult
         return c
 
-    def size(self):
-        return sum(mult for _, _, mult in self.members)
-
 
 @dataclass(frozen=True)
 class OnePattern:
     m: int
     p: int
     members: tuple  # ((A frozenset, multiplicity), ...) sorted
-
-    def counter(self):
-        c = Counter()
-        for A, mult in self.members:
-            c[A] += mult
-        return c
 
     def to_two_pattern(self):
         """Flag patterns as 2-patterns: Y' of size |p - (m-p)|, A' forced."""

@@ -19,8 +19,30 @@ def consistent(X, Y, Xp, Yp):
     return 2 * len(X) + len(Y) == 2 * len(Xp) + len(Yp)
 
 
+def check_sets(X, Y, Xp, Yp):
+    """(X, Y, X', Y') as frozensets; overlapping sides or sizes with
+    2|X| + |Y| != 2|X'| + |Y'| are refused."""
+    X, Y, Xp, Yp = frozenset(X), frozenset(Y), frozenset(Xp), frozenset(Yp)
+    if X & Y or Xp & Yp:
+        raise InconsistentSets("X,Y (and X',Y') must be disjoint")
+    if not consistent(X, Y, Xp, Yp):
+        raise InconsistentSets("2|X| + |Y| must equal 2|X'| + |Y'|")
+    return X, Y, Xp, Yp
+
+
+def _pattern_pair(pattern_a, pattern_b):
+    a, b = _normalize_pattern(pattern_a), _normalize_pattern(pattern_b)
+    if (a.m, a.m_prime) != (b.m, b.m_prime):
+        raise InconsistentSets("patterns live on different shapes")
+    return a, b
+
+
 @dataclass
 class RelationInstance:
+    """One quadratic identity: the families of a pattern pair embedded on
+    (Y, Y'), around X and X'.  ``network`` is None when the values come
+    from elsewhere, such as matrix minors."""
+
     spec: object
     network: object
     X: frozenset
@@ -31,16 +53,32 @@ class RelationInstance:
     family_b: dict
 
     def __post_init__(self):
-        self.X, self.Y = frozenset(self.X), frozenset(self.Y)
-        self.Xp, self.Yp = frozenset(self.Xp), frozenset(self.Yp)
-        if self.X & self.Y or self.Xp & self.Yp:
-            raise InconsistentSets("X,Y (and X',Y') must be disjoint")
-        if not consistent(self.X, self.Y, self.Xp, self.Yp):
-            raise InconsistentSets("2|X| + |Y| must equal 2|X'| + |Y'|")
+        self.X, self.Y, self.Xp, self.Yp = check_sets(self.X, self.Y, self.Xp, self.Yp)
 
+    @classmethod
+    def from_patterns(cls, pattern_a, pattern_b, X, Y, Xp, Yp, spec=None, network=None):
+        """Both patterns as 2-patterns on one shape, embedded on (Y, Y') by
+        the order-preserving bijections, with the sets checked."""
+        a, b = _pattern_pair(pattern_a, pattern_b)
+        Y_sorted, Yp_sorted = sorted(Y), sorted(Yp)
+        return cls(spec, network, X, Y, Xp, Yp,
+                   embed_two(a, Y_sorted, Yp_sorted), embed_two(b, Y_sorted, Yp_sorted))
 
-def _effective_spec(spec):
-    return spec if spec.has_zero else sr.star_extend(spec)
+    def sides(self, spec, f):
+        """Both sides of the identity, the sum over each family of
+        f(X u A | X' u A') * f(X u (Y - A) | X' u (Y' - A')) over ``spec``."""
+        X, Y, Xp, Yp = self.X, self.Y, self.Xp, self.Yp
+
+        def side(family):
+            terms = []
+            for (A, Ap), mult in sorted(
+                family.items(), key=lambda kv: (sorted(kv[0][0]), sorted(kv[0][1]))
+            ):
+                terms += [spec.mul(f(X | A, Xp | Ap), f(X | (Y - A), Xp | (Yp - Ap)))] * mult
+            return sr.fold_sum(spec, terms)
+
+        lhs, rhs = side(self.family_a), side(self.family_b)
+        return {"lhs": lhs, "rhs": rhs, "equal": spec.equal(lhs, rhs)}
 
 
 def evaluate_sq(ri):
@@ -49,24 +87,8 @@ def evaluate_sq(ri):
     When the base semiring lacks a zero, empty flow sets are absorbed by
     moving to its star extension.
     """
-    spec = _effective_spec(ri.spec)
-    f = FlowFunction(spec, ri.network)
-
-    def side(family):
-        terms = []
-        for (A, Ap), mult in sorted(
-            family.items(), key=lambda kv: (sorted(kv[0][0]), sorted(kv[0][1]))
-        ):
-            first = f(ri.X | A, ri.Xp | Ap)
-            second = f(ri.X | (ri.Y - A), ri.Xp | (ri.Yp - Ap))
-            terms.extend([spec.mul(first, second)] * mult)
-        if not terms:
-            return spec.zero()
-        return sr.fold_sum(spec, terms)
-
-    lhs = side(ri.family_a)
-    rhs = side(ri.family_b)
-    return {"lhs": lhs, "rhs": rhs, "equal": spec.equal(lhs, rhs), "spec": spec}
+    spec = ri.spec if ri.spec.has_zero else sr.star_extend(ri.spec)
+    return dict(ri.sides(spec, FlowFunction(spec, ri.network)), spec=spec)
 
 
 @dataclass
@@ -140,29 +162,11 @@ def default_instances(m, m_prime, config=None):
     if m == m_prime or m_prime == 0:
         k = max(m, 1)
         if k * (k + 1) // 2 <= config.vertex_budget and len(cases) < config.max_cases:
-            net = build_half_grid(k)
-            if m == m_prime:
-                cases.append(
-                    (
-                        net,
-                        frozenset(),
-                        frozenset(range(1, m + 1)),
-                        frozenset(),
-                        frozenset(range(1, m + 1)),
-                    )
-                )
-            else:
-                d = m // 2
-                if d <= k:
-                    cases.append(
-                        (
-                            net,
-                            frozenset(),
-                            frozenset(range(1, m + 1)),
-                            frozenset(range(1, d + 1)),
-                            frozenset(),
-                        )
-                    )
+            # Y is all of [m]; X' takes the first m // 2 slots when m' = 0.
+            Y = frozenset(range(1, m + 1))
+            Xp = frozenset() if m == m_prime else frozenset(range(1, m // 2 + 1))
+            Yp = Y if m == m_prime else frozenset()
+            cases.append((build_half_grid(k), frozenset(), Y, Xp, Yp))
     return cases[: config.max_cases]
 
 
@@ -172,27 +176,15 @@ def verify_symbolic(pattern_a, pattern_b, config=None, instances=None):
     Exact polynomial equality on every sampled instance is strong evidence of
     stability; the decision procedure proper is ``patterns.is_balanced``.
     """
-    a = _normalize_pattern(pattern_a)
-    b = _normalize_pattern(pattern_b)
-    if (a.m, a.m_prime) != (b.m, b.m_prime):
-        raise InconsistentSets("patterns live on different shapes")
+    a, b = _pattern_pair(pattern_a, pattern_b)
     if instances is None:
         instances = default_instances(a.m, a.m_prime, config)
     cases = []
     for net, X, Y, Xp, Yp in instances:
         ring = sr.polynomial_ring(*[f"w_{v}" for v in net.vertices])
         weights = {v: ring.var(k) for k, v in enumerate(net.vertices)}
-        weighted = net.with_vertex_weights(weights)
-        ri = RelationInstance(
-            ring,
-            weighted,
-            X,
-            Y,
-            Xp,
-            Yp,
-            embed_two(a, sorted(Y), sorted(Yp)),
-            embed_two(b, sorted(Y), sorted(Yp)),
-        )
+        ri = RelationInstance.from_patterns(
+            a, b, X, Y, Xp, Yp, ring, net.with_vertex_weights(weights))
         result = evaluate_sq(ri)
         cases.append(
             {

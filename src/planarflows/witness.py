@@ -32,15 +32,13 @@ from .patterns import (
     LOWER,
     UPPER,
     PlanarMatching,
-    _normalize_pattern,
     embed_matching,
-    embed_two,
     is_balanced,
     is_noncrossing,
     is_proper,
     matching_is_feasible,
 )
-from .relations import RelationInstance, evaluate_sq
+from .relations import RelationInstance, check_sets, evaluate_sq
 
 
 def _circle_point(t):
@@ -267,12 +265,7 @@ def build_witness_network(X, Y, Xp, Yp, matching, n=None, nprime=None, _offset=0
     matched couple, building the core network, and shrinking the resulting
     two-edge paths back into single terminals.
     """
-    X, Y = frozenset(X), frozenset(Y)
-    Xp, Yp = frozenset(Xp), frozenset(Yp)
-    if X & Y or Xp & Yp:
-        raise InconsistentSets("X,Y and X',Y' must be disjoint")
-    if 2 * len(X) + len(Y) != 2 * len(Xp) + len(Yp):
-        raise InconsistentSets("2|X| + |Y| must equal 2|X'| + |Y'|")
+    X, Y, Xp, Yp = check_sets(X, Y, Xp, Yp)
     n = n or (max(X | Y) if X | Y else 0)
     nprime = nprime or (max(Xp | Yp) if Xp | Yp else 0)
 
@@ -439,15 +432,12 @@ def audit_witness(wn, X, Y, Xp, Yp):
 
 def demonstrate_violation(pattern_a, pattern_b, X, Y, Xp, Yp, n=None, nprime=None):
     """Build the witness and evaluate both sides over the integers, w == 1."""
-    a = _normalize_pattern(pattern_a)
-    b = _normalize_pattern(pattern_b)
-    # embed_two checks |Y| and |Y'| against the patterns before anything is built.
-    family_a = embed_two(a, sorted(Y), sorted(Yp))
-    family_b = embed_two(b, sorted(Y), sorted(Yp))
-    matching0, count_a, count_b = find_discriminating_matching(a, b)
+    # The identity's sets and sizes are checked before anything is built.
+    ri = RelationInstance.from_patterns(pattern_a, pattern_b, X, Y, Xp, Yp, sr.INTEGERS)
+    matching0, count_a, count_b = find_discriminating_matching(pattern_a, pattern_b)
     matching = embed_matching(matching0, sorted(Y), sorted(Yp))
     wn = build_witness_network(X, Y, Xp, Yp, matching, n=n, nprime=nprime)
-    ri = RelationInstance(sr.INTEGERS, wn.network, X, Y, Xp, Yp, family_a, family_b)
+    ri.network = wn.network
     result = evaluate_sq(ri)
     return {
         "network": wn,

@@ -367,6 +367,17 @@ def _half_grid_file(tmp_path):
     ("reconstruct", "--basis", {"values": {"1..1": 1}, "n": "x"}, "n: expected a positive integer"),
     ("reconstruct", "--basis", {"case": "pressed-double-intervals", "values": {"1..1|1..1": 1}, "n": 2},
      "n_prime: expected a positive integer"),
+    ("eval-fg", "--args", {"I": [1, 9], "Iprime": [1, 2]}, "I: index 9 is not in 1..3"),
+    ("eval-fg", "--args", {"I": [1, 1], "Iprime": [1, 2]}, "I: index 1 repeats"),
+    ("eval-fg", "--args", {"I": [1, 2], "Iprime": [1, 4]}, "Iprime: index 4 is not in 1..3"),
+    ("witness", "--sets", {"Y": [0, 2, 3], "Xprime": [1], "Yprime": [2]},
+     "Y: index 0 is not positive"),
+    ("verify-relation", "--sets", {"Y": [0, 2, 3], "Xprime": [1], "Yprime": [2]},
+     "Y: index 0 is not in 1..3"),
+    ("verify-relation", "--sets", {"Y": [1, 2, 9], "Xprime": [1], "Yprime": [2]},
+     "Y: index 9 is not in 1..3"),
+    ("verify-relation", "--sets", {"Y": [1, 2, 3], "Xprime": [1], "Yprime": [5]},
+     "Yprime: index 5 is not in 1..3"),
 ])
 def test_malformed_sets_basis_and_args_are_refused_naming_the_field(
         capsys, tmp_path, command, flag, data, message):
@@ -430,6 +441,14 @@ def test_witness_sets_of_the_wrong_size_are_refused_naming_the_sizes(capsys, tmp
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "|Y|=2 |Y'|=0 but pattern is on ([3],[1])" in captured.err
+
+
+def test_witness_sizes_its_network_to_the_sets(capsys, tmp_path):
+    sets_file = tmp_path / "sets.json"
+    sets_file.write_text(json.dumps({"Y": [1, 2, 9], "Xprime": [1], "Yprime": [2]}))
+    code, out = run(capsys, "witness", "--patterns", fixture("unbalanced_p3.json"),
+                    "--sets", str(sets_file), "--audit")
+    assert code == 1 and out["audit_ok"] and out["lhs"] != out["rhs"]
 
 
 def test_witness_audit_lists_the_failing_cases(capsys, monkeypatch):

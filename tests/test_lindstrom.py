@@ -5,7 +5,7 @@ from itertools import permutations
 import pytest
 
 from planarflows import INTEGERS, RATIONALS, TROPICAL_INT, polynomial_ring
-from planarflows.errors import PatternsUnbalanced, RingRequired, SizeMismatch
+from planarflows.errors import InconsistentSets, PatternsUnbalanced, RingRequired, SizeMismatch
 from planarflows.lindstrom import (
     adjacent_swap_gadget,
     check_matrix_sq,
@@ -251,6 +251,13 @@ def test_check_matrix_sq_p4_and_homogeneous():
         assert check_matrix_sq(
             mat, a0, b0, {4}, {1, 2, 3}, {1}, {2, 3, 4}
         )["equal"]
+
+
+def test_check_matrix_sq_refuses_overlapping_sets():
+    mat = exact_matrix(INTEGERS, [[1, 2, 0], [0, 1, 3], [4, 0, 1]])
+    a0, b0 = stock_pattern("dodgson")
+    with pytest.raises(InconsistentSets):
+        check_matrix_sq(mat, a0, b0, {2}, {2, 3}, {2}, {1, 3})
 
 
 def test_check_matrix_sq_refuses_unbalanced():

@@ -120,6 +120,13 @@ def test_verify_symbolic_p3_all_half_grids():
     assert len(report["cases"]) == len(instances)
 
 
+def test_verify_symbolic_refuses_patterns_on_different_shapes():
+    a0, _ = stock_pattern("p3")
+    d0, _ = stock_pattern("dodgson")
+    with pytest.raises(InconsistentSets):
+        verify_symbolic(a0, d0, instances=[])
+
+
 def test_verify_symbolic_p4_and_homogeneous():
     a0, b0 = stock_pattern("p4")
     net = build_half_grid(5)
