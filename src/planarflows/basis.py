@@ -24,11 +24,35 @@ def intervals(n, include_empty=True):
     return out
 
 
-def _interval_ending_at(i, length):
-    """[(i - length + 1) .. i]; the empty tuple when length is 0."""
+def _pressed(k, kp):
+    """The pressed double interval ending at (k, k'), of length min(k, k');
+    ``((), ())`` when that length is 0."""
+    length = min(k, kp)
     if length == 0:
-        return ()
-    return (i - length + 1, i)
+        return ((), ())
+    return ((k - length + 1, k), (kp - length + 1, kp))
+
+
+def _cross_ratio(k, kp):
+    """Numerator and denominator keys of grid vertex (k, k')'s weight:
+    F(k, k') F(k-1, k'-1) / (F(k-1, k') F(k, k'-1)), F the pressed value."""
+    return ((_pressed(k, kp), _pressed(k - 1, kp - 1)),
+            (_pressed(k - 1, kp), _pressed(k, kp - 1)))
+
+
+def _half_grid_cells(n):
+    return [(i, j) for i in range(1, n + 1) for j in range(1, i + 1)]
+
+
+def _weights_from_ratios(spec, cells, value):
+    """Weight of each cell as its cross-ratio of ``value(key)``."""
+    if not spec.has_division:
+        raise DivisionUnsupported(f"{spec.name} has no division")
+    weights = {}
+    for k, kp in cells:
+        num, den = (spec.mul(value(a), value(b)) for a, b in _cross_ratio(k, kp))
+        weights[f"{k},{kp}"] = sr.divide(spec, num, den)
+    return weights
 
 
 # ---------------------------------------------------------------------------
@@ -38,30 +62,12 @@ def weights_from_intervals(spec, values, n):
     """Vertex weights on the half-grid reproducing the given interval values.
 
     ``values`` maps nonempty intervals (p, q) to invertible semiring values.
+    (p, q) is the pressed double interval ((p, q), (1, q - p + 1)), so each
+    weight is the pressed cross-ratio read through its keys' source sides.
     """
-    if not spec.has_division:
-        raise DivisionUnsupported(f"{spec.name} has no division")
-
-    def f(iv):
-        if iv == ():
-            return spec.one()
-        return values[iv]
-
-    weights = {}
-    for i in range(1, n + 1):
-        for j in range(1, i + 1):
-            if i == j:
-                num = f(_interval_ending_at(i, j))
-                den = f(_interval_ending_at(i, j - 1))
-            else:
-                num = spec.mul(
-                    f(_interval_ending_at(i, j)), f(_interval_ending_at(i - 1, j - 1))
-                )
-                den = spec.mul(
-                    f(_interval_ending_at(i - 1, j)), f(_interval_ending_at(i, j - 1))
-                )
-            weights[f"{i},{j}"] = sr.divide(spec, num, den)
-    return weights
+    return _weights_from_ratios(
+        spec, _half_grid_cells(n),
+        lambda key: values[key[0]] if key[0] else spec.one())
 
 
 def interval_values_from_weights(spec, weights, n):
@@ -98,12 +104,8 @@ def flag_assignment(spec, n, values):
 
 def pressed_basis(n, n_prime):
     """Pressed double intervals, one per grid vertex, plus the empty pair."""
-    out = [((), ())]
-    for k in range(1, n + 1):
-        for kp in range(1, n_prime + 1):
-            length = min(k, kp)
-            out.append(((k - length + 1, k), (kp - length + 1, kp)))
-    return out
+    return [((), ())] + [_pressed(k, kp) for k in range(1, n + 1)
+                         for kp in range(1, n_prime + 1)]
 
 
 def pressed_assignment(spec, n, n_prime, values):
@@ -114,115 +116,79 @@ def pressed_assignment(spec, n, n_prime, values):
 
 def weights_from_pressed(spec, values, n, n_prime):
     """Grid vertex weights from pressed double-interval values."""
-    if not spec.has_division:
-        raise DivisionUnsupported(f"{spec.name} has no division")
-
-    def f(k, kp):
-        if k == 0 or kp == 0:
-            return spec.one()
-        length = min(k, kp)
-        return values[((k - length + 1, k), (kp - length + 1, kp))]
-
-    weights = {}
-    for k in range(1, n + 1):
-        for kp in range(1, n_prime + 1):
-            num = spec.mul(f(k, kp), f(k - 1, kp - 1))
-            den = spec.mul(f(k - 1, kp), f(k, kp - 1))
-            weights[f"{k},{kp}"] = sr.divide(spec, num, den)
-    return weights
-
-
-def _is_interval(S):
-    S = sorted(S)
-    return not S or S[-1] - S[0] + 1 == len(S)
+    return _weights_from_ratios(
+        spec, [(k, kp) for k in range(1, n + 1) for kp in range(1, n_prime + 1)],
+        lambda key: values[key] if key[0] else spec.one())
 
 
 def reconstruct_value(assignment, target):
     """Value of the flow function at ``target`` determined by the basis.
 
-    Flag case: descend through the three-term exchange on min/max gaps.
-    Double case: peel non-intervals on either side, then shrink unpressed
-    double intervals by the condensation step.
+    A flag target S is the double target (S, 1..|S|), whose basis keys are
+    pressed against sink 1, so both cases run one descent: a non-interval
+    side (S first) is peeled by the three-term exchange at its first gap,
+    and an unpressed double interval shrinks by the condensation step.
     """
     spec = assignment.spec
     if not spec.has_division:
         raise DivisionUnsupported(f"{spec.name} has no division")
-
+    values = assignment.values
     if assignment.case == "flag-intervals":
-        memo = {}
+        S = frozenset(target)
+        Sp = frozenset(range(1, len(S) + 1))
 
-        def f(S):
-            S = frozenset(S)
-            if S in memo:
-                return memo[S]
-            if _is_interval(S):
-                key = () if not S else (min(S), max(S))
-                value = assignment.values[key]
-            else:
-                i, k = min(S), max(S)
-                X = S - {i, k}
-                j = min(set(range(i, k + 1)) - S)
-                num = spec.add(
-                    spec.mul(f(X | {i, j}), f(X | {k})),
-                    spec.mul(f(X | {j, k}), f(X | {i})),
-                )
-                value = sr.divide(spec, num, f(X | {j}))
-            memo[S] = value
-            return value
+        def basis(key):
+            return values[key[0]]
+    elif assignment.case == "pressed-double-intervals":
+        S, Sp = map(frozenset, target)
+        basis = values.__getitem__
+    else:
+        raise BadParams(f"unknown basis case {assignment.case!r}")
+    memo = {}
 
-        return f(target)
+    def swapped(a, b):
+        return g(b, a)
 
-    if assignment.case == "pressed-double-intervals":
-        memo = {}
-
-        def g(S, Sp):
-            S, Sp = frozenset(S), frozenset(Sp)
-            key = (S, Sp)
-            if key in memo:
-                return memo[key]
-            if not S:
-                value = assignment.values[((), ())]
-            elif _is_interval(S) and _is_interval(Sp) and (min(S) == 1 or min(Sp) == 1):
-                value = assignment.values[((min(S), max(S)), (min(Sp), max(Sp)))]
-            elif not _is_interval(S):
-                i, k = min(S), max(S)
-                X = S - {i, k}
-                Xp = Sp - {max(Sp)}
-                j = min(set(range(i, k + 1)) - S)
-                num = spec.add(
-                    spec.mul(g(X | {i, j}, Sp), g(X | {k}, Xp)),
-                    spec.mul(g(X | {j, k}, Sp), g(X | {i}, Xp)),
-                )
-                value = sr.divide(spec, num, g(X | {j}, Xp))
-            elif not _is_interval(Sp):
-                ip, kp = min(Sp), max(Sp)
-                Xp = Sp - {ip, kp}
-                X = S - {max(S)}
-                jp = min(set(range(ip, kp + 1)) - Sp)
-                num = spec.add(
-                    spec.mul(g(S, Xp | {ip, jp}), g(X, Xp | {kp})),
-                    spec.mul(g(S, Xp | {jp, kp}), g(X, Xp | {ip})),
-                )
-                value = sr.divide(spec, num, g(X, Xp | {jp}))
+    def g(S, Sp):
+        if not S:
+            return basis(((), ()))
+        key = (S, Sp)
+        if key in memo:
+            return memo[key]
+        lo, hi, lop, hip = min(S), max(S), min(Sp), max(Sp)
+        interval = hi - lo + 1 == len(S)
+        if interval and hip - lop + 1 == len(Sp):
+            if lo == 1 or lop == 1:
+                value = basis(((lo, hi), (lop, hip)))
             else:
                 # Unpressed double interval: condensation descent.
-                i, k = min(S), max(S)
-                ip, kp = min(Sp), max(Sp)
-                X = S - {k}
-                Xp = Sp - {kp}
-                ti, tip = i - 1, ip - 1
+                X, Xp = S - {hi}, Sp - {hip}
+                ti, tip = lo - 1, lop - 1
                 num = spec.add(
-                    spec.mul(g(X | {ti, k}, Xp | {tip, kp}), g(X, Xp)),
-                    spec.mul(g(X | {k}, Xp | {tip}), g(X | {ti}, Xp | {kp})),
+                    spec.mul(g(X | {ti, hi}, Xp | {tip, hip}), g(X, Xp)),
+                    spec.mul(g(X | {hi}, Xp | {tip}), g(X | {ti}, Xp | {hip})),
                 )
                 value = sr.divide(spec, num, g(X | {ti}, Xp | {tip}))
-            memo[key] = value
-            return value
+        else:
+            # Three-term exchange across the first gap of the non-interval
+            # side A, S before S'; the other side B drops its largest index.
+            if interval:
+                A, i, k, B, top, h = Sp, lop, hip, S, hi, swapped
+            else:
+                A, i, k, B, top, h = S, lo, hi, Sp, hip, g
+            X, Bx = A - {i, k}, B - {top}
+            j = i + 1
+            while j in A:
+                j += 1
+            num = spec.add(
+                spec.mul(h(X | {i, j}, B), h(X | {k}, Bx)),
+                spec.mul(h(X | {j, k}, B), h(X | {i}, Bx)),
+            )
+            value = sr.divide(spec, num, h(X | {j}, Bx))
+        memo[key] = value
+        return value
 
-        S, Sp = target
-        return g(S, Sp)
-
-    raise BadParams(f"unknown basis case {assignment.case!r}")
+    return g(S, Sp)
 
 
 # ---------------------------------------------------------------------------
@@ -255,24 +221,13 @@ class LaurentExpansion:
 def _weight_exponents(n):
     """Exponent map of each half-grid vertex weight in interval values."""
     out = {}
-    for i in range(1, n + 1):
-        for j in range(1, i + 1):
-            terms = {}
-
-            def add(iv, delta):
-                if iv == ():
-                    return
-                terms[iv] = terms.get(iv, 0) + delta
-
-            if i == j:
-                add(_interval_ending_at(i, j), 1)
-                add(_interval_ending_at(i, j - 1), -1)
-            else:
-                add(_interval_ending_at(i, j), 1)
-                add(_interval_ending_at(i - 1, j - 1), 1)
-                add(_interval_ending_at(i - 1, j), -1)
-                add(_interval_ending_at(i, j - 1), -1)
-            out[f"{i},{j}"] = {iv: e for iv, e in terms.items() if e}
+    for i, j in _half_grid_cells(n):
+        terms = {}
+        for sign, keys in zip((1, -1), _cross_ratio(i, j)):
+            for iv, _ in keys:
+                if iv:
+                    terms[iv] = terms.get(iv, 0) + sign
+        out[f"{i},{j}"] = {iv: e for iv, e in terms.items() if e}
     return out
 
 

@@ -45,14 +45,6 @@ def _load_pattern_pair(path):
     return pair
 
 
-def _default_sets(pattern):
-    from .patterns import _normalize_pattern
-    from .relations import default_sets
-
-    shape = _normalize_pattern(pattern)
-    return default_sets(shape.m, shape.m_prime)
-
-
 def _indices(data, key, default=None, top=None):
     """``data[key]`` as a list of distinct integers in 1..top (any positive
     integer when ``top`` is None); a bad or missing one is named."""
@@ -68,13 +60,25 @@ def _indices(data, key, default=None, top=None):
     return value
 
 
-def _sets_from_file(path, net=None):
-    """(X, Y, X', Y'); X and Y index sources and X', Y' sinks of ``net``,
-    when given."""
-    data = _load(path)
+def _sets(path, pattern, net=None):
+    """(X, Y, X', Y') from the ``--sets`` file at ``path``, else the pattern's
+    default sets; X and Y index sources and X', Y' sinks of ``net``, when given."""
+    from .patterns import _normalize_pattern
+    from .relations import default_sets
+
+    keys = ("X", "Y", "Xprime", "Yprime")
+    if path:
+        data, note = _load(path), ""
+    else:
+        shape = _normalize_pattern(pattern)
+        data = dict(zip(keys, map(sorted, default_sets(shape.m, shape.m_prime))))
+        note = " (default sets; pass --sets)"
     tops = (None, None) if net is None else (net.n_sources, net.n_sinks)
-    return tuple(frozenset(_indices(data, key, None if key == "Y" else [], tops[k // 2]))
-                 for k, key in enumerate(("X", "Y", "Xprime", "Yprime")))
+    try:
+        return tuple(frozenset(_indices(data, key, None if key == "Y" else [], tops[k // 2]))
+                     for k, key in enumerate(keys))
+    except BadInput as exc:
+        raise BadInput(f"{exc}{note}") from None
 
 
 def cmd_check_balance(args):
@@ -98,7 +102,7 @@ def cmd_verify_relation(args):
     a, b = _load_pattern_pair(args.patterns)
     spec = parse_semiring(args.semiring)
     net = network_from_json(_load(args.network), spec)
-    X, Y, Xp, Yp = _sets_from_file(args.sets, net) if args.sets else _default_sets(a)
+    X, Y, Xp, Yp = _sets(args.sets, a, net)
     ri = RelationInstance.from_patterns(a, b, X, Y, Xp, Yp, spec, net)
     result = evaluate_sq(ri)
     eff = result["spec"]
@@ -125,7 +129,7 @@ def cmd_witness(args):
     from .semiring import INTEGERS
 
     a, b = _load_pattern_pair(args.patterns)
-    X, Y, Xp, Yp = _sets_from_file(args.sets) if args.sets else _default_sets(a)
+    X, Y, Xp, Yp = _sets(args.sets, a)
     result = witness.demonstrate_violation(a, b, X, Y, Xp, Yp)
     wn = result["network"]
     out = {

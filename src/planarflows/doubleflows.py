@@ -12,6 +12,7 @@ from .errors import CoupleNotInMatching, PlanarFlowsError
 from .flows import Flow, enumerate_flows
 from .network import SplitNetwork
 from .patterns import PlanarMatching, is_proper
+from .relations import check_sets
 
 
 @dataclass
@@ -36,10 +37,8 @@ class Decomposition:
 
 
 def make_double_flow(split, X, Y, Xp, Yp, A, Ap, phi, phi_prime):
-    X, Y, Xp, Yp = map(frozenset, (X, Y, Xp, Yp))
+    X, Y, Xp, Yp = check_sets(X, Y, Xp, Yp)
     A, Ap = frozenset(A), frozenset(Ap)
-    if X & Y or Xp & Yp:
-        raise PlanarFlowsError("X,Y and X',Y' must be disjoint")
     if not is_proper(Y, Yp, A, Ap):
         raise PlanarFlowsError("(A, A') is not proper for (Y, Y')")
     return DoubleFlow(split, X, Y, Xp, Yp, A, Ap, phi, phi_prime)

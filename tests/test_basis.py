@@ -209,18 +209,42 @@ def test_pressed_freeness_from_arbitrary_values():
                 ) == fg_value(TROPICAL_INT, net, list(S), list(Sp))
 
 
-def test_star_values_refused():
-    spec = star_extend(TROPICAL_INT)
-    values = {iv: 3 for iv in intervals(3, include_empty=False)}
-    values[(2, 2)] = STAR
-    assignment = flag_assignment(spec, 3, values)
-    with pytest.raises(NotInvertible):
-        reconstruct_value(assignment, frozenset({1, 3}))
+def test_flag_basis_is_the_pressed_basis_on_the_first_sinks():
+    rng = random.Random(17)
+    for spec in (TROPICAL_INT, POSITIVE_RATIONALS):
+        for n in (3, 4, 5, 6):
+            values = {iv: spec.random_value(rng) for iv in intervals(n, include_empty=False)}
+            flag = flag_assignment(spec, n, values)
+            pressed = pressed_assignment(
+                spec, n, n, {((p, q), (1, q - p + 1)): v for (p, q), v in values.items()})
+            for r in range(1, n + 1):
+                for S in combinations(range(1, n + 1), r):
+                    assert reconstruct_value(pressed, (S, range(1, r + 1))) == \
+                        reconstruct_value(flag, S), (spec.name, n, S)
 
 
-def test_zero_denominator_surfaces():
-    values = {iv: Fraction(1) for iv in intervals(3, include_empty=False)}
-    values[(2, 2)] = Fraction(0)
-    assignment = flag_assignment(RATIONALS, 3, values)
+def _flag_case(spec, fill, bad):
+    values = {iv: fill for iv in intervals(3, include_empty=False)}
+    values[(2, 2)] = bad
+    return flag_assignment(spec, 3, values), frozenset({1, 3})
+
+
+def _pressed_case(spec, fill, bad):
+    # (12 | 13) is exchanged across the gap 2 of its sink side, dividing by (1 | 2)
+    values = {key: fill for key in pressed_basis(2, 3) if key != ((), ())}
+    values[((1, 1), (2, 2))] = bad
+    return pressed_assignment(spec, 2, 3, values), ({1, 2}, {1, 3})
+
+
+@pytest.mark.parametrize("case", [_flag_case, _pressed_case])
+def test_star_values_refused(case):
+    assignment, target = case(star_extend(TROPICAL_INT), 3, STAR)
     with pytest.raises(NotInvertible):
-        reconstruct_value(assignment, frozenset({1, 3}))
+        reconstruct_value(assignment, target)
+
+
+@pytest.mark.parametrize("case", [_flag_case, _pressed_case])
+def test_zero_denominator_surfaces(case):
+    assignment, target = case(RATIONALS, Fraction(1), Fraction(0))
+    with pytest.raises(NotInvertible):
+        reconstruct_value(assignment, target)

@@ -378,6 +378,9 @@ def _half_grid_file(tmp_path):
      "Y: index 9 is not in 1..3"),
     ("verify-relation", "--sets", {"Y": [1, 2, 3], "Xprime": [1], "Yprime": [5]},
      "Yprime: index 5 is not in 1..3"),
+    ("verify-relation", "--network",
+     network_to_json(build_half_grid(2).unit_weights(INTEGERS), INTEGERS),
+     "Y: index 3 is not in 1..2 (default sets; pass --sets)"),
 ])
 def test_malformed_sets_basis_and_args_are_refused_naming_the_field(
         capsys, tmp_path, command, flag, data, message):
@@ -387,7 +390,9 @@ def test_malformed_sets_basis_and_args_are_refused_naming_the_field(
     if command in ("witness", "verify-relation"):
         argv += ["--patterns", fixture("p3_flag.json")]
     if command in ("verify-relation", "eval-fg"):
-        argv += ["--network", _half_grid_file(tmp_path), "--semiring", "integers"]
+        argv += ["--semiring", "integers"]
+        if flag != "--network":
+            argv += ["--network", _half_grid_file(tmp_path)]
     if command == "reconstruct":
         argv += ["--semiring", "rationals", "--target", "1,2"]
     assert main(argv) == 2
@@ -419,6 +424,9 @@ _PRESSED = {"case": "pressed-double-intervals", "n": 2, "n_prime": 2,
     (["reconstruct", "--target", "1,3"],
      dict(_BASIS, values={k: v for k, v in _BASIS["values"].items() if k != "2..3"}),
      "values: no value for interval '2..3'"),
+    (["reconstruct", "--target", "1,2|1,2"],
+     dict(_PRESSED, values={k: v for k, v in _PRESSED["values"].items() if k != "1..2|1..2"}),
+     "values: no value for interval '1..2|1..2'"),
     (["reconstruct", "--target", "1"], {"case": "flag", "n": 3, "values": {"1..1": 2}},
      "case: expected 'flag-intervals' or 'pressed-double-intervals', got 'flag'"),
 ])

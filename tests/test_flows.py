@@ -7,10 +7,16 @@ from planarflows import INTEGERS, RATIONALS, TROPICAL_INT, polynomial_ring, star
 from planarflows.errors import (
     CoupleNotInMatching,
     EmptySumWithoutNeutral,
+    InconsistentSets,
     NetworkTooLarge,
     SizeMismatch,
 )
-from planarflows.doubleflows import decompose_double_flow, enumerate_double_flows, exchange
+from planarflows.doubleflows import (
+    decompose_double_flow,
+    enumerate_double_flows,
+    exchange,
+    make_double_flow,
+)
 from planarflows.flows import (
     FlowFunction,
     enumerate_flows,
@@ -274,6 +280,15 @@ def _fig_double_flow():
         if "in:d" in phi_mid and "in:c" in phip_mid:
             return df
     raise AssertionError("expected double flow not found")
+
+
+def test_double_flow_refuses_overlapping_sets_like_relations():
+    df = _fig_double_flow()
+    with pytest.raises(InconsistentSets, match="disjoint"):
+        make_double_flow(df.split, {1}, {1, 2, 3}, {1}, {2}, df.A, df.Ap, df.phi, df.phi_prime)
+    with pytest.raises(InconsistentSets, match="must equal"):
+        make_double_flow(df.split, set(), {1, 2, 3}, set(), {2}, df.A, df.Ap,
+                         df.phi, df.phi_prime)
 
 
 def test_decomposition_of_drawn_instance():
