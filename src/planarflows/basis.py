@@ -127,15 +127,21 @@ def reconstruct_value(assignment, target):
     A flag target S is the double target (S, 1..|S|), whose basis keys are
     pressed against sink 1, so both cases run one descent: a non-interval
     side (S first) is peeled by the three-term exchange at its first gap,
-    and an unpressed double interval shrinks by the condensation step.
+    and an unpressed double interval shrinks by the condensation step.  The
+    descent is an explicit depth-first stack over memoised states (S, S'),
+    children left to right, so a deep descent does not grow the call stack.
     """
     spec = assignment.spec
     if not spec.has_division:
         raise DivisionUnsupported(f"{spec.name} has no division")
     values = assignment.values
-    if assignment.case == "flag-intervals":
+    flag = assignment.case == "flag-intervals"
+    if flag:
         S = frozenset(target)
-        Sp = frozenset(range(1, len(S) + 1))
+        # Every flag state is (S, firsts[|S|]), so S' needs no min, max or
+        # difference.
+        firsts = [frozenset(range(1, m + 1)) for m in range(len(S) + 1)]
+        Sp = firsts[len(S)]
 
         def basis(key):
             return values[key[0]]
@@ -144,51 +150,56 @@ def reconstruct_value(assignment, target):
         basis = values.__getitem__
     else:
         raise BadParams(f"unknown basis case {assignment.case!r}")
-    memo = {}
 
-    def swapped(a, b):
-        return g(b, a)
-
-    def g(S, Sp):
-        if not S:
-            return basis(((), ()))
-        key = (S, Sp)
+    divide, add, mul = spec.divide, spec.add, spec.mul
+    start, memo = (S, Sp), {}
+    stack = [(start, None)]
+    while stack:
+        key, parts = stack.pop()
+        if parts is not None:
+            # Every part is done: the value is (ab + cd) / e.
+            a, b, c, d, e = map(memo.__getitem__, parts)
+            memo[key] = divide(add(mul(a, b), mul(c, d)), e)
+            continue
         if key in memo:
-            return memo[key]
-        lo, hi, lop, hip = min(S), max(S), min(Sp), max(Sp)
+            continue
+        S, Sp = key
+        if not S:
+            memo[key] = basis(((), ()))
+            continue
+        lo, hi = min(S), max(S)
+        lop, hip = (1, len(S)) if flag else (min(Sp), max(Sp))
         interval = hi - lo + 1 == len(S)
         if interval and hip - lop + 1 == len(Sp):
             if lo == 1 or lop == 1:
-                value = basis(((lo, hi), (lop, hip)))
-            else:
-                # Unpressed double interval: condensation descent.
-                X, Xp = S - {hi}, Sp - {hip}
-                ti, tip = lo - 1, lop - 1
-                num = spec.add(
-                    spec.mul(g(X | {ti, hi}, Xp | {tip, hip}), g(X, Xp)),
-                    spec.mul(g(X | {hi}, Xp | {tip}), g(X | {ti}, Xp | {hip})),
-                )
-                value = sr.divide(spec, num, g(X | {ti}, Xp | {tip}))
+                memo[key] = basis(((lo, hi), (lop, hip)))
+                continue
+            # Unpressed double interval: condensation descent.
+            X, Xp = S - {hi}, Sp - {hip}
+            ti, tip = lo - 1, lop - 1
+            parts = ((X | {ti, hi}, Xp | {tip, hip}), (X, Xp), (X | {hi}, Xp | {tip}),
+                     (X | {ti}, Xp | {hip}), (X | {ti}, Xp | {tip}))
         else:
             # Three-term exchange across the first gap of the non-interval
             # side A, S before S'; the other side B drops its largest index.
             if interval:
-                A, i, k, B, top, h = Sp, lop, hip, S, hi, swapped
+                A, i, k, B, top = Sp, lop, hip, S, hi
             else:
-                A, i, k, B, top, h = S, lo, hi, Sp, hip, g
-            X, Bx = A - {i, k}, B - {top}
+                A, i, k, B, top = S, lo, hi, Sp, hip
+            X, Bx = A - {i, k}, firsts[top - 1] if flag else B - {top}
             j = i + 1
             while j in A:
                 j += 1
-            num = spec.add(
-                spec.mul(h(X | {i, j}, B), h(X | {k}, Bx)),
-                spec.mul(h(X | {j, k}, B), h(X | {i}, Bx)),
-            )
-            value = sr.divide(spec, num, h(X | {j}, Bx))
-        memo[key] = value
-        return value
-
-    return g(S, Sp)
+            parts = ((X | {i, j}, B), (X | {k}, Bx), (X | {j, k}, B), (X | {i}, Bx),
+                     (X | {j}, Bx))
+            if interval:  # the exchange ran on S': put each state back as (S, S')
+                parts = tuple((b, a) for a, b in parts)
+        # Children left to right, each finished before the next starts.
+        stack.append((key, parts))
+        for part in reversed(parts):
+            if part not in memo:
+                stack.append((part, None))
+    return memo[start]
 
 
 # ---------------------------------------------------------------------------

@@ -3,8 +3,8 @@
 The flow matrix of a network has entry (j, i) equal to the weight sum of
 paths from source i to sink j; its minors coincide with the multi-path flow
 values.  Conversely any rational matrix is realized exactly by a stack of
-elementary gadgets: adjacent swaps, adjacent additions, and one
-quasi-diagonal layer.
+elementary gadgets: adjacent swaps, adjacent additions below and above the
+diagonal, and one quasi-diagonal layer.
 """
 
 from __future__ import annotations
@@ -188,15 +188,16 @@ def verify_lindstrom(network, spec, size_cap=None):
 
 @dataclass(frozen=True)
 class GadgetFactor:
-    kind: str       # "quasi-diagonal" | "swap" | "add"
+    kind: str       # "quasi-diagonal" | "swap" | "add" | "upper-add"
     size: tuple     # (n_rows, n_cols) of the factor matrix
-    index: int      # i for swap/add, 0 for quasi-diagonal
-    value: object   # x for add, the diagonal for quasi-diagonal, None for swap
+    index: int      # i for swap and the adds, 0 for quasi-diagonal
+    value: object   # x for the adds, the diagonal for quasi-diagonal, None for swap
 
     @property
     def matrix(self):
         """Swap: the transposition of channels i, i+1.  Add: the identity
-        plus x at (i+1, i).  Quasi-diagonal: d_j at (j, j), zero elsewhere."""
+        plus x at (i+1, i); upper-add: plus x at (i, i+1).  Quasi-diagonal:
+        d_j at (j, j), zero elsewhere."""
         (n_rows, n_cols), i = self.size, self.index
         diag = self.value if self.kind == "quasi-diagonal" else [Fraction(1)] * n_rows
         rows = [[diag[r] if r == c and r < len(diag) else Fraction(0) for c in range(n_cols)]
@@ -205,6 +206,8 @@ class GadgetFactor:
             rows[i - 1], rows[i] = rows[i], rows[i - 1]
         elif self.kind == "add":
             rows[i][i - 1] = self.value
+        elif self.kind == "upper-add":
+            rows[i - 1][i] = self.value
         return exact_matrix(sr.RATIONALS, rows)
 
 
@@ -229,9 +232,11 @@ def _assemble(factors, spec):
     current heads.  A swap adds a vertex on each of its wires and a hub
     between them: the direct edges carry -1 and the four hub edges +1.  An
     add puts a vertex on wire i+1, fed by wire i+1 (weight one) and wire i
-    (weight x).  The quasi-diagonal adds a row of n' vertices, wire j <=
-    len(diag) feeding it with weight d_j.  Whatever a factor adds lies in
-    the strip between its wires above their heads, so the drawing is planar.
+    (weight x); an upper-add mirrors it, a vertex on wire i fed by wire i
+    (weight one) and wire i+1 (weight x).  The quasi-diagonal adds a row of
+    n' vertices, wire j <= len(diag) feeding it with weight d_j.  Whatever a
+    factor adds lies in the strip between its wires above their heads, so
+    the drawing is planar.
     A wire ending below the top row gets one straight edge up to its sink.
     Every vertex id is its position "x,y"; a missing edge weight means one.
     """
@@ -260,11 +265,13 @@ def _assemble(factors, spec):
             edge(right, heads[i], spec.negate(one))
             for tail, head in ((left, hub), (right, hub), (hub, heads[i - 1]), (hub, heads[i])):
                 edge(tail, head, one)
-        elif factor.kind == "add":
-            new = vertex(i + 1, y)
-            edge(heads[i], new)
-            edge(heads[i - 1], new, factor.value)
-            heads[i] = new
+        elif factor.kind in ("add", "upper-add"):
+            # Wire j gains a vertex fed by itself and, weighted, by wire o.
+            j, o = (i, i - 1) if factor.kind == "add" else (i - 1, i)
+            new = vertex(j + 1, y)
+            edge(heads[j], new)
+            edge(heads[o], new, factor.value)
+            heads[j] = new
         else:
             row = [vertex(j, y) for j in range(1, factor.size[0] + 1)]
             for tail, head, d in zip(heads, row, factor.value):
@@ -295,10 +302,12 @@ def adjacent_add_gadget(r, i, x, spec):
 def compile_matrix_to_network(matrix):
     """Planar edge-weighted network whose flow matrix equals ``matrix``.
 
-    Gaussian elimination restricted to adjacent row/column operations
-    reduces the matrix to quasi-diagonal form; inverting the operation
-    sequence yields a factorization into gadget shapes, laid bottom-up on
-    one set of wires.
+    Neville elimination: for each k, column k is cleared from the bottom up
+    by adding a multiple of the row above (or swapping with it when its
+    entry is zero), and row k from the right by the mirror rule on columns.
+    Each entry costs at most one adjacent factor, so an n'×n matrix gives at
+    most 1 + 2nn' factors.  Inverting the operation sequence yields the
+    factorization, laid bottom-up on one set of wires.
     """
     nprime, n = matrix.n_rows, matrix.n_cols
     work = [[Fraction(v) for v in row] for row in matrix.entries]
@@ -306,66 +315,43 @@ def compile_matrix_to_network(matrix):
     row_ops = []  # applied left to right: (kind, i, value of the inverse factor)
     col_ops = []
 
-    def do_row_swap(i):  # rows i, i+1 (1-based i)
-        work[i - 1], work[i] = work[i], work[i - 1]
-        row_ops.append(("swap", i, None))
-
-    def do_row_add(i, x):  # row_{i+1} += x * row_i
-        for c in range(n):
-            work[i][c] += x * work[i - 1][c]
-        row_ops.append(("add", i, -x))
-
-    def do_col_swap(i):
-        for r in range(nprime):
-            work[r][i - 1], work[r][i] = work[r][i], work[r][i - 1]
+    def col_swap(i):  # columns i-1, i (0-based)
+        for row in work:
+            row[i - 1], row[i] = row[i], row[i - 1]
         col_ops.append(("swap", i, None))
 
-    def do_col_add(i, x):  # col_i += x * col_{i+1}
-        for r in range(nprime):
-            work[r][i - 1] += x * work[r][i]
-        col_ops.append(("add", i, -x))
-
     for k in range(min(n, nprime)):
-        pivot = None
-        for r in range(k, nprime):
-            for c in range(k, n):
-                if work[r][c] != 0:
-                    pivot = (r, c)
-                    break
-            if pivot:
-                break
-        if pivot is None:
+        c = next((c for c in range(k, n) if any(row[c] for row in work[k:])), None)
+        if c is None:
             break
-        r, c = pivot
-        while r > k:
-            do_row_swap(r)  # swap rows r, r+1 in 1-based = r-1, r 0-based
-            r -= 1
-        while c > k:
-            do_col_swap(c)
-            c -= 1
-        for r2 in range(k + 1, nprime):
-            if work[r2][k] == 0:
+        for i in range(c, k, -1):
+            col_swap(i)
+        # Column k, bottom up: row i against row i-1.  Rows k.. are zero
+        # left of column k, and rows ..k-1 right of it.
+        for i in range(nprime - 1, k, -1):
+            above, row = work[i - 1], work[i]
+            if not row[k]:
                 continue
-            x = -work[r2][k] / work[k][k]
-            # bubble row r2 next to the pivot row, add, bubble back
-            for t in range(r2, k + 1, -1):
-                do_row_swap(t)
-            do_row_add(k + 1, x)
-            for t in range(k + 2, r2 + 1):
-                do_row_swap(t)
-        for c2 in range(k + 1, n):
-            if work[k][c2] == 0:
+            if above[k]:
+                x = row[k] / above[k]
+                for j in range(k, n):
+                    row[j] -= x * above[j]
+                row_ops.append(("add", i, x))
+            else:
+                work[i - 1], work[i] = row, above
+                row_ops.append(("swap", i, None))
+        # Row k, from the right: column i against column i-1.
+        pivot_row = work[k]
+        for i in range(n - 1, k, -1):
+            if not pivot_row[i]:
                 continue
-            x = -work[k][c2] / work[k][k]
-            # bring the column next to the pivot; the primitive adds the
-            # right neighbor into the left one, so sandwich it in a swap
-            for t in range(c2, k + 1, -1):
-                do_col_swap(t)
-            do_col_swap(k + 1)
-            do_col_add(k + 1, x)
-            do_col_swap(k + 1)
-            for t in range(k + 2, c2 + 1):
-                do_col_swap(t)
+            if pivot_row[i - 1]:
+                x = pivot_row[i] / pivot_row[i - 1]
+                for row in work[k:]:
+                    row[i] -= x * row[i - 1]
+                col_ops.append(("upper-add", i, x))
+            else:
+                col_swap(i)
 
     for r in range(nprime):
         for c in range(n):

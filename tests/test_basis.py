@@ -61,6 +61,21 @@ def test_all_zero_interval_values_give_zero_weights():
     }
 
 
+@pytest.mark.parametrize("case", ["flag", "pressed"])
+def test_reconstruction_depth_does_not_grow_the_call_stack(case):
+    # Descents of about n steps; every basis value is the tropical one, so
+    # every flow, and the value, weighs 0.
+    n = 1200
+    if case == "flag":
+        values = {iv: 0 for iv in intervals(n, include_empty=False)}
+        assignment, target = flag_assignment(TROPICAL_INT, n, values), {1, n}
+    else:
+        values = {key: 0 for key in pressed_basis(n, 2) if key != ((), ())}
+        assignment = pressed_assignment(TROPICAL_INT, n, 2, values)
+        target = ({n}, {2})
+    assert reconstruct_value(assignment, target) == 0
+
+
 def test_weights_from_intervals_requires_division():
     from planarflows import INTEGERS
 

@@ -7,6 +7,8 @@ import pytest
 from planarflows import INTEGERS, RATIONALS, TROPICAL_INT, polynomial_ring
 from planarflows.errors import InconsistentSets, PatternsUnbalanced, RingRequired, SizeMismatch
 from planarflows.lindstrom import (
+    GadgetFactor,
+    _assemble,
     adjacent_swap_gadget,
     check_matrix_sq,
     compile_matrix_to_network,
@@ -26,6 +28,8 @@ from planarflows.network import (
     validate,
 )
 from planarflows.patterns import one_pattern, stock_pattern
+
+from helpers import validate_oracle
 
 
 def leibniz_det(rows):
@@ -204,6 +208,45 @@ def test_compiled_networks_add_a_bounded_number_of_vertices_per_factor():
         assert all(v == f"{x},{y}" for v, (x, y) in net.vertices.items())
 
 
+def test_neville_elimination_emits_at_most_one_factor_per_entry():
+    # Each pivot column is moved at most once and each cleared entry costs
+    # one adjacent factor: F <= 1 + 2nn' on any n'×n matrix, sparse,
+    # rectangular or rank-deficient, whose network still realizes it and is
+    # planar by the all-pairs oracle.
+    rng = random.Random(43)
+    for _ in range(60):
+        nr, nc = rng.randint(1, 7), rng.randint(1, 7)
+        mats = [_random_matrix(rng, nr, nc, rng.random()),
+                exact_matrix(RATIONALS, [[Fraction(0)] * nc for _ in range(nr)])]
+        col, row = _random_matrix(rng, nr, 1).entries, _random_matrix(rng, 1, nc).entries[0]
+        mats.append(exact_matrix(RATIONALS, [[a * b for b in row] for (a,) in col]))
+        for mat in mats:
+            net, chain = compile_matrix_to_network(mat)
+            assert len(chain.factors) <= 1 + 2 * nr * nc
+            assert chain.product_matrix().entries == mat.entries
+            assert flow_matrix(net, RATIONALS).entries == mat.entries
+            report = validate(net)
+            assert report["ok"] and report == validate_oracle(net)
+    # A dense square matrix with nonzero entries: n(n-1)/2 lower and n(n-1)/2
+    # upper factors and the diagonal.
+    for n in range(3, 9):
+        rows = [[Fraction(rng.choice([-1, 1]) * rng.randint(1, 9), rng.randint(1, 5))
+                 for _ in range(n)] for _ in range(n)]
+        _, chain = compile_matrix_to_network(exact_matrix(RATIONALS, rows))
+        assert len(chain.factors) <= n * (n - 1) + 1
+
+
+@pytest.mark.parametrize("kind", ["swap", "add", "upper-add"])
+def test_each_gadget_realizes_its_factor_matrix(kind):
+    for r in range(2, 6):
+        for i in range(1, r):
+            factor = GadgetFactor(kind, (r, r), i, None if kind == "swap" else Fraction(-3, 2))
+            net = _assemble([factor], RATIONALS)
+            assert flow_matrix(net, RATIONALS).entries == factor.matrix.entries
+            assert validate(net)["ok"]
+            assert verify_lindstrom(net, RATIONALS)["ok"]
+
+
 def test_compiled_rectangular_and_rank_deficient_networks_satisfy_lindstrom():
     rng = random.Random(42)
     mats = [_random_matrix(rng, nr, nc) for nr, nc in ((1, 4), (4, 1), (2, 4), (4, 3), (3, 2))]
@@ -324,10 +367,10 @@ def test_flow_matrix_matches_path_weight_sums():
         flow_matrix(chain, TROPICAL_INT)
 
 
-def test_a_10x10_matrix_compiles_to_a_valid_network_that_realizes_it():
+def test_a_40x40_matrix_compiles_to_a_valid_network_that_realizes_it():
     rng = random.Random(88)
-    rows = [[Fraction(rng.randint(-9, 9), rng.randint(1, 5)) for _ in range(10)]
-            for _ in range(10)]
+    rows = [[Fraction(rng.randint(-9, 9), rng.randint(1, 5)) for _ in range(40)]
+            for _ in range(40)]
     mat = exact_matrix(RATIONALS, rows)
     net, _ = compile_matrix_to_network(mat)
     assert len(net.edges) > 3000
