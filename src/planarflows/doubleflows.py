@@ -44,14 +44,12 @@ def make_double_flow(split, X, Y, Xp, Yp, A, Ap, phi, phi_prime):
     return DoubleFlow(split, X, Y, Xp, Yp, A, Ap, phi, phi_prime)
 
 
-def enumerate_double_flows(split, X, Y, Xp, Yp, A, Ap, size_cap=120):
+def enumerate_double_flows(split, X, Y, Xp, Yp, A, Ap):
     X, Y, Xp, Yp = map(frozenset, (X, Y, Xp, Yp))
     A, Ap = frozenset(A), frozenset(Ap)
     net = split.network
-    first = enumerate_flows(net, sorted(X | A), sorted(Xp | Ap), size_cap=size_cap)
-    second = enumerate_flows(
-        net, sorted(X | (Y - A)), sorted(Xp | (Yp - Ap)), size_cap=size_cap
-    )
+    first = enumerate_flows(net, sorted(X | A), sorted(Xp | Ap))
+    second = enumerate_flows(net, sorted(X | (Y - A)), sorted(Xp | (Yp - Ap)))
     return [
         make_double_flow(split, X, Y, Xp, Yp, A, Ap, phi, phip)
         for phi in first

@@ -81,9 +81,5 @@ class BadInput(PlanarFlowsError):
     """A pattern's or matrix's JSON form is malformed; the message names the field."""
 
 
-class NetworkTooLarge(PlanarFlowsError):
-    """Exhaustive flow enumeration refused beyond the size cap."""
-
-
 class WitnessGeometryError(PlanarFlowsError):
     """The witness layout hit a degenerate geometric configuration."""

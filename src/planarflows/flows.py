@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import semiring as sr
-from .errors import NetworkTooLarge, PlanarFlowsError, SizeMismatch
+from .errors import PlanarFlowsError, SizeMismatch
 
 
 @dataclass(frozen=True)
@@ -132,17 +132,10 @@ def _walk(network, I, Iprime, step, add, done, memo):
     return value
 
 
-def enumerate_flows(network, I, Iprime, size_cap=40):
-    """All (I|I')-flows, deterministically ordered.
-
-    Refuses networks larger than ``size_cap`` vertices, since the output
-    can be exponential in the size.
-    """
+def enumerate_flows(network, I, Iprime):
+    """All (I|I')-flows, deterministically ordered.  The list can be
+    exponentially long in the size of the network."""
     I, Iprime = _check_indices(network, I, Iprime)
-    if len(network.vertices) > size_cap:
-        raise NetworkTooLarge(
-            f"{len(network.vertices)} vertices exceeds the cap {size_cap}"
-        )
 
     def step(chains, k, tail, head):
         return [(k, head, chain) for chain in chains]

@@ -1,4 +1,8 @@
-"""Schur polynomials via semistandard tableaux and their lattice-path flows.
+"""Schur polynomials as lattice-path flow values, and their tableaux.
+
+A skew Schur polynomial is the flow value on ``gv_grid`` from the set of mu
+to the set of lambda, one flow per semistandard tableau (Gessel--Viennot);
+``ssyt_fillings`` lists the tableaux themselves, as an oracle.
 
 Rows are indexed bottom to top: row 1 is the longest (lambda_1) row.  Rows
 weakly increase left to right and columns strictly increase upward.  The
@@ -36,9 +40,13 @@ def partition(*parts):
     return Partition(tuple(parts))
 
 
+def _partition(parts):
+    return parts if isinstance(parts, Partition) else Partition(tuple(parts))
+
+
 def partition_to_set(lam, r):
     """The r-subset {lambda_r + 1, lambda_{r-1} + 2, ..., lambda_1 + r}."""
-    lam = lam if isinstance(lam, Partition) else Partition(tuple(lam))
+    lam = _partition(lam)
     if lam.length != r:
         raise BadLength(f"partition has {lam.length} parts, expected {r}")
     return frozenset(lam.parts[r - 1 - k] + k + 1 for k in range(r))
@@ -69,33 +77,34 @@ def _skew_cells(lam, mu):
 
 
 def ssyt_fillings(lam, mu, N):
-    """All semistandard fillings of the skew shape with entries in [N]."""
-    lam = lam if isinstance(lam, Partition) else Partition(tuple(lam))
-    mu = mu if isinstance(mu, Partition) else Partition(tuple(mu))
+    """All semistandard fillings of the skew shape with entries in [N].
+
+    Depth first over the cells, smaller entries first, on an explicit stack
+    of (cell index, entry) choices.  Later cells may hold stale entries, but
+    a cell's lower bound reads only its left and lower neighbours, which
+    come earlier in ``cells`` and are current.
+    """
+    lam = _partition(lam)
+    mu = _partition(mu)
     cells = _skew_cells(lam, mu)
     filling = {}
-
-    def rec(idx):
+    stack = [(-1, None)]
+    while stack:
+        idx, v = stack.pop()
+        if idx >= 0:
+            filling[cells[idx]] = v
+        idx += 1
         if idx == len(cells):
             yield dict(filling)
-            return
+            continue
         row, col = cells[idx]
-        lo = 1
-        if (row, col - 1) in filling:
-            lo = max(lo, filling[(row, col - 1)])
-        if (row - 1, col) in filling:
-            lo = max(lo, filling[(row - 1, col)] + 1)
-        for v in range(lo, N + 1):
-            filling[(row, col)] = v
-            yield from rec(idx + 1)
-            del filling[(row, col)]
-
-    yield from rec(0)
+        lo = max(filling.get((row, col - 1), 1), filling.get((row - 1, col), 0) + 1)
+        stack.extend((idx, v) for v in range(N, lo - 1, -1))
 
 
 def check_semistandard(lam, mu, rows, N):
-    lam = lam if isinstance(lam, Partition) else Partition(tuple(lam))
-    mu = mu if isinstance(mu, Partition) else Partition(tuple(mu))
+    lam = _partition(lam)
+    mu = _partition(mu)
     filling = {}
     if len(rows) != lam.length:
         raise NotSemistandard("wrong number of rows")
@@ -119,20 +128,32 @@ def schur_ring(N):
     return sr.polynomial_ring(*[f"x{h}" for h in range(1, N + 1)])
 
 
+def _flow_value(lam, mu, N, weighted):
+    """Sum over the flows from mu's set to lambda's set on the lattice of N
+    levels, one per skew tableau: x_h level weights in ``schur_ring(N)`` if
+    ``weighted``, else a count over the integers.  Like the tableaux, an
+    empty shape gives one and any other gives zero when N < 1."""
+    lam = _partition(lam)
+    mu = _partition(mu)
+    r = lam.length
+    I = sorted(partition_to_set(mu, r))
+    Iprime = sorted(partition_to_set(lam, r))
+    spec = schur_ring(N) if weighted else sr.INTEGERS
+    if I == Iprime:
+        return spec.one()
+    if N < 1:
+        return spec.zero()
+    width = lam.parts[0] + r
+    net = gv_grid(N, width)[0] if weighted else build_gv_grid(N, width)
+    return FlowFunction(spec, net)(I, Iprime)
+
+
 def schur_poly(lam, mu=None, N=1):
-    """The (skew) Schur polynomial as an exact integer polynomial."""
-    lam = lam if isinstance(lam, Partition) else Partition(tuple(lam))
-    mu = mu if isinstance(mu, Partition) else Partition(tuple(mu or (0,) * lam.length))
-    ring = schur_ring(N)
-    counts = {}
-    for filling in ssyt_fillings(lam, mu, N):
-        exps = [0] * N
-        for v in filling.values():
-            exps[v - 1] += 1
-        counts[tuple(exps)] = counts.get(tuple(exps), 0) + 1
-    if not _skew_cells(lam, mu):
-        return ring.one(), ring
-    return sr.Polynomial(N, counts), ring
+    """The (skew) Schur polynomial in x_1..x_N as an exact integer polynomial."""
+    lam = _partition(lam)
+    mu = _partition(mu or (0,) * lam.length)
+    _skew_cells(lam, mu)  # refuses a mu that does not fit lambda
+    return _flow_value(lam, mu, N, True), schur_ring(N)
 
 
 def gv_grid(N, width):
@@ -145,8 +166,8 @@ def gv_grid(N, width):
 
 def tableau_to_flow(lam, mu, rows, N):
     """Path system of a tableau on the level-weighted lattice."""
-    lam = lam if isinstance(lam, Partition) else Partition(tuple(lam))
-    mu = mu if isinstance(mu, Partition) else Partition(tuple(mu))
+    lam = _partition(lam)
+    mu = _partition(mu)
     check_semistandard(lam, mu, rows, N)
     r = lam.length
     paths = []
@@ -210,54 +231,31 @@ def flow_to_tableau(flow, N):
 
 
 def count_flows(lam, mu, N):
-    lam = lam if isinstance(lam, Partition) else Partition(tuple(lam))
-    mu = mu if isinstance(mu, Partition) else Partition(tuple(mu))
-    r = lam.length
-    width = (lam.parts[0] if lam.parts else 0) + r
-    if width == 0:
-        return 1
-    net, _ = gv_grid(N, width)
-    I = sorted(partition_to_set(mu, r))
-    Iprime = sorted(partition_to_set(lam, r))
-    return FlowFunction(sr.INTEGERS, net.unit_weights(sr.INTEGERS))(I, Iprime)
+    return _flow_value(lam, mu, N, False)
 
 
 def verify_schur_identity(kind, params, N):
-    """Exact check of the two quadratic Schur identities."""
+    """Exact check of the two quadratic Schur identities, each read as
+    s_a * s_b = s_c * s_d + s_e * s_f over six straight shapes."""
     kind = kind.lower()
     if kind in ("tworow", "two-row", "tworowproduct"):
         i, j, k, ell = params
         if not (i < j <= k < ell):
             raise BadParams("need i < j <= k < l")
-        ring = schur_ring(N)
-
-        def s(a, c):
-            val, _ = schur_poly(Partition((a, c)), None, N)
-            return val
-
-        lhs = ring.mul(s(k, i), s(ell, j))
-        rhs = ring.add(
-            ring.mul(s(ell, i), s(k, j)), ring.mul(s(j - 1, i), s(ell, k + 1))
-        )
-        return {"lhs": lhs, "rhs": rhs, "equal": lhs == rhs, "ring": ring}
-    if kind == "condensation":
+        shapes = [(k, i), (ell, j), (ell, i), (k, j), (j - 1, i), (ell, k + 1)]
+    elif kind == "condensation":
         lam = tuple(params)
         r = len(lam)
         if r < 2 or lam[-1] <= 0:
             raise BadParams("need at least two parts, the last one positive")
-        ring = schur_ring(N)
-
-        def s(parts):
-            val, _ = schur_poly(Partition(tuple(parts)), None, N)
-            return val
-
-        lhs = ring.mul(s(lam[: r - 1]), s(lam[1:]))
-        rhs = ring.add(
-            ring.mul(s(lam[1: r - 1]), s(lam)),
-            ring.mul(
-                s(tuple(p - 1 for p in lam[1:])),
-                s(tuple(p + 1 for p in lam[: r - 1])),
-            ),
-        )
-        return {"lhs": lhs, "rhs": rhs, "equal": lhs == rhs, "ring": ring}
-    raise BadParams(f"unknown identity kind {kind!r}")
+        shapes = [
+            lam[: r - 1], lam[1:], lam[1: r - 1], lam,
+            tuple(p - 1 for p in lam[1:]), tuple(p + 1 for p in lam[: r - 1]),
+        ]
+    else:
+        raise BadParams(f"unknown identity kind {kind!r}")
+    ring = schur_ring(N)
+    a, b, c, d, e, f = (schur_poly(shape, None, N)[0] for shape in shapes)
+    lhs = ring.mul(a, b)
+    rhs = ring.add(ring.mul(c, d), ring.mul(e, f))
+    return {"lhs": lhs, "rhs": rhs, "equal": lhs == rhs, "ring": ring}

@@ -26,6 +26,8 @@ from planarflows.patterns import (
     stock_pattern,
     two_pattern,
 )
+from planarflows.schur import ssyt_fillings
+from planarflows.semiring import Polynomial
 
 
 def diamond_network():
@@ -210,6 +212,18 @@ def brute_force_flows(network, I, Iprime):
             if not (set(p) & {v for q in sys for v in q})
         ]
     return sorted(tuple(sys) for sys in systems)
+
+
+def tableau_poly(lam, mu, N):
+    """The skew Schur polynomial in x_1..x_N counted tableau by tableau: one
+    monomial per ``ssyt_fillings`` filling, x_h to the number of h entries."""
+    counts = {}
+    for filling in ssyt_fillings(lam, mu, N):
+        exps = [0] * N
+        for v in filling.values():
+            exps[v - 1] += 1
+        counts[tuple(exps)] = counts.get(tuple(exps), 0) + 1
+    return Polynomial(N, counts)
 
 
 def all_feasible_matchings_bruteforce(Y, Yp, A, Ap):

@@ -220,6 +220,14 @@ def test_validate_network_on_a_chain_longer_than_the_recursion_limit(capsys, tmp
     assert report["acyclic"] and report["cycle"] is None and report["ok"]
 
 
+def test_schur_on_a_row_longer_than_the_recursion_limit(capsys):
+    ell = sys.getrecursionlimit() + 200
+    code, out = run(capsys, "schur", "--identity", "tworow", "--params",
+                    f"1,2,2,{ell}", "--nvars", "1")
+    assert code == 0
+    assert out["equal"] is True
+
+
 def test_usage_errors(capsys):
     assert main(["check-balance", "--patterns", "/nonexistent.json"]) == 2
     capsys.readouterr()

@@ -8,7 +8,6 @@ from planarflows.errors import (
     CoupleNotInMatching,
     EmptySumWithoutNeutral,
     InconsistentSets,
-    NetworkTooLarge,
     SizeMismatch,
 )
 from planarflows.doubleflows import (
@@ -92,8 +91,6 @@ def test_errors():
     g = build_grid(2, 2)
     with pytest.raises(SizeMismatch):
         enumerate_flows(g, [1, 2], [1])
-    with pytest.raises(NetworkTooLarge):
-        enumerate_flows(build_grid(7, 7), [1], [1], size_cap=40)
     # empty flow set over a semiring with no zero
     net = diamond_network().unit_weights(TROPICAL_INT)
     with pytest.raises(EmptySumWithoutNeutral):
@@ -194,7 +191,7 @@ def test_engine_matches_brute_force_across_networks_and_semirings():
                 k = rng.randint(0, min(n, np_, 3))
                 I = sorted(rng.sample(range(1, n + 1), k))
                 Ip = sorted(rng.sample(range(1, np_ + 1), k))
-                flows = enumerate_flows(net, I, Ip, size_cap=len(net.vertices))
+                flows = enumerate_flows(net, I, Ip)
                 assert [f.paths for f in flows] == brute_force_flows(net, I, Ip)
                 expect = _brute_value(spec, net, I, Ip)
                 seen["empty" if expect is None else "nonempty"] += 1

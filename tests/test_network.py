@@ -100,7 +100,7 @@ def test_split_counts_grid():
 def test_split_handles_coincident_corner():
     # s_1 and t_1 share the corner vertex; the split graph keeps them apart
     split = split_vertices(build_grid(2, 2))
-    flows = enumerate_flows(split.network, [1], [1], size_cap=40)
+    flows = enumerate_flows(split.network, [1], [1])
     assert len(flows) == 1
     assert flows[0].paths[0] == ("src:1", "in:1,1", "out:1,1", "snk:1")
 
@@ -143,7 +143,7 @@ def test_split_preserves_flow_counts():
             for I in combinations(range(1, n + 1), k):
                 for Ip in combinations(range(1, np_ + 1), k):
                     direct = enumerate_flows(net, I, Ip)
-                    lifted = enumerate_flows(split.network, I, Ip, size_cap=60)
+                    lifted = enumerate_flows(split.network, I, Ip)
                     assert len(direct) == len(lifted)
 
 

@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from helpers import tableau_poly
 from planarflows.errors import BadLength, BadParams, NotAFlow, NotSemistandard
 from planarflows.flows import fg_value
 from planarflows.lindstrom import flow_matrix, minor
@@ -110,7 +111,7 @@ def test_round_trip_exhaustive_small_shapes():
         lam_p, mu_p = Partition((2, 1)), Partition((0, 0))
         I = sorted(partition_to_set(mu_p, 2))
         Ip = sorted(partition_to_set(lam_p, 2))
-        flows = enumerate_flows(net, I, Ip, size_cap=60)
+        flows = enumerate_flows(net, I, Ip)
         seen = set()
         for flow in flows:
             lam2, mu2, rows2 = flow_to_tableau(flow, N)
@@ -133,7 +134,7 @@ def test_single_cell_tableau():
 
 
 def test_bijection_counts_small():
-    for N in (1, 2, 3):
+    for N in (0, 1, 2, 3):
         for lam in all_partitions_inside(3, 3):
             for mu in all_partitions_inside(3, 3):
                 if any(m > l for m, l in zip(mu, lam)):
@@ -158,8 +159,27 @@ def test_skew_schur_equals_flow_value():
             sorted(partition_to_set(mu_p, r)),
             sorted(partition_to_set(lam_p, r)),
         )
-        via_tableaux, _ = schur_poly(lam_p, mu_p, N)
-        assert direct == via_tableaux
+        assert direct == tableau_poly(lam_p, mu_p, N)
+
+
+def test_schur_poly_equals_the_tableau_polynomial():
+    cases = 0
+    for r in (1, 2, 3):
+        for lam in all_partitions_inside(4, r):
+            for mu in all_partitions_inside(4, r):
+                if any(m > l for m, l in zip(mu, lam)):
+                    continue
+                for N in range(5):
+                    val, _ = schur_poly(lam, mu, N)
+                    assert val == tableau_poly(lam, mu, N), (lam, mu, N)
+                    cases += 1
+    assert cases == 3050
+
+
+def test_tableau_enumeration_depth_does_not_grow_the_call_stack():
+    assert list(ssyt_fillings((1200,), (0,), 1)) == [
+        {(1, col): 1 for col in range(1, 1201)}
+    ]
 
 
 def test_jacobi_trudi_via_flow_matrix():
