@@ -16,12 +16,9 @@ from .flows import FlowFunction
 from .network import build_half_grid
 
 
-def intervals(n, include_empty=True):
-    out = [()] if include_empty else []
-    for p in range(1, n + 1):
-        for q in range(p, n + 1):
-            out.append((p, q))
-    return out
+def intervals(n):
+    """The nonempty intervals (p, q) of [n], by start then end."""
+    return [(p, q) for p in range(1, n + 1) for q in range(p, n + 1)]
 
 
 def _pressed(k, kp):
@@ -250,7 +247,7 @@ def laurent_expand(n, target):
     flow contributes one monomial and like monomials are collected.
     """
     target = frozenset(target)
-    ivs = intervals(n, include_empty=False)
+    ivs = intervals(n)
     weights = {
         v: sr.Polynomial(len(ivs), {tuple(exps.get(iv, 0) for iv in ivs): 1})
         for v, exps in _weight_exponents(n).items()

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import accumulate, combinations
 
 from .errors import (
     BadInput,
@@ -111,24 +111,20 @@ def _circle_points(Y, Yp):
     return [(LOWER, y) for y in sorted(Y)] + [(UPPER, y) for y in sorted(Yp, reverse=True)]
 
 
-def circle_positions(Y, Yp):
-    """Each point's index in the cyclic layout."""
-    return {p: k for k, p in enumerate(_circle_points(Y, Yp))}
-
-
-def chords_cross(pos, c1, c2):
-    a, b = sorted((pos[c1[0]], pos[c1[1]]))
-    c, d = sorted((pos[c2[0]], pos[c2[1]]))
-    return (a < c < b) != (a < d < b)
-
-
 def is_noncrossing(Y, Yp, matching):
-    pos = circle_positions(Y, Yp)
-    couples = sorted(matching.couples)
-    for c1, c2 in combinations(couples, 2):
-        if chords_cross(pos, c1, c2):
-            return False
-    return True
+    """Whether a perfect matching on Y u Y' has no crossing chords, in one
+    scan of the circle: each point closes the chord opened last or opens a
+    new one, and a crossing leaves some chord open."""
+    partner = {}
+    for p, q in matching.couples:
+        partner[p], partner[q] = q, p
+    opened = []
+    for point in _circle_points(Y, Yp):
+        if opened and partner.get(point) == opened[-1]:
+            opened.pop()
+        else:
+            opened.append(point)
+    return not opened
 
 
 def _odd_points(Yp, A, Ap):
@@ -158,30 +154,34 @@ def feasible_matchings(Y, Yp, A, Ap):
         raise NotProper(
             f"|Y|-|Y'| = {len(Y) - len(Yp)} != 2(|A|-|A'|) = {2 * (len(A) - len(Ap))}"
         )
+    # level[k] counts odd minus even points before circle position k.  The
+    # run of positions lo..hi-1 has a feasible matching exactly when
+    # level[lo] == level[hi], and point lo takes partner e-1 exactly when the
+    # runs lo+1..e-2 inside the chord and e..hi-1 after it are balanced.
+    # runs[lo, hi] lists a balanced run's matchings as tuples of position
+    # pairs; it is filled right to left, so every run a chord splits off is
+    # listed before the run that needs it.
     points = _circle_points(Y, Yp)
-    if len(points) % 2:
-        return []
     odd = _odd_points(Yp, A, Ap)
-
-    def rec(segment):
-        if not segment:
-            return [[]]
-        out = []
-        first = segment[0]
-        for k in range(1, len(segment), 2):
-            partner = segment[k]
-            if (first in odd) == (partner in odd):
-                continue
-            inside = segment[1:k]
-            outside = segment[k + 1:]
-            for m1 in rec(inside):
-                for m2 in rec(outside):
-                    out.append([(first, partner)] + m1 + m2)
-        return out
-
-    matchings = [PlanarMatching(cs) for cs in rec(points)]
-    matchings.sort()
-    return matchings
+    level = [0, *accumulate(1 if point in odd else -1 for point in points)]
+    at_level = {}
+    for k, height in enumerate(level):
+        at_level.setdefault(height, []).append(k)
+    runs = {}
+    for lo in reversed(range(len(level))):
+        ends = [e for e in at_level[level[lo]] if e > lo]
+        runs[lo, lo] = [()]
+        for hi in ends:
+            runs[lo, hi] = [
+                ((lo, e - 1),) + inner + outer
+                for e in ends if e <= hi and level[e - 1] == level[lo + 1]
+                for inner in runs[lo + 1, e - 1]
+                for outer in runs[e, hi]
+            ]
+    return sorted(
+        PlanarMatching((points[i], points[j]) for i, j in chords)
+        for chords in runs[0, len(points)]
+    )
 
 
 def flag_feasible_matchings(Y, A, p, q):
@@ -225,12 +225,6 @@ class TwoPattern:
     m: int
     m_prime: int
     members: tuple  # ((A frozenset, A' frozenset, multiplicity), ...) sorted
-
-    def counter(self):
-        c = Counter()
-        for A, Ap, mult in self.members:
-            c[(A, Ap)] += mult
-        return c
 
 
 @dataclass(frozen=True)
@@ -333,18 +327,13 @@ def embed_matching(matching, Y, Yp):
     )
 
 
-def matching_multiset(Y, Yp, pattern_or_members):
-    """Union with multiplicity of the feasible-matching sets of all members."""
-    if isinstance(pattern_or_members, TwoPattern):
-        members = pattern_or_members.counter()
-        Y = frozenset(range(1, pattern_or_members.m + 1))
-        Yp = frozenset(range(1, pattern_or_members.m_prime + 1))
-    else:
-        members = Counter(dict(pattern_or_members)) if not isinstance(
-            pattern_or_members, Counter
-        ) else pattern_or_members
+def matching_multiset(pattern):
+    """Union with multiplicity of the feasible-matching sets of a 2-pattern's
+    members."""
+    Y = frozenset(range(1, pattern.m + 1))
+    Yp = frozenset(range(1, pattern.m_prime + 1))
     out = Counter()
-    for (A, Ap), mult in members.items():
+    for A, Ap, mult in pattern.members:
         for m in feasible_matchings(Y, Yp, A, Ap):
             out[m] += mult
     return out
@@ -375,8 +364,8 @@ def is_balanced(pattern_a, pattern_b):
         raise SizeMismatch(
             f"patterns live on different shapes ({a.m},{a.m_prime}) vs ({b.m},{b.m_prime})"
         )
-    ma = matching_multiset(None, None, a)
-    mb = matching_multiset(None, None, b)
+    ma = matching_multiset(a)
+    mb = matching_multiset(b)
     if ma == mb:
         return BalanceResult(True, None, 0, 0)
     differing = sorted(m for m in set(ma) | set(mb) if ma[m] != mb[m])
@@ -497,22 +486,27 @@ def pattern_to_json(pattern):
 def pattern_from_json(data):
     """Parse a pattern; malformed input raises ``BadInput`` naming the field,
     such as ``members[0].A``."""
-    def integer(where, value):
-        if type(value) is not int:
-            raise BadInput(f"{where}: expected an integer")
+    def integer(where, value, low=0, high=None):
+        if type(value) is not int or value < low or high is not None and value > high:
+            bound = f">= {low}" if high is None else f"in {low}..{high}"
+            raise BadInput(f"{where}: expected an integer {bound}, got {value!r}")
         return value
 
     def subset(where, value):
         if not isinstance(value, list) or any(type(a) is not int for a in value):
             raise BadInput(f"{where}: expected a list of integers")
+        if len(set(value)) != len(value):
+            raise BadInput(f"{where}: an element repeats")
         return frozenset(value)
 
     if not isinstance(data, dict):
         raise BadInput("pattern: expected a JSON object")
-    flag = bool(data.get("flag"))
+    flag = data.get("flag", False)
+    if type(flag) is not bool:
+        raise BadInput(f"flag: expected true or false, got {flag!r}")
     m = integer("m", data.get("m"))
     size = "p" if flag else "m_prime"
-    other = integer(size, data.get(size))
+    other = integer(size, data.get(size), high=m if flag else None)
     if not isinstance(data.get("members"), list):
         raise BadInput("members: expected a list")
     members = []
@@ -521,7 +515,7 @@ def pattern_from_json(data):
         if not isinstance(item, dict):
             raise BadInput(f"{where}: expected a JSON object")
         A = subset(f"{where}.A", item.get("A"))
-        mult = integer(f"{where}.mult", item.get("mult", 1))
+        mult = integer(f"{where}.mult", item.get("mult", 1), low=1)
         if flag:
             members.append((A, mult))
         else:

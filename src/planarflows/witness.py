@@ -59,7 +59,6 @@ _SIDES = (
 class WitnessNetwork:
     network: PlanarNetwork          # unit integer weights, vertex mode
     matching: PlanarMatching        # on the original (Y, Y')
-    tilde_matching: PlanarMatching  # after the doubling reduction
     edge_class: dict                # edge -> thin | lower-bridge | upper-bridge
                                     #         | b-edge | v-edge | extra
     couple_paths: dict              # tilde couple -> ordered vertex tuple
@@ -378,7 +377,7 @@ def build_witness_network(X, Y, Xp, Yp, matching, n=None, nprime=None, _offset=0
         kept = tuple(rename.get(v, v) for v in path if v not in removed)
         final_paths[couple] = kept
     return WitnessNetwork(
-        network, matching, tilde_matching, final_class, final_paths, order
+        network, matching, final_class, final_paths, order
     )
 
 
@@ -399,7 +398,7 @@ def audit_witness(wn, X, Y, Xp, Yp):
     """
     X, Y = frozenset(X), frozenset(Y)
     Xp, Yp = frozenset(Xp), frozenset(Yp)
-    f = FlowFunction(sr.INTEGERS, wn.network.unit_weights(sr.INTEGERS))
+    f = FlowFunction(sr.INTEGERS, wn.network)
     cases = []
     ok = True
     Ys, Yps = sorted(Y), sorted(Yp)

@@ -18,9 +18,10 @@ from planarflows.patterns import (
     LOWER,
     UPPER,
     PlanarMatching,
+    _circle_points,
     _normalize_pattern,
+    _odd_points,
     is_balanced,
-    is_noncrossing,
     is_proper,
     matching_is_feasible,
     stock_pattern,
@@ -226,31 +227,67 @@ def tableau_poly(lam, mu, N):
     return Polynomial(N, counts)
 
 
+def chords_cross(pos, c1, c2):
+    """Whether two chords cross, given each point's circle position."""
+    a, b = sorted((pos[c1[0]], pos[c1[1]]))
+    c, d = sorted((pos[c2[0]], pos[c2[1]]))
+    return (a < c < b) != (a < d < b)
+
+
+def is_noncrossing_pairwise(Y, Yp, matching):
+    """Oracle: test every pair of chords for a crossing."""
+    pos = {p: k for k, p in enumerate(_circle_points(Y, Yp))}
+    return not any(
+        chords_cross(pos, c1, c2) for c1, c2 in combinations(sorted(matching.couples), 2)
+    )
+
+
+def feasible_matchings_search(Y, Yp, A, Ap):
+    """Oracle: pair the first point of each segment with every partner of
+    the other kind, recursing inside and outside the chord."""
+    points = _circle_points(Y, Yp)
+    odd = _odd_points(Yp, A, Ap)
+
+    def rec(segment):
+        if not segment:
+            return [[]]
+        out = []
+        first = segment[0]
+        for k in range(1, len(segment), 2):
+            partner = segment[k]
+            if (first in odd) == (partner in odd):
+                continue
+            for m1 in rec(segment[1:k]):
+                for m2 in rec(segment[k + 1:]):
+                    out.append([(first, partner)] + m1 + m2)
+        return out
+
+    return sorted(PlanarMatching(cs) for cs in rec(points))
+
+
+def perfect_matchings(points):
+    """Every perfect matching of a list of points, as lists of couples."""
+    if not points:
+        yield []
+        return
+    first = points[0]
+    for k in range(1, len(points)):
+        for rest in perfect_matchings(points[1:k] + points[k + 1:]):
+            yield [(first, points[k])] + rest
+
+
 def all_feasible_matchings_bruteforce(Y, Yp, A, Ap):
     """Oracle: filter every perfect matching by the three conditions."""
     points = [(LOWER, y) for y in sorted(Y)] + [(UPPER, y) for y in sorted(Yp)]
     if len(points) % 2:
         return []
-
-    def pairings(rest):
-        if not rest:
-            yield []
-            return
-        first = rest[0]
-        for k in range(1, len(rest)):
-            partner = rest[k]
-            remainder = rest[1:k] + rest[k + 1:]
-            for rem in pairings(remainder):
-                yield [(first, partner)] + rem
-
     out = []
-    for cs in pairings(points):
+    for cs in perfect_matchings(points):
         m = PlanarMatching(cs)
-        if matching_is_feasible(m, Y, Yp, A, Ap) and is_noncrossing(Y, Yp, m):
+        if matching_is_feasible(m, Y, Yp, A, Ap) and is_noncrossing_pairwise(Y, Yp, m):
             out.append(m)
     out.sort()
     return out
-
 
 
 def proper_pairs(Y, Yp):

@@ -94,9 +94,9 @@ def test_criterion_1_worked_matching_sets():
     for kind in ("p3", "p4", "quintuple", "homogeneous3", "dodgson", "rowdecomposition3"):
         a0, b0 = stock_pattern(kind)
         a0, b0 = _normalize_pattern(a0), _normalize_pattern(b0)
-        assert matching_multiset(None, None, a0) == matching_multiset(None, None, b0), kind
+        assert matching_multiset(a0) == matching_multiset(b0), kind
     dodg_a, _ = stock_pattern("dodgson")
-    assert matching_multiset(None, None, dodg_a) == Counter(
+    assert matching_multiset(dodg_a) == Counter(
         {
             matching_from_parts(vertical=[(1, 1), (2, 2)]): 1,
             matching_from_parts(lower=[(1, 2)], upper=[(1, 2)]): 1,

@@ -55,7 +55,7 @@ def test_weights_round_trip_positive_rationals():
 
 
 def test_all_zero_interval_values_give_zero_weights():
-    values = {iv: 0 for iv in intervals(3, include_empty=False)}
+    values = {iv: 0 for iv in intervals(3)}
     assert weights_from_intervals(TROPICAL_INT, values, 3) == {
         f"{i},{j}": 0 for i in range(1, 4) for j in range(1, i + 1)
     }
@@ -67,7 +67,7 @@ def test_reconstruction_depth_does_not_grow_the_call_stack(case):
     # every flow, and the value, weighs 0.
     n = 1200
     if case == "flag":
-        values = {iv: 0 for iv in intervals(n, include_empty=False)}
+        values = {iv: 0 for iv in intervals(n)}
         assignment, target = flag_assignment(TROPICAL_INT, n, values), {1, n}
     else:
         values = {key: 0 for key in pressed_basis(n, 2) if key != ((), ())}
@@ -120,7 +120,7 @@ def test_basis_freeness_flag():
     n = 4
     values = {
         iv: Fraction(rng.randint(1, 9), rng.randint(1, 9))
-        for iv in intervals(n, include_empty=False)
+        for iv in intervals(n)
     }
     weights = weights_from_intervals(POSITIVE_RATIONALS, values, n)
     net = build_half_grid(n).with_vertex_weights(weights)
@@ -228,7 +228,7 @@ def test_flag_basis_is_the_pressed_basis_on_the_first_sinks():
     rng = random.Random(17)
     for spec in (TROPICAL_INT, POSITIVE_RATIONALS):
         for n in (3, 4, 5, 6):
-            values = {iv: spec.random_value(rng) for iv in intervals(n, include_empty=False)}
+            values = {iv: spec.random_value(rng) for iv in intervals(n)}
             flag = flag_assignment(spec, n, values)
             pressed = pressed_assignment(
                 spec, n, n, {((p, q), (1, q - p + 1)): v for (p, q), v in values.items()})
@@ -239,7 +239,7 @@ def test_flag_basis_is_the_pressed_basis_on_the_first_sinks():
 
 
 def _flag_case(spec, fill, bad):
-    values = {iv: fill for iv in intervals(3, include_empty=False)}
+    values = {iv: fill for iv in intervals(3)}
     values[(2, 2)] = bad
     return flag_assignment(spec, 3, values), frozenset({1, 3})
 

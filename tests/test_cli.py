@@ -326,6 +326,25 @@ _DODGSON = _dodgson_pair()
      "A0.p: expected an integer"),
     ({"A0": {"flag": True, "m": 3, "p": 2, "members": [{"A": [1, 3], "mult": None}]}, "B0": {}},
      "A0.members[0].mult: expected an integer"),
+    ({"A0": {"m": 2, "m_prime": 0, "members": [{"A": [1], "mult": -1}]},
+      "B0": {"m": 2, "m_prime": 0, "members": []}},
+     "A0.members[0].mult: expected an integer >= 1, got -1"),
+    (_dodgson_pair(B0=dict(_DODGSON["B0"], members=[{"A": [2], "Aprime": [1], "mult": 0}])),
+     "B0.members[0].mult: expected an integer >= 1, got 0"),
+    ({"A0": {"m": -3, "m_prime": -1, "members": []}, "B0": {"m": -3, "m_prime": -1, "members": []}},
+     "A0.m: expected an integer >= 0, got -3"),
+    (_dodgson_pair(B0=dict(_DODGSON["B0"], m_prime=-2)),
+     "B0.m_prime: expected an integer >= 0, got -2"),
+    ({"A0": {"flag": True, "m": 3, "p": 4, "members": []}, "B0": {}},
+     "A0.p: expected an integer in 0..3, got 4"),
+    ({"A0": {"flag": True, "m": 3, "p": -1, "members": []}, "B0": {}},
+     "A0.p: expected an integer in 0..3, got -1"),
+    ({"A0": {"m": 2, "m_prime": 0, "members": [{"A": [1, 1]}]}, "B0": {}},
+     "A0.members[0].A: an element repeats"),
+    (_dodgson_pair(B0=dict(_DODGSON["B0"], members=[{"A": [2], "Aprime": [1, 1]}])),
+     "B0.members[0].Aprime: an element repeats"),
+    ({"A0": {"flag": "no", "m": 2, "p": 1, "m_prime": 0, "members": [{"A": [1]}]}, "B0": {}},
+     "A0.flag: expected true or false, got 'no'"),
 ])
 def test_malformed_patterns_are_refused_naming_the_field(capsys, tmp_path, data, message):
     pattern_file = tmp_path / "patterns.json"
@@ -334,6 +353,20 @@ def test_malformed_patterns_are_refused_naming_the_field(capsys, tmp_path, data,
         assert main([command, "--patterns", str(pattern_file)]) == 2
         captured = capsys.readouterr()
         assert captured.out == "" and message in captured.err
+
+
+def test_check_balance_on_a_nested_pair_of_400_points(tmp_path):
+    # A = 1..200 on Y = 1..400, Y' empty: one feasible matching, nested chords.
+    pattern = {"m": 400, "m_prime": 0, "members": [{"A": list(range(1, 201))}]}
+    pattern_file = tmp_path / "nested400.json"
+    pattern_file.write_text(json.dumps({"A0": pattern, "B0": pattern}))
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(planarflows.__file__)))
+    proc = subprocess.run(
+        [sys.executable, "-m", "planarflows.cli", "check-balance", "--patterns", str(pattern_file)],
+        env=env, capture_output=True, text=True, timeout=10,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == {"balanced": True}
 
 
 @pytest.mark.parametrize("data, message", [

@@ -7,6 +7,8 @@ from planarflows.errors import BadParams, BadSizes, NotProper, SizeMismatch
 from planarflows.patterns import (
     LOWER,
     UPPER,
+    PlanarMatching,
+    _circle_points,
     apply_exchange,
     embed_matching,
     embed_one,
@@ -14,6 +16,7 @@ from planarflows.patterns import (
     feasible_matchings,
     flag_feasible_matchings,
     is_balanced,
+    is_noncrossing,
     matching_from_parts,
     matching_multiset,
     one_pattern,
@@ -23,7 +26,13 @@ from planarflows.patterns import (
     two_pattern,
 )
 
-from helpers import all_feasible_matchings_bruteforce, proper_pairs
+from helpers import (
+    all_feasible_matchings_bruteforce,
+    feasible_matchings_search,
+    is_noncrossing_pairwise,
+    perfect_matchings,
+    proper_pairs,
+)
 
 
 def test_two_level_picture_example():
@@ -92,6 +101,35 @@ def test_matchings_match_bruteforce():
             assert fast == slow
 
 
+def test_run_table_matches_the_recursive_search_on_every_small_shape():
+    total = 0
+    for m in range(13):
+        for mp in range(13 - m):
+            Y, Yp = range(1, m + 1), range(1, mp + 1)
+            for A, Ap in proper_pairs(Y, Yp):
+                assert feasible_matchings(Y, Yp, A, Ap) == feasible_matchings_search(Y, Yp, A, Ap)
+                total += 1
+    assert total == 15591
+
+
+def test_noncrossing_scan_matches_the_pairwise_check():
+    total = 0
+    for m in range(11):
+        for mp in range(11 - m):
+            Y, Yp = range(1, m + 1), range(1, mp + 1)
+            for couples in perfect_matchings(_circle_points(Y, Yp)):
+                M = PlanarMatching(couples)
+                assert is_noncrossing(Y, Yp, M) == is_noncrossing_pairwise(Y, Yp, M)
+                total += 1
+    assert total == 11464
+
+
+def test_nested_coloring_has_one_matching():
+    Y = range(1, 2001)
+    out = feasible_matchings(Y, [], range(1, 1001), [])
+    assert out == [matching_from_parts(lower=[(i, 2001 - i) for i in range(1, 1001)])]
+
+
 def test_matching_invariants():
     for Y, Yp in [({1, 2, 3, 4}, {1, 2}), ({1, 2, 3}, {1, 2, 3})]:
         for A, Ap in proper_pairs(Y, Yp):
@@ -108,23 +146,23 @@ def test_matching_invariants():
 
 def test_dodgson_matchings():
     a0, b0 = stock_pattern("dodgson")
-    ms_a = matching_multiset(None, None, a0)
+    ms_a = matching_multiset(a0)
     vertical = matching_from_parts(vertical=[(1, 1), (2, 2)])
     horizontal = matching_from_parts(lower=[(1, 2)], upper=[(1, 2)])
     assert ms_a == Counter({vertical: 1, horizontal: 1})
-    ms_b = matching_multiset(None, None, b0)
+    ms_b = matching_multiset(b0)
     assert ms_b == ms_a
 
 
 def test_matching_multiset_flag_pair():
     one_a = one_pattern(4, 2, [{1, 2}, {1, 4}])
     one_b = one_pattern(4, 2, [{1, 3}])
-    ms_a = matching_multiset(None, None, one_a.to_two_pattern())
-    ms_b = matching_multiset(None, None, one_b.to_two_pattern())
+    ms_a = matching_multiset(one_a.to_two_pattern())
+    ms_b = matching_multiset(one_b.to_two_pattern())
     assert ms_a == ms_b
     assert sum(ms_a.values()) == 2
     empty = two_pattern(3, 1, [])
-    assert matching_multiset(None, None, empty) == Counter()
+    assert matching_multiset(empty) == Counter()
 
 
 def test_is_balanced_stock():
