@@ -20,38 +20,12 @@ class Flow:
     sink_idx: tuple     # I', ascending
     paths: tuple        # one vertex-id tuple per index, left to right
 
-    def vertices(self):
-        out = []
-        seen = set()
-        for path in self.paths:
-            for v in path:
-                if v not in seen:
-                    seen.add(v)
-                    out.append(v)
-        return out
-
     def edges(self):
         out = set()
         for path in self.paths:
             for a, b in zip(path, path[1:]):
                 out.add((a, b))
         return out
-
-
-def flow_to_json(flow):
-    return {
-        "I": list(flow.source_idx),
-        "Iprime": list(flow.sink_idx),
-        "paths": [list(p) for p in flow.paths],
-    }
-
-
-def flow_from_json(data):
-    return Flow(
-        tuple(data["I"]),
-        tuple(data["Iprime"]),
-        tuple(tuple(p) for p in data["paths"]),
-    )
 
 
 def _check_indices(network, I, Iprime):
@@ -149,15 +123,6 @@ def enumerate_flows(network, I, Iprime):
         flows.append(Flow(I, Iprime, tuple(map(tuple, paths))))
     flows.sort(key=lambda f: f.paths)
     return flows
-
-
-def flow_weight(spec, network, flow):
-    if network.weight_mode == "vertex":
-        return sr.fold_product(
-            spec, [network.weights[v] for v in flow.vertices()]
-        )
-    present = [network.weights[e] for e in sorted(flow.edges()) if e in network.weights]
-    return sr.fold_product(spec, present)
 
 
 class FlowFunction:

@@ -99,8 +99,9 @@ def mat_mul(a, b):
 def minor(matrix, I, Iprime):
     """Determinant of the submatrix with columns I and rows I'; exact.
 
-    Cofactor expansion with memoization over column subsets, so it works in
-    any ring (no division).
+    Cofactor expansion built bottom up: the minors on the last s rows of I',
+    for every s-subset of I, come from those on s - 1 rows.  It divides
+    nowhere, so it works in any ring.
     """
     I, Iprime = tuple(sorted(I)), tuple(sorted(Iprime))
     if len(I) != len(Iprime):
@@ -108,8 +109,6 @@ def minor(matrix, I, Iprime):
     spec = matrix.spec
     if not spec.has_additive_inverse:
         raise RingRequired("minors need additive inverses")
-    if not I:
-        return spec.one()
     for i in I:
         if not 1 <= i <= matrix.n_cols:
             raise SizeMismatch(f"column {i} out of range")
@@ -117,25 +116,21 @@ def minor(matrix, I, Iprime):
         if not 1 <= j <= matrix.n_rows:
             raise SizeMismatch(f"row {j} out of range")
 
-    memo = {}
-
-    def det(cols):
-        if not cols:
-            return spec.one()
-        if cols in memo:
-            return memo[cols]
-        row = Iprime[len(Iprime) - len(cols)]
-        acc = spec.zero()
-        for k, col in enumerate(cols):
-            sub = det(cols[:k] + cols[k + 1:])
-            term = spec.mul(matrix.entry(row, col), sub)
-            if k % 2:
-                term = spec.negate(term)
-            acc = spec.add(acc, term)
-        memo[cols] = acc
-        return acc
-
-    return det(I)
+    k = len(I)
+    dets = {(): spec.one()}
+    for s in range(1, k + 1):
+        row = Iprime[k - s]
+        level = {}
+        for cols in combinations(I, s):
+            acc = spec.zero()
+            for p, col in enumerate(cols):
+                term = spec.mul(matrix.entry(row, col), dets[cols[:p] + cols[p + 1:]])
+                if p % 2:
+                    term = spec.negate(term)
+                acc = spec.add(acc, term)
+            level[cols] = acc
+        dets = level
+    return dets[I]
 
 
 def flow_matrix(network, spec):
@@ -164,15 +159,14 @@ def flow_matrix(network, spec):
     return exact_matrix(spec, [[col[j] for col in columns] for j in range(network.n_sinks)])
 
 
-def verify_lindstrom(network, spec, size_cap=None):
+def verify_lindstrom(network, spec):
     """Check minor(flow matrix) = flow value for every index pair."""
     mat = flow_matrix(network, spec)
     f = FlowFunction(spec, network)
     n, np_ = network.n_sources, network.n_sinks
-    cap = size_cap if size_cap is not None else min(n, np_)
     checked = 0
     failures = []
-    for k in range(0, cap + 1):
+    for k in range(0, min(n, np_) + 1):
         for I in combinations(range(1, n + 1), k):
             for Iprime in combinations(range(1, np_ + 1), k):
                 lhs = minor(mat, I, Iprime)
@@ -370,7 +364,7 @@ def compile_matrix_to_network(matrix):
 # ---------------------------------------------------------------------------
 # quadratic relations on matrix minors
 
-def check_matrix_sq(matrix, pattern_a, pattern_b, X, Y, Xp, Yp, strict=True):
+def check_matrix_sq(matrix, pattern_a, pattern_b, X, Y, Xp, Yp):
     """Evaluate the quadratic identity with f = minors of ``matrix``.
 
     Only balanced patterns are covered by the guarantee, so unbalanced input
@@ -380,7 +374,7 @@ def check_matrix_sq(matrix, pattern_a, pattern_b, X, Y, Xp, Yp, strict=True):
     from .relations import RelationInstance
 
     ri = RelationInstance.from_patterns(pattern_a, pattern_b, X, Y, Xp, Yp, matrix.spec)
-    if strict and not is_balanced(pattern_a, pattern_b).balanced:
+    if not is_balanced(pattern_a, pattern_b).balanced:
         raise PatternsUnbalanced("the minor identity only covers balanced patterns")
     return ri.sides(matrix.spec, lambda I, Iprime: minor(matrix, sorted(I), sorted(Iprime)))
 

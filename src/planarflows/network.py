@@ -216,6 +216,25 @@ def topological_order(network):
     return order
 
 
+def _edges_hit(coords, e, f):
+    """Do two edges meet anywhere but at a vertex they share?  Shared ends
+    are vertex ids, not coordinates: edges on the same two ids always hit,
+    edges on one shared vertex p hit when their other ends lie on one ray
+    from p, and all other pairs hit when their closed segments meet."""
+    (a, b), (c, d) = e, f
+    if a == c or a == d:
+        p, q, r = a, b, d if a == c else c
+    elif b == c or b == d:
+        p, q, r = b, a, d if b == c else c
+    else:
+        return segments_intersect(coords[a], coords[b], coords[c], coords[d])
+    if q == r:
+        return True
+    p, q, r = coords[p], coords[q], coords[r]
+    dot = (q[0] - p[0]) * (r[0] - p[0]) + (q[1] - p[1]) * (r[1] - p[1])
+    return cross(p, q, r) == 0 and dot > 0
+
+
 def validate(network):
     """Report acyclicity, terminal boundary order, and segment planarity.
 
@@ -262,11 +281,10 @@ def validate(network):
             )
 
     edges = network.edges
-    segments = [(coords[a], coords[b]) for a, b in edges]
-    boxes = [
-        (min(p[0], q[0]), max(p[0], q[0]), min(p[1], q[1]), max(p[1], q[1]))
-        for p, q in segments
-    ]
+    boxes = []
+    for a, b in edges:
+        p, q = coords[a], coords[b]
+        boxes.append((min(p[0], q[0]), max(p[0], q[0]), min(p[1], q[1]), max(p[1], q[1])))
     found = []
     active = []
     for j in sorted(range(len(edges)), key=lambda k: boxes[k][2]):
@@ -275,14 +293,7 @@ def validate(network):
         for i in active:
             if boxes[i][1] < x0 or x1 < boxes[i][0]:
                 continue
-            (pa, pb), (pc, pd) = segments[min(i, j)], segments[max(i, j)]
-            if {pa, pb} & {pc, pd}:
-                # Touching at a shared endpoint is fine; anything beyond a
-                # single shared point (overlap or a second crossing) is not.
-                hit = proper_intersection_point(pa, pb, pc, pd) is not None
-            else:
-                hit = segments_intersect(pa, pb, pc, pd)
-            if hit:
+            if _edges_hit(coords, edges[i], edges[j]):
                 found.append((min(i, j), max(i, j)))
         active.append(j)
     found.sort()

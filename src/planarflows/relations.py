@@ -15,17 +15,13 @@ from .patterns import _normalize_pattern, embed_two
 DEFAULT_VERTEX_BUDGET = 36
 
 
-def consistent(X, Y, Xp, Yp):
-    return 2 * len(X) + len(Y) == 2 * len(Xp) + len(Yp)
-
-
 def check_sets(X, Y, Xp, Yp):
     """(X, Y, X', Y') as frozensets; overlapping sides or sizes with
     2|X| + |Y| != 2|X'| + |Y'| are refused."""
     X, Y, Xp, Yp = frozenset(X), frozenset(Y), frozenset(Xp), frozenset(Yp)
     if X & Y or Xp & Yp:
         raise InconsistentSets("X,Y (and X',Y') must be disjoint")
-    if not consistent(X, Y, Xp, Yp):
+    if 2 * len(X) + len(Y) != 2 * len(Xp) + len(Yp):
         raise InconsistentSets("2|X| + |Y| must equal 2|X'| + |Y'|")
     return X, Y, Xp, Yp
 

@@ -577,16 +577,16 @@ def power(spec, a, k):
     """a to the k-th multiplicative power; negative k uses division by a."""
     if k == 0:
         return spec.one()
-    if k < 0:
-        return divide(spec, spec.one(), power(spec, a, -k))
     acc = a
-    for _ in range(k - 1):
+    for _ in range(abs(k) - 1):
         acc = spec.mul(acc, a)
-    return acc
+    return divide(spec, spec.one(), acc) if k < 0 else acc
 
 
 def parse_semiring(text):
-    """Parse a command-line semiring descriptor such as 'tropical-int'."""
+    """Parse a command-line semiring descriptor such as 'tropical-int'.
+    Any number of 'star:' prefixes give one star extension, since
+    ``star_extend`` is idempotent."""
     base = {
         "integers": INTEGERS,
         "rationals": RATIONALS,
@@ -594,11 +594,13 @@ def parse_semiring(text):
         "tropical-int": TROPICAL_INT,
         "tropical-rat": TROPICAL_RAT,
     }
-    if text in base:
-        return base[text]
-    if text.startswith("star:"):
-        return star_extend(parse_semiring(text[len("star:") :]))
-    if text.startswith("poly:"):
-        names = [v for v in text[len("poly:") :].split(",") if v]
-        return polynomial_ring(*names)
-    raise ValueError(f"unknown semiring {text!r}")
+    rest = text
+    while rest.startswith("star:"):
+        rest = rest[len("star:") :]
+    if rest in base:
+        spec = base[rest]
+    elif rest.startswith("poly:"):
+        spec = polynomial_ring(*[v for v in rest[len("poly:") :].split(",") if v])
+    else:
+        raise ValueError(f"unknown semiring {rest!r}")
+    return spec if rest == text else star_extend(spec)

@@ -257,16 +257,17 @@ def _processing_order(couple_paths, edge_class, edges):
     return tuple(order)
 
 
-def build_witness_network(X, Y, Xp, Yp, matching, n=None, nprime=None, _offset=0):
+def build_witness_network(X, Y, Xp, Yp, matching):
     """The unit-weight network encoding a planar matching on (Y, Y').
 
     Nonempty X/X' are handled by doubling each element into an adjacent
     matched couple, building the core network, and shrinking the resulting
-    two-edge paths back into single terminals.
+    two-edge paths back into single terminals.  There is one layout: a
+    drawing that fails ``validate`` raises ``WitnessGeometryError``.
     """
     X, Y, Xp, Yp = check_sets(X, Y, Xp, Yp)
-    n = n or (max(X | Y) if X | Y else 0)
-    nprime = nprime or (max(Xp | Yp) if Xp | Yp else 0)
+    n = max(X | Y, default=0)
+    nprime = max(Xp | Yp, default=0)
 
     elems = matching.elements()
     expected = {(LOWER, y) for y in Y} | {(UPPER, y) for y in Yp}
@@ -285,7 +286,7 @@ def build_witness_network(X, Y, Xp, Yp, matching, n=None, nprime=None, _offset=0
         sign = 1 if side.reversed else -1
         pos = 0
         for e in sorted(xs | ys):
-            base = sign * (Fraction(m + 1 - e) - Fraction(_offset * e * e, 1024))
+            base = Fraction(sign * (m + 1 - e))
             if e in xs:
                 params[side.key][pos + 1] = base + Fraction(sign, 4)
                 params[side.key][pos + 2] = base - Fraction(sign, 4)
@@ -366,10 +367,6 @@ def build_witness_network(X, Y, Xp, Yp, matching, n=None, nprime=None, _offset=0
 
     report = validate(network)
     if not report["ok"]:
-        if _offset < 3:
-            return build_witness_network(
-                X, Y, Xp, Yp, matching, n=n, nprime=nprime, _offset=_offset + 1
-            )
         raise WitnessGeometryError(f"layout failed validation: {report}")
 
     final_paths = {}
@@ -429,13 +426,13 @@ def audit_witness(wn, X, Y, Xp, Yp):
     return {"ok": ok, "cases": cases}
 
 
-def demonstrate_violation(pattern_a, pattern_b, X, Y, Xp, Yp, n=None, nprime=None):
+def demonstrate_violation(pattern_a, pattern_b, X, Y, Xp, Yp):
     """Build the witness and evaluate both sides over the integers, w == 1."""
     # The identity's sets and sizes are checked before anything is built.
     ri = RelationInstance.from_patterns(pattern_a, pattern_b, X, Y, Xp, Yp, sr.INTEGERS)
     matching0, count_a, count_b = find_discriminating_matching(pattern_a, pattern_b)
     matching = embed_matching(matching0, sorted(Y), sorted(Yp))
-    wn = build_witness_network(X, Y, Xp, Yp, matching, n=n, nprime=nprime)
+    wn = build_witness_network(X, Y, Xp, Yp, matching)
     ri.network = wn.network
     result = evaluate_sq(ri)
     return {

@@ -5,13 +5,13 @@ import random
 from fractions import Fraction
 from itertools import combinations
 
+from planarflows.flows import Flow
 from planarflows.network import (
     PlanarNetwork,
     convex_hull,
     cross,
     find_cycle,
     on_segment,
-    proper_intersection_point,
     segments_intersect,
 )
 from planarflows.patterns import (
@@ -28,7 +28,7 @@ from planarflows.patterns import (
     two_pattern,
 )
 from planarflows.schur import ssyt_fillings
-from planarflows.semiring import Polynomial
+from planarflows.semiring import Polynomial, fold_product
 
 
 def diamond_network():
@@ -112,9 +112,17 @@ def scanned_hull_position(point, hull):
     return None
 
 
+def _leaving(coords, edge, v):
+    """The vector from vertex v to the other end of an edge at v."""
+    other = edge[1] if edge[0] == v else edge[0]
+    return coords[other][0] - coords[v][0], coords[other][1] - coords[v][1]
+
+
 def validate_oracle(network):
     """Independent planarity report: the drawing's own coordinates, a hull
-    scan per terminal and an exact test of every pair of edges."""
+    scan per terminal and an exact test of every pair of edges.  Edges that
+    share a vertex id may touch only at that vertex; all other pairs may not
+    touch at all."""
     report = {
         "acyclic": True,
         "cycle": None,
@@ -163,10 +171,17 @@ def validate_oracle(network):
             bj = boxes[j]
             if bi[1] < bj[0] or bj[1] < bi[0] or bi[3] < bj[2] or bj[3] < bi[2]:
                 continue
-            pc, pd = coords[edges[j][0]], coords[edges[j][1]]
-            if {pa, pb} & {pc, pd}:
-                hit = proper_intersection_point(pa, pb, pc, pd) is not None
+            shared = set(edges[i]) & set(edges[j])
+            if shared == set(edges[i]) == set(edges[j]):
+                hit = True  # one segment drawn twice
+            elif shared:
+                # Edges from one vertex overlap exactly when they leave it
+                # along the same ray.
+                (v,) = shared
+                (ux, uy), (wx, wy) = (_leaving(coords, e, v) for e in (edges[i], edges[j]))
+                hit = ux * wy == uy * wx and ux * wx + uy * wy > 0
             else:
+                pc, pd = coords[edges[j][0]], coords[edges[j][1]]
                 hit = segments_intersect(pa, pb, pc, pd)
             if hit:
                 report["planar_ok"] = False
@@ -176,6 +191,32 @@ def validate_oracle(network):
         report["acyclic"] and report["terminal_order_ok"] and report["planar_ok"]
     )
     return report
+
+
+def flow_weight(spec, network, flow):
+    """One flow's weight: the product of the weights of the vertices it
+    visits, or of the weighted edges it uses."""
+    if network.weight_mode == "vertex":
+        used = {v for path in flow.paths for v in path}
+        return fold_product(spec, [network.weights[v] for v in sorted(used)])
+    present = [network.weights[e] for e in sorted(flow.edges()) if e in network.weights]
+    return fold_product(spec, present)
+
+
+def flow_to_json(flow):
+    return {
+        "I": list(flow.source_idx),
+        "Iprime": list(flow.sink_idx),
+        "paths": [list(p) for p in flow.paths],
+    }
+
+
+def flow_from_json(data):
+    return Flow(
+        tuple(data["I"]),
+        tuple(data["Iprime"]),
+        tuple(tuple(p) for p in data["paths"]),
+    )
 
 
 def brute_force_flows(network, I, Iprime):

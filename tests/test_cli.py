@@ -6,7 +6,7 @@ import sys
 import pytest
 
 import planarflows
-from planarflows import INTEGERS
+from planarflows import INTEGERS, TROPICAL_INT
 from planarflows.cli import main
 from planarflows.network import build_half_grid, network_to_json
 
@@ -149,6 +149,19 @@ def test_reconstruct_command(capsys, tmp_path):
     assert out == {"value": max(7 + 5, 2 + 11) - 3}
 
 
+def test_eval_fg_reads_many_star_prefixes_as_one(capsys, tmp_path):
+    net = build_half_grid(3).unit_weights(TROPICAL_INT)
+    net_file = tmp_path / "net.json"
+    net_file.write_text(json.dumps(network_to_json(net, TROPICAL_INT)))
+    for I, Iprime in (([2, 3], [1, 2]), ([1], [3])):  # one flow, then none
+        args_file = tmp_path / "args.json"
+        args_file.write_text(json.dumps({"I": I, "Iprime": Iprime}))
+        outs = [run(capsys, "eval-fg", "--network", str(net_file), "--semiring",
+                    "star:" * stars + "tropical-int", "--args", str(args_file))
+                for stars in (1, 1200)]
+        assert outs[0][0] == 0 and outs[0] == outs[1]
+
+
 def test_validate_network_failure(capsys, tmp_path):
     data = {
         "vertices": [
@@ -166,6 +179,26 @@ def test_validate_network_failure(capsys, tmp_path):
     code, report = run(capsys, "validate-network", "--network", str(net_file))
     assert code == 1
     assert not report["acyclic"]
+
+
+def test_validate_network_rejects_non_planar_drawings(capsys, tmp_path):
+    # Two paths crossing where distinct vertices are drawn at one point.
+    code, report = run(capsys, "validate-network", "--network", fixture("crossing_paths.json"))
+    assert code == 1
+    assert report["planar_ok"] is False and report["crossings"]
+    # Two edges from one vertex overlapping along one ray.
+    data = {
+        "vertices": [{"id": "a", "x": "0", "y": "0"}, {"id": "c", "x": "1", "y": "1"},
+                     {"id": "b", "x": "2", "y": "2"}],
+        "edges": [["a", "b"], ["a", "c"]],
+        "sources": ["a"],
+        "sinks": ["b"],
+    }
+    net_file = tmp_path / "overlap.json"
+    net_file.write_text(json.dumps(data))
+    code, report = run(capsys, "validate-network", "--network", str(net_file))
+    assert code == 1
+    assert report["crossings"] == [[["a", "b"], ["a", "c"]]]
 
 
 def _eval_fg(capsys, tmp_path, data, I, Iprime):

@@ -20,7 +20,6 @@ from planarflows.flows import (
     FlowFunction,
     enumerate_flows,
     fg_value,
-    flow_weight,
     path_weight_sum,
 )
 from planarflows.lindstrom import compile_matrix_to_network, exact_matrix
@@ -38,6 +37,7 @@ from helpers import (
     brute_force_flows,
     contexts_for,
     diamond_network,
+    flow_weight,
     random_unbalanced_patterns,
 )
 
@@ -381,7 +381,7 @@ def test_empty_second_flow_decomposition():
 
 
 def test_flow_json_round_trip():
-    from planarflows.flows import flow_from_json, flow_to_json
+    from helpers import flow_from_json, flow_to_json
 
     flows = enumerate_flows(build_grid(2, 2), [2], [2])
     for f in flows:

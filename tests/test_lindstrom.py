@@ -71,6 +71,14 @@ def test_minor_matches_leibniz():
     mat = exact_matrix(INTEGERS, [[rng.randint(-5, 5) for _ in range(3)] for _ in range(3)])
     sub = [[mat.entry(2, 1), mat.entry(2, 3)], [mat.entry(3, 1), mat.entry(3, 3)]]
     assert minor(mat, [1, 3], [2, 3]) == leibniz_det(sub)
+    # k up to 6 on scattered rows and columns of a rectangular matrix
+    rows = [[rng.randint(-5, 5) for _ in range(9)] for _ in range(8)]
+    mat = exact_matrix(INTEGERS, rows)
+    for k in range(1, 7):
+        for _ in range(3):
+            I, Ip = sorted(rng.sample(range(1, 10), k)), sorted(rng.sample(range(1, 9), k))
+            sub = [[rows[j - 1][i - 1] for i in I] for j in Ip]
+            assert minor(mat, I, Ip) == leibniz_det(sub)
 
 
 def test_flow_matrix_binomials():

@@ -1,3 +1,5 @@
+import json
+import os
 import random
 from collections import Counter
 from fractions import Fraction
@@ -13,6 +15,7 @@ from planarflows.lindstrom import (
     exact_matrix,
     flow_matrix,
     mat_mul,
+    minor,
 )
 from planarflows.network import (
     PlanarNetwork,
@@ -179,6 +182,38 @@ def test_validate_detects_crossing():
     report = validate(bad)
     assert not report["planar_ok"]
     assert report["crossings"]
+
+
+def test_validate_rejects_paths_crossing_at_two_vertices_drawn_at_one_point():
+    # s1 -> u -> t2 and s2 -> w -> t1 cross where u and w are drawn, so the
+    # flow value f(12|12) = 0 differs from the flow matrix minor -1.
+    with open(os.path.join(os.path.dirname(__file__), "fixtures", "crossing_paths.json")) as fh:
+        net = network_from_json(json.load(fh), INTEGERS)
+    report = validate(net)
+    assert report["acyclic"] and report["terminal_order_ok"]
+    assert not report["planar_ok"] and not report["ok"]
+    assert len(report["crossings"]) == 4
+    assert report == validate_oracle(net)
+    assert minor(flow_matrix(net, INTEGERS), [1, 2], [1, 2]) == -1
+    assert fg_value(INTEGERS, net, [1, 2], [1, 2]) == 0
+
+
+def test_validate_rejects_overlapping_edges_at_a_shared_vertex():
+    F = Fraction
+    vertices = {"a": (F(0), F(0)), "c": (F(1), F(1)), "b": (F(2), F(2))}
+
+    def report(edges):
+        net = PlanarNetwork(vertices, edges, ("a",), ("b",))
+        out = validate(net)
+        assert out == validate_oracle(net)
+        return out
+
+    # c lies on the segment ab, so a -> b and a -> c overlap from a on.
+    assert report((("a", "b"), ("a", "c")))["crossings"] == [[["a", "b"], ["a", "c"]]]
+    assert not report((("a", "b"), ("a", "b")))["planar_ok"]  # one edge twice
+    assert not report((("a", "c"), ("c", "b"), ("a", "b")))["planar_ok"]
+    # A subdivided segment meets itself only at its inner vertex.
+    assert report((("a", "c"), ("c", "b")))["ok"]
 
 
 def test_validate_detects_bad_terminal_order():

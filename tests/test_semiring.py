@@ -147,6 +147,20 @@ def test_parse_semiring():
     assert ring.variables == ("u", "v")
     with pytest.raises(ValueError):
         sr.parse_semiring("floats")
+    # Prefixes are stripped in a loop, so their number is not bounded by
+    # the recursion limit, and any number of them extends once.
+    many = sr.parse_semiring("star:" * 1200 + "tropical-int")
+    assert isinstance(many, sr.StarExtended) and many.inner is sr.TROPICAL_INT
+    assert sr.parse_semiring("star:star:tropical-rat").inner is sr.TROPICAL_RAT
+    with pytest.raises(ValueError, match="'floats'"):
+        sr.parse_semiring("star:star:floats")
+
+
+def test_power():
+    assert sr.power(sr.RATIONALS, Fraction(2, 3), 3) == Fraction(8, 27)
+    assert sr.power(sr.RATIONALS, Fraction(2, 3), -2) == Fraction(9, 4)
+    assert sr.power(sr.RATIONALS, Fraction(2, 3), 0) == 1
+    assert sr.power(sr.TROPICAL_INT, 5, -3) == -15
 
 
 # ---------------------------------------------------------------------------

@@ -5,6 +5,8 @@ from planarflows.errors import NotPlanarMatching, PatternsBalanced
 from planarflows.flows import enumerate_flows, fg_value
 from planarflows.network import validate
 from planarflows.patterns import (
+    embed_matching,
+    feasible_matchings,
     matching_from_parts,
     one_pattern,
     stock_pattern,
@@ -17,7 +19,7 @@ from planarflows.witness import (
     find_discriminating_matching,
 )
 
-from helpers import contexts_for, random_unbalanced_patterns
+from helpers import contexts_for, proper_pairs, random_unbalanced_patterns
 
 
 def test_find_discriminating_matching():
@@ -111,7 +113,7 @@ def test_flag_counterexample_network():
 def test_witness_with_shifted_ground_set():
     a = one_pattern(3, 2, [{1, 3}])
     b = one_pattern(3, 2, [{1, 2}])
-    res = demonstrate_violation(a, b, {5}, {1, 2, 3}, {1, 3}, {2}, n=5, nprime=3)
+    res = demonstrate_violation(a, b, {5}, {1, 2, 3}, {1, 3}, {2})
     assert (res["lhs"], res["rhs"]) == (1, 0)
     assert res["network"].network.n_sources == 5
     aud = audit_witness(res["network"], {5}, {1, 2, 3}, {1, 3}, {2})
@@ -154,6 +156,37 @@ def test_unit_weight_values_are_zero_or_one():
             for Ip in combinations(range(1, 3), k):
                 count = len(enumerate_flows(net, I, Ip))
                 assert count in (0, 1)
+
+
+def _placements(ny, nx):
+    """(Y, X) with |Y| = ny and |X| = nx: X after Y, then X interleaved
+    with Y (X on the even slots while both last)."""
+    after = (frozenset(range(1, ny + 1)), frozenset(range(ny + 1, ny + nx + 1)))
+    Y, X, slot = set(), set(), 1
+    while len(Y) < ny or len(X) < nx:
+        (X if len(X) < nx and (slot % 2 == 0 or len(Y) == ny) else Y).add(slot)
+        slot += 1
+    return [after, (frozenset(Y), frozenset(X))]
+
+
+def test_every_feasible_matching_up_to_eight_points_builds_and_audits():
+    builds = 0
+    for total in range(0, 9, 2):
+        for m in range(total + 1):
+            mp = total - m
+            Y0, Yp0 = range(1, m + 1), range(1, mp + 1)
+            matchings = {M for A, Ap in proper_pairs(Y0, Yp0)
+                         for M in feasible_matchings(Y0, Yp0, A, Ap)}
+            # One spare element of X and X' beyond what balances the sizes.
+            d = (m - mp) // 2
+            for (Y, X), (Yp, Xp) in zip(_placements(m, max(0, -d) + 1),
+                                        _placements(mp, max(0, d) + 1)):
+                for M in sorted(matchings):
+                    wn = build_witness_network(X, Y, Xp, Yp, embed_matching(M, Y, Yp))
+                    assert validate(wn.network)["ok"]
+                    assert audit_witness(wn, X, Y, Xp, Yp)["ok"]
+                    builds += 1
+    assert builds == 350
 
 
 def test_thin_components_are_couple_paths():
