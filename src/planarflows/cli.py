@@ -103,8 +103,8 @@ def cmd_verify_relation(args):
     spec = parse_semiring(args.semiring)
     net = network_from_json(_load(args.network), spec)
     X, Y, Xp, Yp = _sets(args.sets, a, net)
-    ri = RelationInstance.from_patterns(a, b, X, Y, Xp, Yp, spec, net)
-    result = evaluate_sq(ri)
+    ri = RelationInstance.from_patterns(a, b, X, Y, Xp, Yp)
+    result = evaluate_sq(ri, spec, net)
     eff = result["spec"]
     _emit(
         {
@@ -244,7 +244,7 @@ def cmd_reconstruct(args):
         try:
             ivs = tuple(parse_iv(side) for side in sides(key))
             values[ivs[0] if flag else ivs] = spec.from_json(v)
-        except ValueError as exc:
+        except (ArithmeticError, ValueError) as exc:
             raise BadInput(f"values[{key!r}]: {exc}") from None
     sizes = [data.get(field) for field in fields]
     for field, size in zip(fields, sizes):

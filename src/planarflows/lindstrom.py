@@ -373,7 +373,7 @@ def check_matrix_sq(matrix, pattern_a, pattern_b, X, Y, Xp, Yp):
     from .patterns import is_balanced
     from .relations import RelationInstance
 
-    ri = RelationInstance.from_patterns(pattern_a, pattern_b, X, Y, Xp, Yp, matrix.spec)
+    ri = RelationInstance.from_patterns(pattern_a, pattern_b, X, Y, Xp, Yp)
     if not is_balanced(pattern_a, pattern_b).balanced:
         raise PatternsUnbalanced("the minor identity only covers balanced patterns")
     return ri.sides(matrix.spec, lambda I, Iprime: minor(matrix, sorted(I), sorted(Iprime)))

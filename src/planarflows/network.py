@@ -307,50 +307,57 @@ def validate(network):
 
 
 # ---------------------------------------------------------------------------
-# standard constructions
+# standard constructions: lattice cells joined by unit steps
 
-def _vid(i, j):
-    return f"{i},{j}"
+_LEFT, _UP, _RIGHT = (-1, 0), (0, 1), (1, 0)
+
+
+def _lattice(cells, steps, sources, sinks, mode, weight=None):
+    """Cell (i, j) becomes vertex "i,j" at (i, j).  Each cell in order has
+    an edge by each step in order to the neighbouring cell, when that cell
+    is one of ``cells``; ``weight(tail, head)`` of the two cells gives the
+    edge's weight or None.  ``sources`` and ``sinks`` are cells."""
+    ids = {c: f"{c[0]},{c[1]}" for c in cells}
+    frac = {k: Fraction(k) for c in ids for k in c}
+    vertices = {v: (frac[i], frac[j]) for (i, j), v in ids.items()}
+    edges = []
+    weights = {}
+    for (i, j), tail in ids.items():
+        for di, dj in steps:
+            head = ids.get((i + di, j + dj))
+            if head is None:
+                continue
+            edges.append((tail, head))
+            w = weight and weight((i, j), (i + di, j + dj))
+            if w is not None:
+                weights[tail, head] = w
+    return PlanarNetwork(vertices, tuple(edges), tuple(ids[c] for c in sources),
+                         tuple(ids[c] for c in sinks), mode, weights)
+
+
+def _cells(kind, width, height):
+    if width < 1 or height < 1:
+        raise PlanarFlowsError(f"{kind} sizes must be >= 1")
+    return [(i, j) for i in range(1, width + 1) for j in range(1, height + 1)]
+
+
+def _grid(n, nprime, cells):
+    return _lattice(cells, (_LEFT, _UP), [(i, 1) for i in range(1, n + 1)],
+                    [(1, j) for j in range(1, nprime + 1)], "vertex")
 
 
 def build_grid(n, nprime):
     """Square grid: n columns of sources along the bottom, sinks up the left."""
-    if n < 1 or nprime < 1:
-        raise PlanarFlowsError("grid sizes must be >= 1")
-    vertices = {}
-    edges = []
-    for i in range(1, n + 1):
-        for j in range(1, nprime + 1):
-            vertices[_vid(i, j)] = (Fraction(i), Fraction(j))
-    for i in range(1, n + 1):
-        for j in range(1, nprime + 1):
-            if i > 1:
-                edges.append((_vid(i, j), _vid(i - 1, j)))
-            if j < nprime:
-                edges.append((_vid(i, j), _vid(i, j + 1)))
-    sources = tuple(_vid(i, 1) for i in range(1, n + 1))
-    sinks = tuple(_vid(1, j) for j in range(1, nprime + 1))
-    return PlanarNetwork(vertices, tuple(edges), sources, sinks)
+    return _grid(n, nprime, _cells("grid", n, nprime))
 
 
 def build_half_grid(n):
     """Triangular half of the grid; sinks run up the diagonal."""
     if n < 1:
         raise PlanarFlowsError("half-grid size must be >= 1")
-    vertices = {}
-    edges = []
-    for i in range(1, n + 1):
-        for j in range(1, i + 1):
-            vertices[_vid(i, j)] = (Fraction(i), Fraction(j))
-    for i in range(1, n + 1):
-        for j in range(1, i + 1):
-            if i > 1 and j <= i - 1:
-                edges.append((_vid(i, j), _vid(i - 1, j)))
-            if j + 1 <= i:
-                edges.append((_vid(i, j), _vid(i, j + 1)))
-    sources = tuple(_vid(i, 1) for i in range(1, n + 1))
-    sinks = tuple(_vid(j, j) for j in range(1, n + 1))
-    return PlanarNetwork(vertices, tuple(edges), sources, sinks)
+    cells = [(i, j) for i in range(1, n + 1) for j in range(1, i + 1)]
+    return _lattice(cells, (_LEFT, _UP), [(i, 1) for i in range(1, n + 1)],
+                    [(j, j) for j in range(1, n + 1)], "vertex")
 
 
 def build_gv_grid(N, width, level_weights=None):
@@ -359,37 +366,11 @@ def build_gv_grid(N, width, level_weights=None):
     ``level_weights`` optionally maps level h (1..N) to the weight put on
     every horizontal edge at that level; the result is edge-weighted.
     """
-    if N < 1 or width < 1:
-        raise PlanarFlowsError("GV grid sizes must be >= 1")
-    vertices = {}
-    edges = []
-    weights = {}
-    for i in range(1, width + 1):
-        for j in range(1, N + 1):
-            vertices[_vid(i, j)] = (Fraction(i), Fraction(j))
-    for i in range(1, width + 1):
-        for j in range(1, N + 1):
-            if j < N:
-                edges.append((_vid(i, j), _vid(i, j + 1)))
-            if i < width:
-                e = (_vid(i, j), _vid(i + 1, j))
-                edges.append(e)
-                if level_weights is not None:
-                    weights[e] = level_weights[j]
-    sources = tuple(_vid(i, 1) for i in range(1, width + 1))
-    sinks = tuple(_vid(i, N) for i in range(1, width + 1))
-    return PlanarNetwork(vertices, tuple(edges), sources, sinks, "edge", weights)
-
-
-def build_standard(kind, **params):
-    kind = kind.lower()
-    if kind == "grid":
-        return build_grid(params["n"], params["nprime"])
-    if kind in ("halfgrid", "half-grid", "half_grid"):
-        return build_half_grid(params["n"])
-    if kind in ("gvgrid", "gv-grid", "gv_grid"):
-        return build_gv_grid(params["N"], params["width"])
-    raise PlanarFlowsError(f"unknown standard network kind {kind!r}")
+    weight = None if level_weights is None else (
+        lambda tail, head: level_weights[tail[1]] if head[0] > tail[0] else None)
+    return _lattice(_cells("GV grid", width, N), (_UP, _RIGHT),
+                    [(i, 1) for i in range(1, width + 1)],
+                    [(i, N) for i in range(1, width + 1)], "edge", weight)
 
 
 def truncated_grid(n, nprime, max_vertices):
@@ -397,18 +378,16 @@ def truncated_grid(n, nprime, max_vertices):
 
     Terminals are always kept, so the result still has n sources and
     n' sinks; any FG-function identity must hold on it like on any network.
+    The interior cells kept are the first by (i + j, vertex id).
     """
-    grid = build_grid(n, nprime)
-    keep = set(grid.sources) | set(grid.sinks)
-    interior = [v for v in grid.vertices if v not in keep]
-    interior.sort(key=lambda v: (sum(int(c) for c in v.split(",")), v))
+    cells = _cells("grid", n, nprime)
+    keep = {(i, 1) for i in range(1, n + 1)} | {(1, j) for j in range(1, nprime + 1)}
     budget = max_vertices - len(keep)
     if budget < 0:
         raise PlanarFlowsError("vertex budget below the terminal count")
-    kept = keep | set(interior[:budget])
-    vertices = {v: p for v, p in grid.vertices.items() if v in kept}
-    edges = tuple(e for e in grid.edges if e[0] in kept and e[1] in kept)
-    return PlanarNetwork(vertices, edges, grid.sources, grid.sinks)
+    interior = sorted(set(cells) - keep, key=lambda c: (c[0] + c[1], f"{c[0]},{c[1]}"))
+    keep.update(interior[:budget])
+    return _grid(n, nprime, [c for c in cells if c in keep])
 
 
 # ---------------------------------------------------------------------------
@@ -426,7 +405,6 @@ class SplitNetwork:
 
     network: PlanarNetwork
     edge_class: dict          # edge -> "split" | "ordinary" | "extra"
-    origin_vertex: dict       # split-graph vertex id -> original vertex id
 
 
 def split_vertices(network):
@@ -436,12 +414,9 @@ def split_vertices(network):
         raise PlanarFlowsError("split_vertices expects a vertex-weighted network")
     d = Fraction(1, 8)
     vertices = {}
-    origin = {}
     for v, (x, y) in network.vertices.items():
         vertices[f"in:{v}"] = (x - d, y - d)
         vertices[f"out:{v}"] = (x + d, y + d)
-        origin[f"in:{v}"] = v
-        origin[f"out:{v}"] = v
     edges = []
     edge_class = {}
     weights = {}
@@ -460,7 +435,6 @@ def split_vertices(network):
         x, y = network.vertices[s]
         sid = f"src:{idx}"
         vertices[sid] = (x, y - Fraction(1, 2))
-        origin[sid] = s
         e = (sid, f"in:{s}")
         edges.append(e)
         edge_class[e] = "extra"
@@ -470,7 +444,6 @@ def split_vertices(network):
         x, y = network.vertices[t]
         tid = f"snk:{idx}"
         vertices[tid] = (x, y + Fraction(1, 2))
-        origin[tid] = t
         e = (f"out:{t}", tid)
         edges.append(e)
         edge_class[e] = "extra"
@@ -478,7 +451,7 @@ def split_vertices(network):
     split = PlanarNetwork(
         vertices, tuple(edges), tuple(sources), tuple(sinks), "edge", weights
     )
-    return SplitNetwork(split, edge_class, origin)
+    return SplitNetwork(split, edge_class)
 
 
 # ---------------------------------------------------------------------------

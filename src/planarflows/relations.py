@@ -36,11 +36,9 @@ def _pattern_pair(pattern_a, pattern_b):
 @dataclass
 class RelationInstance:
     """One quadratic identity: the families of a pattern pair embedded on
-    (Y, Y'), around X and X'.  ``network`` is None when the values come
-    from elsewhere, such as matrix minors."""
+    (Y, Y'), around X and X'.  The values come from a network or from
+    elsewhere, such as matrix minors."""
 
-    spec: object
-    network: object
     X: frozenset
     Y: frozenset
     Xp: frozenset
@@ -52,12 +50,12 @@ class RelationInstance:
         self.X, self.Y, self.Xp, self.Yp = check_sets(self.X, self.Y, self.Xp, self.Yp)
 
     @classmethod
-    def from_patterns(cls, pattern_a, pattern_b, X, Y, Xp, Yp, spec=None, network=None):
+    def from_patterns(cls, pattern_a, pattern_b, X, Y, Xp, Yp):
         """Both patterns as 2-patterns on one shape, embedded on (Y, Y') by
         the order-preserving bijections, with the sets checked."""
         a, b = _pattern_pair(pattern_a, pattern_b)
         Y_sorted, Yp_sorted = sorted(Y), sorted(Yp)
-        return cls(spec, network, X, Y, Xp, Yp,
+        return cls(X, Y, Xp, Yp,
                    embed_two(a, Y_sorted, Yp_sorted), embed_two(b, Y_sorted, Yp_sorted))
 
     def sides(self, spec, f):
@@ -77,14 +75,14 @@ class RelationInstance:
         return {"lhs": lhs, "rhs": rhs, "equal": spec.equal(lhs, rhs)}
 
 
-def evaluate_sq(ri):
-    """Both sides of the quadratic identity for one concrete instance.
+def evaluate_sq(ri, spec, network):
+    """Both sides of the quadratic identity on ``network`` over ``spec``.
 
     When the base semiring lacks a zero, empty flow sets are absorbed by
     moving to its star extension.
     """
-    spec = ri.spec if ri.spec.has_zero else sr.star_extend(ri.spec)
-    return dict(ri.sides(spec, FlowFunction(spec, ri.network)), spec=spec)
+    spec = spec if spec.has_zero else sr.star_extend(spec)
+    return dict(ri.sides(spec, FlowFunction(spec, network)), spec=spec)
 
 
 @dataclass
@@ -179,9 +177,8 @@ def verify_symbolic(pattern_a, pattern_b, config=None, instances=None):
     for net, X, Y, Xp, Yp in instances:
         ring = sr.polynomial_ring(*[f"w_{v}" for v in net.vertices])
         weights = {v: ring.var(k) for k, v in enumerate(net.vertices)}
-        ri = RelationInstance.from_patterns(
-            a, b, X, Y, Xp, Yp, ring, net.with_vertex_weights(weights))
-        result = evaluate_sq(ri)
+        ri = RelationInstance.from_patterns(a, b, X, Y, Xp, Yp)
+        result = evaluate_sq(ri, ring, net.with_vertex_weights(weights))
         cases.append(
             {
                 "network_vertices": len(net.vertices),

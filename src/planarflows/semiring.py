@@ -214,9 +214,8 @@ def _frac_to_json(x):
 
 
 def _frac_from_json(data):
-    if isinstance(data, int):
-        return Fraction(data)
-    if isinstance(data, str):
+    """An integer or a "p/q" string; booleans and floats are refused."""
+    if type(data) is int or isinstance(data, str):
         return Fraction(data)
     raise ValueError(f"cannot parse exact rational from {data!r}")
 
@@ -298,7 +297,7 @@ class IntegerRing(Semiring):
         return a
 
     def from_json(self, data):
-        if not isinstance(data, int):
+        if type(data) is not int:
             raise ValueError(f"expected integer, got {data!r}")
         return data
 
@@ -386,7 +385,7 @@ class TropicalIntegers(Semiring):
         return a
 
     def from_json(self, data):
-        if not isinstance(data, int):
+        if type(data) is not int:
             raise ValueError(f"expected tropical integer, got {data!r}")
         return data
 
@@ -459,11 +458,25 @@ class PolynomialRing(Semiring):
         return out
 
     def from_json(self, data):
+        """Terms ``{"exps": {variable: int}, "coeff": int}``, each monomial
+        once; a bad term is named by its place in the list, from 1."""
+        if not isinstance(data, list):
+            raise ValueError(f"expected a list of terms, got {data!r}")
         terms = {}
-        for item in data:
+        for k, item in enumerate(data, 1):
+            if not isinstance(item, dict) or not isinstance(item.get("exps"), dict):
+                raise ValueError(f"term {k}: expected an object with exps and coeff")
+            if type(item.get("coeff")) is not int:
+                raise ValueError(f"term {k}: coeff {item.get('coeff')!r} is not an integer")
             exps = [0] * len(self.variables)
             for name, e in item["exps"].items():
+                if name not in self.variables:
+                    raise ValueError(f"term {k}: unknown variable {name!r}")
+                if type(e) is not int:
+                    raise ValueError(f"term {k}: exponent {e!r} of {name!r} is not an integer")
                 exps[self.variables.index(name)] = e
+            if tuple(exps) in terms:
+                raise ValueError(f"term {k}: repeats the monomial of an earlier term")
             terms[tuple(exps)] = item["coeff"]
         return Polynomial(len(self.variables), terms)
 

@@ -66,24 +66,19 @@ class WitnessNetwork:
 
 
 def _nesting_children(couples):
-    """Immediate-successor lists for a nested set of (i, j) couples."""
+    """Immediate-successor lists for a non-crossing set of (i, j) couples.
+
+    One scan by left end: the stack holds the couples still open, so after
+    popping those that end before c starts its top is c's parent."""
     couples = sorted(couples)
     children = {c: [] for c in couples}
     roots = []
+    stack = []
     for c in couples:
-        best = None
-        for d in couples:
-            if d == c:
-                continue
-            if d[0] < c[0] and c[1] < d[1]:
-                if best is None or d[1] - d[0] < best[1] - best[0]:
-                    best = d
-        if best is None:
-            roots.append(c)
-        else:
-            children[best].append(c)
-    for c in children:
-        children[c].sort()
+        while stack and stack[-1][1] < c[0]:
+            stack.pop()
+        (children[stack[-1]] if stack else roots).append(c)
+        stack.append(c)
     return roots, children
 
 
@@ -429,12 +424,11 @@ def audit_witness(wn, X, Y, Xp, Yp):
 def demonstrate_violation(pattern_a, pattern_b, X, Y, Xp, Yp):
     """Build the witness and evaluate both sides over the integers, w == 1."""
     # The identity's sets and sizes are checked before anything is built.
-    ri = RelationInstance.from_patterns(pattern_a, pattern_b, X, Y, Xp, Yp, sr.INTEGERS)
+    ri = RelationInstance.from_patterns(pattern_a, pattern_b, X, Y, Xp, Yp)
     matching0, count_a, count_b = find_discriminating_matching(pattern_a, pattern_b)
     matching = embed_matching(matching0, sorted(Y), sorted(Yp))
     wn = build_witness_network(X, Y, Xp, Yp, matching)
-    ri.network = wn.network
-    result = evaluate_sq(ri)
+    result = evaluate_sq(ri, sr.INTEGERS, wn.network)
     return {
         "network": wn,
         "lhs": result["lhs"],

@@ -8,7 +8,7 @@ import pytest
 import planarflows
 from planarflows import INTEGERS, TROPICAL_INT
 from planarflows.cli import main
-from planarflows.network import build_half_grid, network_to_json
+from planarflows.network import build_grid, build_half_grid, network_to_json
 
 FIXTURES = os.path.join(os.path.dirname(__file__), "fixtures")
 
@@ -312,6 +312,7 @@ def _two_vertices(**changes):
     (_two_vertices(weight_mode="edge", weights={"a->c": 1}), "weights['a->c']: unknown edge", False),
     (_two_vertices(weights={"a": 1}), "weights: no weight for vertex 'b'", True),
     (_two_vertices(weights={"a": 1, "b": "two"}), "weights['b']: ", True),
+    (_two_vertices(weights={"a": True, "b": 1}), "weights['a']: expected integer, got True", True),
 ])
 def test_malformed_networks_are_refused_naming_the_field(
         capsys, tmp_path, data, message, needs_semiring):
@@ -410,6 +411,7 @@ def test_check_balance_on_a_nested_pair_of_400_points(tmp_path):
     ({"entries": [["x", 2]]}, "entries[0][0]: "),
     ({"entries": [[1, "2"], [3, [4]]]}, "entries[1][1]: "),
     ({"entries": [["1/0"]]}, "entries[0][0]: "),
+    ({"entries": [[True, 0], [0, 1]]}, "entries[0][0]: cannot parse exact rational from True"),
 ])
 def test_malformed_matrices_are_refused_naming_the_field(capsys, tmp_path, data, message):
     mat_file = tmp_path / "m.json"
@@ -417,6 +419,29 @@ def test_malformed_matrices_are_refused_naming_the_field(capsys, tmp_path, data,
     assert main(["compile-matrix", "--matrix", str(mat_file)]) == 2
     captured = capsys.readouterr()
     assert captured.out == "" and message in captured.err
+
+
+@pytest.mark.parametrize("terms, message", [
+    ([{"exps": {"a": 1}, "coeff": 2.5}], "term 1: coeff 2.5 is not an integer"),
+    ([{"exps": {"a": 1}, "coeff": "x"}], "term 1: coeff 'x' is not an integer"),
+    ([{"exps": {"a": 1}, "coeff": 2}, {"exps": {"a": 1}, "coeff": 3}],
+     "term 2: repeats the monomial of an earlier term"),
+    ({"a": 1}, "expected a list of terms"),
+    ([[1]], "term 1: expected an object"),
+    ([{"exps": {"a": True}, "coeff": 1}], "term 1: exponent True of 'a' is not an integer"),
+    ([{"exps": {"b": 1}, "coeff": 1}], "term 1: unknown variable 'b'"),
+])
+def test_polynomial_weights_are_refused_naming_the_term(capsys, tmp_path, terms, message):
+    data = network_to_json(build_grid(2, 2))
+    data["weights"] = {v["id"]: terms for v in data["vertices"]}
+    net_file = tmp_path / "net.json"
+    net_file.write_text(json.dumps(data))
+    args_file = tmp_path / "args.json"
+    args_file.write_text(json.dumps({"I": [1, 2], "Iprime": [1, 2]}))
+    argv = ["eval-fg", "--network", str(net_file), "--semiring", "poly:a", "--args", str(args_file)]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and f"weights['1,1']: {message}" in captured.err
 
 
 def _half_grid_file(tmp_path):
@@ -437,6 +462,7 @@ def _half_grid_file(tmp_path):
     ("eval-fg", "--args", {"I": 5, "Iprime": [1]}, "I: expected a list of integers"),
     ("eval-fg", "--args", {"I": [1]}, "Iprime: expected a list of integers"),
     ("reconstruct", "--basis", {"values": {"x": 1}, "n": 3}, "values['x']: "),
+    ("reconstruct", "--basis", {"values": {"1..1": "1/0"}, "n": 1}, "values['1..1']: "),
     ("reconstruct", "--basis", {"values": {"1..1": 1}}, "n: expected a positive integer"),
     ("reconstruct", "--basis", {"values": {"1..1": 1}, "n": "x"}, "n: expected a positive integer"),
     ("reconstruct", "--basis", {"case": "pressed-double-intervals", "values": {"1..1|1..1": 1}, "n": 2},

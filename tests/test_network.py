@@ -22,7 +22,6 @@ from planarflows.network import (
     build_grid,
     build_gv_grid,
     build_half_grid,
-    build_standard,
     concatenate,
     convex_hull,
     cross,
@@ -72,14 +71,6 @@ def test_gv_grid_shape():
     assert weighted.weights[("1,1", "2,1")] == ring.var(0)
     assert weighted.weights[("1,2", "2,2")] == ring.var(1)
     assert validate(g)["ok"]
-
-
-def test_build_standard_dispatch():
-    assert len(build_standard("grid", n=3, nprime=2).vertices) == 6
-    assert len(build_standard("halfgrid", n=3).vertices) == 6
-    assert len(build_standard("gvgrid", N=2, width=3).vertices) == 6
-    with pytest.raises(PlanarFlowsError):
-        build_standard("torus", n=1)
 
 
 def test_split_counts_half_grid():
@@ -308,6 +299,10 @@ def test_truncated_grid_budget():
     assert len(net.vertices) <= 25
     assert net.n_sources == 8 and net.n_sinks == 4
     assert validate(net)["ok"]
+    # the interior cells kept are the first by (i + j, vertex id)
+    net = truncated_grid(4, 4, 10)
+    assert " ".join(net.vertices) == "1,1 1,2 1,3 1,4 2,1 2,2 2,3 3,1 3,2 4,1"
+    assert len(net.edges) == 12
 
 
 def test_network_json_round_trip():

@@ -26,11 +26,10 @@ from helpers import random_balanced_patterns
 
 
 def test_relation_instance_validation():
-    net = build_grid(3, 3).unit_weights(INTEGERS)
     with pytest.raises(InconsistentSets):
-        RelationInstance(INTEGERS, net, {1}, {1, 2}, set(), {1}, {}, {})
+        RelationInstance({1}, {1, 2}, set(), {1}, {}, {})
     with pytest.raises(InconsistentSets):
-        RelationInstance(INTEGERS, net, {1}, {1, 2}, set(), {1, 2, 3, 4}, {}, {})
+        RelationInstance({1}, {1, 2}, set(), {1, 2, 3, 4}, {}, {})
 
 
 def test_dodgson_on_compiled_matrix_network():
@@ -39,8 +38,6 @@ def test_dodgson_on_compiled_matrix_network():
     net, _ = compile_matrix_to_network(mat)
     a0, b0 = stock_pattern("dodgson")
     ri = RelationInstance(
-        RATIONALS,
-        net,
         set(),
         {1, 2},
         set(),
@@ -48,7 +45,7 @@ def test_dodgson_on_compiled_matrix_network():
         embed_two(a0, [1, 2], [1, 2]),
         embed_two(b0, [1, 2], [1, 2]),
     )
-    result = evaluate_sq(ri)
+    result = evaluate_sq(ri, RATIONALS, net)
     assert result["equal"]
     assert result["lhs"] == a * d
     assert result["rhs"] == (a * d - b * c) + c * b
@@ -60,8 +57,6 @@ def test_p3_tropical_on_half_grid():
     net = h.with_vertex_weights({v: rng.randint(-9, 9) for v in h.vertices})
     a0, b0 = (p.to_two_pattern() for p in stock_pattern("p3"))
     ri = RelationInstance(
-        TROPICAL_INT,
-        net,
         set(),
         {1, 2, 3},
         {1},
@@ -69,7 +64,7 @@ def test_p3_tropical_on_half_grid():
         embed_two(a0, [1, 2, 3], [2]),
         embed_two(b0, [1, 2, 3], [2]),
     )
-    result = evaluate_sq(ri)
+    result = evaluate_sq(ri, TROPICAL_INT, net)
     assert result["equal"]
     # brute check of the tropical three-term law
     f = lambda I, Ip: fg_value(TROPICAL_INT, net, I, Ip)
@@ -86,8 +81,6 @@ def test_star_wrapping_for_semirings_without_zero():
     net = diamond_network().unit_weights(TROPICAL_INT)
     a0 = one_pattern(3, 2, [{1, 3}]).to_two_pattern()
     ri = RelationInstance(
-        TROPICAL_INT,
-        net,
         set(),
         {1, 2, 3},
         {1},
@@ -95,7 +88,7 @@ def test_star_wrapping_for_semirings_without_zero():
         embed_two(a0, [1, 2, 3], [3]),
         embed_two(a0, [1, 2, 3], [3]),
     )
-    result = evaluate_sq(ri)
+    result = evaluate_sq(ri, TROPICAL_INT, net)
     assert result["spec"].name == "star[tropical-int]"
     assert result["lhs"] is STAR and result["equal"]
 
@@ -168,8 +161,6 @@ def test_integer_substitution_matches_symbolic():
         {v: ring.var(k) for k, v in enumerate(net.vertices)}
     )
     ri = RelationInstance(
-        ring,
-        weighted,
         set(),
         {1, 2, 3},
         {1},
@@ -177,23 +168,13 @@ def test_integer_substitution_matches_symbolic():
         embed_two(a0.to_two_pattern(), [1, 2, 3], [2]),
         embed_two(b0.to_two_pattern(), [1, 2, 3], [2]),
     )
-    sym = evaluate_sq(ri)
+    sym = evaluate_sq(ri, ring, weighted)
     for _ in range(5):
         values = [rng.randint(-4, 4) for _ in net.vertices]
         int_net = net.with_vertex_weights(
             {v: values[k] for k, v in enumerate(net.vertices)}
         )
-        ri_int = RelationInstance(
-            INTEGERS,
-            int_net,
-            set(),
-            {1, 2, 3},
-            {1},
-            {2},
-            embed_two(a0.to_two_pattern(), [1, 2, 3], [2]),
-            embed_two(b0.to_two_pattern(), [1, 2, 3], [2]),
-        )
-        res = evaluate_sq(ri_int)
+        res = evaluate_sq(ri, INTEGERS, int_net)
         assert res["lhs"] == sym["lhs"].substitute(values)
         assert res["rhs"] == sym["rhs"].substitute(values)
 

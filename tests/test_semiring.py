@@ -1,4 +1,5 @@
 import random
+import re
 from collections import Counter
 from fractions import Fraction
 
@@ -250,3 +251,29 @@ def test_polynomial_exponent_tuples_must_fit_the_variables():
     assert (256, 0) not in terms and (0, 1) in terms
     with pytest.raises(KeyError):
         terms[(256, 0)]
+
+
+def test_booleans_are_not_numbers():
+    for spec in ALL_SPECS[:5]:
+        for value in (True, False):
+            with pytest.raises(ValueError):
+                spec.from_json(value)
+
+
+@pytest.mark.parametrize("data, message", [
+    ({"a": 1}, "expected a list of terms"),
+    ([3], "term 1: expected an object"),
+    ([{"coeff": 1}], "term 1: expected an object"),
+    ([{"exps": {"a": 1}, "coeff": 2.5}], "term 1: coeff 2.5 is not an integer"),
+    ([{"exps": {"a": 1}, "coeff": "x"}], "term 1: coeff 'x' is not an integer"),
+    ([{"exps": {}, "coeff": 1}, {"exps": {"a": 1}, "coeff": True}],
+     "term 2: coeff True is not an integer"),
+    ([{"exps": {"a": 0.5}, "coeff": 1}], "term 1: exponent 0.5 of 'a' is not an integer"),
+    ([{"exps": {"a": False}, "coeff": 1}], "term 1: exponent False of 'a' is not an integer"),
+    ([{"exps": {"b": 1}, "coeff": 1}], "term 1: unknown variable 'b'"),
+    ([{"exps": {"a": 1}, "coeff": 2}, {"exps": {"a": 1}, "coeff": 3}],
+     "term 2: repeats the monomial of an earlier term"),
+])
+def test_polynomial_json_terms_are_exact_and_distinct(data, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        sr.polynomial_ring("a").from_json(data)
