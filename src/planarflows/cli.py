@@ -239,17 +239,25 @@ def cmd_reconstruct(args):
         p, q = text.split("..")
         return (int(p), int(q))
 
-    values = {}
+    parsed = {}
     for key, v in data["values"].items():
         try:
             ivs = tuple(parse_iv(side) for side in sides(key))
-            values[ivs[0] if flag else ivs] = spec.from_json(v)
+            parsed[key] = (ivs[0] if flag else ivs, spec.from_json(v))
         except (ArithmeticError, ValueError) as exc:
             raise BadInput(f"values[{key!r}]: {exc}") from None
     sizes = [data.get(field) for field in fields]
     for field, size in zip(fields, sizes):
         if type(size) is not int or size < 1:
             raise BadInput(f"{field}: expected a positive integer")
+    basis = ({()} | set(basis_mod.intervals(sizes[0])) if flag
+             else set(basis_mod.pressed_basis(*sizes)))
+    for key, (ivs, _) in parsed.items():
+        if ivs not in basis:
+            what = "an interval" if flag else "a pressed double interval"
+            ground = "|".join(f"1..{size}" for size in sizes)
+            raise BadInput(f"values[{key!r}]: not {what} of {ground}")
+    values = dict(parsed.values())
     try:
         sets = [frozenset(int(x) for x in side.split(",")) for side in sides(args.target)]
         if len({len(S) for S in sets}) > 1 or any(

@@ -569,11 +569,18 @@ def network_from_json(data, spec=None):
             raise BadNetwork(f"{where}: {e}") from None
 
     def ids(where, value, count=None):
+        """An edge (``count`` 2) or a terminal list, which repeats no vertex."""
         ok = isinstance(value, list) and count in (None, len(value))
         expect(ok, where, f"expected {count or 'a list of'} vertex ids")
-        for v in value:
+        for k, v in enumerate(value):
             expect(isinstance(v, str) and v in vertices, where, f"unknown vertex {v!r}")
+            expect(count or v not in value[:k], where, f"vertex {v!r} repeats")
         return tuple(value)
+
+    def coordinate(value):
+        if type(value) is not int and not isinstance(value, str):
+            raise ValueError(f"expected an integer or a 'p/q' string, got {value!r}")
+        return Fraction(value)
 
     expect(isinstance(data, dict), "network", "expected a JSON object")
     for name, kind in (("vertices", list), ("edges", list), ("weights", dict)):
@@ -584,7 +591,7 @@ def network_from_json(data, spec=None):
         ok = isinstance(item, dict) and isinstance(item.get("id"), str)
         expect(ok and item["id"] not in vertices, f"vertices[{k}]", "needs a new string id")
         vertices[item["id"]] = tuple(
-            parse(f"vertices[{k}].{c}", Fraction, item.get(c)) for c in "xy")
+            parse(f"vertices[{k}].{c}", coordinate, item.get(c)) for c in "xy")
     edges = tuple(ids(f"edges[{k}]", e, 2) for k, e in enumerate(data["edges"]))
     mode = data.get("weight_mode", "vertex")
     expect(mode in ("vertex", "edge"), "weight_mode", f"unknown mode {mode!r}")

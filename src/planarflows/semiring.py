@@ -225,7 +225,6 @@ class Semiring:
 
     name = "semiring"
     has_zero = False
-    has_one = False
     has_additive_inverse = False
     has_division = False
 
@@ -272,7 +271,6 @@ class Semiring:
 class IntegerRing(Semiring):
     name = "integers"
     has_zero = True
-    has_one = True
     has_additive_inverse = True
 
     def add(self, a, b):
@@ -331,7 +329,6 @@ class PositiveRationals(Semiring):
     """Strictly positive rationals with ordinary + and *: no zero, division."""
 
     name = "positive-rationals"
-    has_one = True
     has_division = True
 
     def add(self, a, b):
@@ -363,7 +360,6 @@ class TropicalIntegers(Semiring):
     """Integers with max as addition and + as multiplication."""
 
     name = "tropical-int"
-    has_one = True
     has_division = True
 
     def add(self, a, b):
@@ -407,11 +403,13 @@ class PolynomialRing(Semiring):
     """Polynomials over the integers in named variables, canonical form."""
 
     has_zero = True
-    has_one = True
     has_additive_inverse = True
 
     def __init__(self, variables):
         self.variables = tuple(variables)
+        if len(set(self.variables)) < len(self.variables):
+            twice = next(v for k, v in enumerate(self.variables) if v in self.variables[:k])
+            raise ValueError(f"poly: variable {twice!r} repeats")
         self.name = "poly[" + ",".join(self.variables) + "]"
 
     def var(self, name_or_index, power=1):
@@ -489,7 +487,6 @@ class StarExtended(Semiring):
             raise ValueError("star extension is only for semirings without zero")
         self.inner = inner
         self.name = f"star[{inner.name}]"
-        self.has_one = inner.has_one
         self.has_division = inner.has_division
 
     has_zero = True
@@ -571,9 +568,7 @@ def fold_product(spec, values):
     """Left fold of the semiring multiplication; empty input yields one."""
     values = list(values)
     if not values:
-        if spec.has_one:
-            return spec.one()
-        raise EmptySumWithoutNeutral(f"empty product in {spec.name} without a one")
+        return spec.one()
     acc = values[0]
     for v in values[1:]:
         acc = spec.mul(acc, v)

@@ -48,7 +48,7 @@ def _circle_point(t):
 
 # The upper half mirrors the lower: Y' sits at parameter +(n'+1-e) where Y
 # sits at -(n+1-e), and every upper thin path and bridge runs reversed.
-_Side = namedtuple("_Side", "key terminal path bridge doubled reversed")
+_Side = namedtuple("_Side", "key terminal path bridge xterminal reversed")
 _SIDES = (
     _Side(LOWER, "s", "L", "lower-bridge", "xsrc", False),
     _Side(UPPER, "t", "U", "upper-bridge", "xsnk", True),
@@ -82,10 +82,13 @@ def _nesting_children(couples):
     return roots, children
 
 
-def _build_core(n_tilde, matching, params):
+def _build_core(n_tilde, matching, points, xterms):
     """Steps 1-5 on a ground set where every terminal is matched.
 
-    ``params[side][e]`` is the circle parameter of tilde terminal e.
+    ``points[side][e]`` is the circle point of tilde terminal e.  An element
+    of X or X' holds two adjacent tilde positions, but ``xterms[(side, i,
+    i + 1)]`` gives its couple as one (name, point): that terminal is the
+    couple's only even vertex and its whole path, with no thin edges.
     """
     vertices = {}
     edges = []
@@ -98,7 +101,8 @@ def _build_core(n_tilde, matching, params):
 
     for e in range(1, n_tilde + 1):
         for side in _SIDES:
-            vertices[f"{side.terminal}{e}"] = _circle_point(params[side.key][e])
+            if e in points[side.key]:
+                vertices[f"{side.terminal}{e}"] = points[side.key][e]
 
     couples = (matching.lower_couples(), matching.upper_couples())
     lower, upper = couples
@@ -110,18 +114,22 @@ def _build_core(n_tilde, matching, params):
     odds = {}
     for side in _SIDES:
         for i, j in couples[side.key]:
-            a = vertices[f"{side.terminal}{i}"]
-            b = vertices[f"{side.terminal}{j}"]
-            names = [f"{side.terminal}{i}"]
-            for k in range(1, j - i + 1):
-                frac = Fraction(k, j - i + 1)
-                name = f"{side.path}{i}.{j}.{k}"
-                vertices[name] = (a[0] + frac * (b[0] - a[0]), a[1] + frac * (b[1] - a[1]))
-                names.append(name)
-            names.append(f"{side.terminal}{j}")
+            if (side.key, i, j) in xterms:
+                name, vertices[name] = xterms[(side.key, i, j)]
+                inner = names = [name]
+            else:
+                a = vertices[f"{side.terminal}{i}"]
+                b = vertices[f"{side.terminal}{j}"]
+                inner = []
+                for k in range(1, j - i + 1):
+                    frac = Fraction(k, j - i + 1)
+                    name = f"{side.path}{i}.{j}.{k}"
+                    vertices[name] = (a[0] + frac * (b[0] - a[0]), a[1] + frac * (b[1] - a[1]))
+                    inner.append(name)
+                names = [f"{side.terminal}{i}", *inner, f"{side.terminal}{j}"]
             couple_paths[((side.key, i), (side.key, j))] = tuple(names)
-            evens[(side.key, i, j)] = names[1:-1:2]
-            odds[(side.key, i, j)] = names[2:-1:2]
+            evens[(side.key, i, j)] = inner[0::2]
+            odds[(side.key, i, j)] = inner[1::2]
             for k in range(len(names) - 1):
                 edge = (names[k], names[k + 1])
                 add(edge if (k % 2 == 0) != side.reversed else edge[::-1], "thin")
@@ -255,10 +263,9 @@ def _processing_order(couple_paths, edge_class, edges):
 def build_witness_network(X, Y, Xp, Yp, matching):
     """The unit-weight network encoding a planar matching on (Y, Y').
 
-    Nonempty X/X' are handled by doubling each element into an adjacent
-    matched couple, building the core network, and shrinking the resulting
-    two-edge paths back into single terminals.  There is one layout: a
-    drawing that fails ``validate`` raises ``WitnessGeometryError``.
+    Each element of X/X' holds two adjacent matched tilde positions, and
+    their couple is built as one terminal.  There is one layout: a drawing
+    that fails ``validate`` raises ``WitnessGeometryError``.
     """
     X, Y, Xp, Yp = check_sets(X, Y, Xp, Yp)
     n = max(X | Y, default=0)
@@ -271,106 +278,66 @@ def build_witness_network(X, Y, Xp, Yp, matching):
     if not is_noncrossing(Y, Yp, matching):
         raise NotPlanarMatching("matching chords cross")
 
-    # Doubling reduction: tilde positions for Y plus pairs for X.
+    # One walk per side over the ground set, in terminal order: an element
+    # of Y takes one tilde position, an element of X two adjacent ones whose
+    # terminal sits at the midpoint of their circle points, and a gap is an
+    # isolated pad terminal at its own circle slot.
     grounds = ((X, Y, n), (Xp, Yp, nprime))
-    params = ({}, {})
-    doubled = ([], [])
+    points = ({}, {})
+    xterms = {}
+    couples = []
     tilde_pos = {}
+    terminals = ([], [])
+    pads = {}
+    sizes = []
     for side in _SIDES:
         xs, ys, m = grounds[side.key]
         sign = 1 if side.reversed else -1
         pos = 0
-        for e in sorted(xs | ys):
+        for e in range(1, m + 1):
             base = Fraction(sign * (m + 1 - e))
             if e in xs:
-                params[side.key][pos + 1] = base + Fraction(sign, 4)
-                params[side.key][pos + 2] = base - Fraction(sign, 4)
-                doubled[side.key].append((pos + 1, pos + 2, e))
+                vid = f"{side.xterminal}{e}"
+                a, b = (_circle_point(base + d) for d in (Fraction(1, 4), Fraction(-1, 4)))
+                xterms[(side.key, pos + 1, pos + 2)] = (vid, ((a[0] + b[0]) / 2, (a[1] + b[1]) / 2))
+                couples.append(((side.key, pos + 1), (side.key, pos + 2)))
                 pos += 2
-            else:
+            elif e in ys:
                 pos += 1
-                params[side.key][pos] = base
+                points[side.key][pos] = _circle_point(base)
                 tilde_pos[(side.key, e)] = pos
-    n_tilde = len(params[LOWER])
-    if len(params[UPPER]) != n_tilde:
+                vid = f"{side.terminal}{pos}"
+            else:
+                vid = f"pad_{side.terminal}{e}"
+                pads[vid] = _circle_point(base)
+            terminals[side.key].append(vid)
+        sizes.append(pos)
+    if sizes[LOWER] != sizes[UPPER]:
         raise InconsistentSets("doubling produced unequal tilde sizes")
 
-    couples = [
+    couples += [
         tuple(sorted(((p[0], tilde_pos[p]), (q[0], tilde_pos[q]))))
         for p, q in matching.couples
     ]
-    for side in _SIDES:
-        couples += [((side.key, a), (side.key, b)) for a, b, _ in doubled[side.key]]
-    tilde_matching = PlanarMatching(couples)
-
     vertices, edges, edge_class, couple_paths = _build_core(
-        n_tilde, tilde_matching, params
+        sizes[LOWER], PlanarMatching(couples), points, xterms
     )
-
     order = _processing_order(couple_paths, edge_class, edges)
-
-    # Shrink doubled couples back into single terminals.
-    removed = set()
-    rename = {}
-    for side in _SIDES:
-        for first, second, e in doubled[side.key]:
-            path = couple_paths[((side.key, first), (side.key, second))]
-            if len(path) != 3:
-                raise WitnessGeometryError("doubled couple path must have 3 vertices")
-            removed.update((path[0], path[2]))
-            rename[path[1]] = f"{side.doubled}{e}"
-
-    def keep(edge):
-        return edge[0] not in removed and edge[1] not in removed
-
-    final_vertices = {
-        rename.get(v, v): p for v, p in vertices.items() if v not in removed
-    }
-    final_edges = []
-    final_class = {}
-    for e in edges:
-        if not keep(e):
-            continue
-        e2 = (rename.get(e[0], e[0]), rename.get(e[1], e[1]))
-        final_edges.append(e2)
-        final_class[e2] = edge_class[e]
-
-    # Terminal lists over the full ground sets, padding gaps with isolated
-    # terminals placed at their own circle slots.
-    terminals = ([], [])
-    for side in _SIDES:
-        xs, ys, m = grounds[side.key]
-        sign = 1 if side.reversed else -1
-        for e in range(1, m + 1):
-            if e in xs:
-                vid = f"{side.doubled}{e}"
-            elif e in ys:
-                vid = f"{side.terminal}{tilde_pos[(side.key, e)]}"
-            else:
-                vid = f"pad_{side.terminal}{e}"
-                final_vertices[vid] = _circle_point(Fraction(sign * (m + 1 - e)))
-            terminals[side.key].append(vid)
+    vertices.update(pads)
 
     network = PlanarNetwork(
-        final_vertices,
-        tuple(final_edges),
+        vertices,
+        tuple(edges),
         tuple(terminals[LOWER]),
         tuple(terminals[UPPER]),
         "vertex",
-        {v: 1 for v in final_vertices},
+        {v: 1 for v in vertices},
     )
 
     report = validate(network)
     if not report["ok"]:
         raise WitnessGeometryError(f"layout failed validation: {report}")
-
-    final_paths = {}
-    for couple, path in couple_paths.items():
-        kept = tuple(rename.get(v, v) for v in path if v not in removed)
-        final_paths[couple] = kept
-    return WitnessNetwork(
-        network, matching, final_class, final_paths, order
-    )
+    return WitnessNetwork(network, matching, edge_class, couple_paths, order)
 
 
 def find_discriminating_matching(pattern_a, pattern_b):

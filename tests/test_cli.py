@@ -253,6 +253,17 @@ def test_validate_network_on_a_chain_longer_than_the_recursion_limit(capsys, tmp
     assert report["acyclic"] and report["cycle"] is None and report["ok"]
 
 
+def test_a_vertex_may_be_both_a_source_and_a_sink(capsys, tmp_path):
+    net_file = tmp_path / "net.json"
+    net_file.write_text(json.dumps(_two_vertices(sources=["a", "b"], sinks=["b"])))
+    code, report = run(capsys, "validate-network", "--network", str(net_file))
+    assert code == 0 and report["ok"]
+    # A self-loop is an edge, not a repeated terminal: it is reported as a cycle.
+    net_file.write_text(json.dumps(_two_vertices(edges=[["a", "b"], ["b", "b"]])))
+    code, report = run(capsys, "validate-network", "--network", str(net_file))
+    assert code == 1 and not report["acyclic"] and report["cycle"]
+
+
 def test_schur_on_a_row_longer_than_the_recursion_limit(capsys):
     ell = sys.getrecursionlimit() + 200
     code, out = run(capsys, "schur", "--identity", "tworow", "--params",
@@ -313,6 +324,12 @@ def _two_vertices(**changes):
     (_two_vertices(weights={"a": 1}), "weights: no weight for vertex 'b'", True),
     (_two_vertices(weights={"a": 1, "b": "two"}), "weights['b']: ", True),
     (_two_vertices(weights={"a": True, "b": 1}), "weights['a']: expected integer, got True", True),
+    (_two_vertices(vertices=[{"id": "a", "x": 0.1, "y": "0"}, {"id": "b", "x": "1", "y": "1"}]),
+     "vertices[0].x: expected an integer or a 'p/q' string, got 0.1", False),
+    (_two_vertices(vertices=[{"id": "a", "x": True, "y": "0"}, {"id": "b", "x": "1", "y": "1"}]),
+     "vertices[0].x: expected an integer or a 'p/q' string, got True", False),
+    (_two_vertices(sources=["a", "a"]), "sources: vertex 'a' repeats", False),
+    (_two_vertices(sinks=["b", "b"]), "sinks: vertex 'b' repeats", False),
 ])
 def test_malformed_networks_are_refused_naming_the_field(
         capsys, tmp_path, data, message, needs_semiring):
@@ -444,6 +461,18 @@ def test_polynomial_weights_are_refused_naming_the_term(capsys, tmp_path, terms,
     assert captured.out == "" and f"weights['1,1']: {message}" in captured.err
 
 
+def test_polynomial_variable_names_are_refused_when_repeated(capsys, tmp_path):
+    net_file = tmp_path / "net.json"
+    net_file.write_text(json.dumps(network_to_json(build_grid(2, 2))))
+    args_file = tmp_path / "args.json"
+    args_file.write_text(json.dumps({"I": [1], "Iprime": [1]}))
+    argv = ["eval-fg", "--network", str(net_file), "--semiring", "poly:x,y,x",
+            "--args", str(args_file)]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "poly: variable 'x' repeats" in captured.err
+
+
 def _half_grid_file(tmp_path):
     net_file = tmp_path / "net.json"
     net_file.write_text(json.dumps(network_to_json(build_half_grid(3).unit_weights(INTEGERS), INTEGERS)))
@@ -467,6 +496,13 @@ def _half_grid_file(tmp_path):
     ("reconstruct", "--basis", {"values": {"1..1": 1}, "n": "x"}, "n: expected a positive integer"),
     ("reconstruct", "--basis", {"case": "pressed-double-intervals", "values": {"1..1|1..1": 1}, "n": 2},
      "n_prime: expected a positive integer"),
+    ("reconstruct", "--basis", {"values": {"1..1": 1, "3..1": 1}, "n": 2},
+     "values['3..1']: not an interval of 1..2"),
+    ("reconstruct", "--basis", {"values": {"1..1": 1, "1..9": 1}, "n": 2},
+     "values['1..9']: not an interval of 1..2"),
+    ("reconstruct", "--basis", {"case": "pressed-double-intervals", "n": 2, "n_prime": 2,
+                                "values": {"1..1|1..1": 2, "2..2|2..2": 100}},
+     "values['2..2|2..2']: not a pressed double interval of 1..2|1..2"),
     ("eval-fg", "--args", {"I": [1, 9], "Iprime": [1, 2]}, "I: index 9 is not in 1..3"),
     ("eval-fg", "--args", {"I": [1, 1], "Iprime": [1, 2]}, "I: index 1 repeats"),
     ("eval-fg", "--args", {"I": [1, 2], "Iprime": [1, 4]}, "Iprime: index 4 is not in 1..3"),

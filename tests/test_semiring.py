@@ -277,3 +277,9 @@ def test_booleans_are_not_numbers():
 def test_polynomial_json_terms_are_exact_and_distinct(data, message):
     with pytest.raises(ValueError, match=re.escape(message)):
         sr.polynomial_ring("a").from_json(data)
+
+
+@pytest.mark.parametrize("variables, twice", [(("x", "x"), "x"), (("a", "b", "c", "b", "a"), "b")])
+def test_polynomial_variable_names_are_distinct(variables, twice):
+    with pytest.raises(ValueError, match=re.escape(f"poly: variable {twice!r} repeats")):
+        sr.polynomial_ring(*variables)

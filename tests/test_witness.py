@@ -68,16 +68,22 @@ def test_drawn_seven_terminal_instance():
     assert len(b_chains) == 3
 
 
-def test_degree_law():
-    matching = matching_from_parts(
-        lower=[(1, 6), (2, 3), (4, 5)],
-        upper=[(1, 2), (4, 7), (5, 6)],
-        vertical=[(7, 3)],
-    )
-    Y = set(range(1, 8))
-    wn = build_witness_network(set(), Y, set(), Y, matching)
+@pytest.mark.parametrize("X, Y, Xp, Yp, matching", [
+    (set(), set(range(1, 8)), set(), set(range(1, 8)), matching_from_parts(
+        lower=[(1, 6), (2, 3), (4, 5)], upper=[(1, 2), (4, 7), (5, 6)], vertical=[(7, 3)])),
+    # 2 nests inside the lower couple 13; 1' is outermost on the upper side
+    ({2}, {1, 3, 4}, {1}, {2, 3, 4}, matching_from_parts(
+        lower=[(1, 3)], upper=[(2, 3)], vertical=[(4, 4)])),
+])
+def test_degree_law(X, Y, Xp, Yp, matching):
+    wn = build_witness_network(X, Y, Xp, Yp, matching)
     net = wn.network
     thick = {"lower-bridge", "upper-bridge", "b-edge"}
+    # Each element of X or X' is one terminal on one thick edge.
+    x_terminals = [net.sources[e - 1] for e in X] + [net.sinks[e - 1] for e in Xp]
+    for v in x_terminals:
+        (edge,) = [e for e in net.edges if v in e]
+        assert wn.edge_class[edge] in thick
     incoming = {v: [] for v in net.vertices}
     outgoing = {v: [] for v in net.vertices}
     for e in net.edges:
