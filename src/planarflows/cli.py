@@ -239,6 +239,9 @@ def cmd_reconstruct(args):
         p, q = text.split("..")
         return (int(p), int(q))
 
+    def show(ivs):  # a basis element as its canonical key
+        return "|".join(f"{iv[0]}..{iv[1]}" if iv else "" for iv in ([ivs] if flag else ivs))
+
     parsed = {}
     for key, v in data["values"].items():
         try:
@@ -252,11 +255,15 @@ def cmd_reconstruct(args):
             raise BadInput(f"{field}: expected a positive integer")
     basis = ({()} | set(basis_mod.intervals(sizes[0])) if flag
              else set(basis_mod.pressed_basis(*sizes)))
+    keys = {}
     for key, (ivs, _) in parsed.items():
         if ivs not in basis:
             what = "an interval" if flag else "a pressed double interval"
             ground = "|".join(f"1..{size}" for size in sizes)
             raise BadInput(f"values[{key!r}]: not {what} of {ground}")
+        first = keys.setdefault(ivs, key)
+        if first != key:
+            raise BadInput(f"values[{key!r}]: interval {show(ivs)!r} is also values[{first!r}]")
     values = dict(parsed.values())
     try:
         sets = [frozenset(int(x) for x in side.split(",")) for side in sides(args.target)]
@@ -273,9 +280,7 @@ def cmd_reconstruct(args):
     try:
         value = basis_mod.reconstruct_value(assignment, sets[0] if flag else tuple(sets))
     except KeyError as exc:  # the descent needs an interval the basis lacks
-        ivs = [exc.args[0]] if flag else exc.args[0]
-        text = "|".join(f"{iv[0]}..{iv[1]}" if iv else "" for iv in ivs)
-        raise BadInput(f"values: no value for interval {text!r}") from None
+        raise BadInput(f"values: no value for interval {show(exc.args[0])!r}") from None
     _emit({"value": spec.to_json(value)}, args.output)
     return 0
 

@@ -29,18 +29,17 @@ class Flow:
 
 
 def _check_indices(network, I, Iprime):
-    I = tuple(sorted(I))
-    Iprime = tuple(sorted(Iprime))
+    I, Iprime = tuple(sorted(I)), tuple(sorted(Iprime))
     if len(I) != len(Iprime):
         raise SizeMismatch(f"|I|={len(I)} but |I'|={len(Iprime)}")
     if len(set(I)) != len(I) or len(set(Iprime)) != len(Iprime):
         raise PlanarFlowsError("index sets must not repeat elements")
-    for i in I:
-        if not 1 <= i <= network.n_sources:
-            raise PlanarFlowsError(f"source index {i} out of range")
-    for j in Iprime:
-        if not 1 <= j <= network.n_sinks:
-            raise PlanarFlowsError(f"sink index {j} out of range")
+    n, nprime = len(network.sources), len(network.sinks)
+    if I and not (1 <= I[0] and I[-1] <= n and 1 <= Iprime[0] and Iprime[-1] <= nprime):
+        for what, idx, top in (("source", I, n), ("sink", Iprime, nprime)):
+            for i in idx:
+                if not 1 <= i <= top:
+                    raise PlanarFlowsError(f"{what} index {i} out of range")
     return I, Iprime
 
 
@@ -128,14 +127,15 @@ def enumerate_flows(network, I, Iprime):
 class FlowFunction:
     """The FG-function ``f(I, I')`` of one weighted network over ``spec``.
 
-    The network is checked once, and each target tuple I' keeps one walk
-    memo across calls, so calls that share I' share every walk state.  The
+    The network is checked once and each (I, I') is walked once: a repeated
+    query is one lookup.  Each target tuple I' keeps one walk memo across
+    calls, so calls that share I' share every walk state.  The answers and
     memos live as long as the object: hold one per caller, not globally.
     """
 
     def __init__(self, spec, network):
         network.view  # refuses a cyclic network
-        self.spec, self.network, self._memos = spec, network, {}
+        self.spec, self.network, self._memos, self._values = spec, network, {}, {}
         weights, mul = network.weights, spec.mul
         if network.weight_mode == "vertex":
             def step(value, k, tail, head):
@@ -148,10 +148,12 @@ class FlowFunction:
 
     def __call__(self, I, Iprime):
         """Sum over the (I|I')-flows of the product of the used weights."""
-        I, Iprime = _check_indices(self.network, I, Iprime)
-        memo = self._memos.setdefault(Iprime, {})
-        value = _walk(self.network, I, Iprime, self._step, self.spec.add, self._one, memo)
-        return sr.fold_sum(self.spec, []) if value is None else value
+        key = I, Iprime = _check_indices(self.network, I, Iprime)
+        if key not in self._values:
+            memo = self._memos.setdefault(Iprime, {})
+            value = _walk(self.network, I, Iprime, self._step, self.spec.add, self._one, memo)
+            self._values[key] = sr.fold_sum(self.spec, []) if value is None else value
+        return self._values[key]
 
 
 def fg_value(spec, network, I, Iprime):

@@ -9,6 +9,7 @@ clockwise order s_n, ..., s_1, t_1, ..., t_{n'}.
 from __future__ import annotations
 
 import heapq
+from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
@@ -260,6 +261,10 @@ def validate(network):
               for v, p in network.vertices.items()}
     clockwise = convex_hull(coords.values())[::-1]
     corner = {p: idx for idx, p in enumerate(clockwise)}
+    for name, terms in (("sources", network.sources), ("sinks", network.sinks)):
+        for v in [v for v, count in Counter(terms).items() if count > 1]:
+            report["terminal_order_ok"] = False
+            report["terminal_issues"].append(f"{v} repeats in {name}")
     ordered_terms = list(reversed(network.sources)) + list(network.sinks)
     positions = []
     for term in ordered_terms:

@@ -146,6 +146,13 @@ def matching_is_feasible(matching, Y, Yp, A, Ap):
 
 def feasible_matchings(Y, Yp, A, Ap):
     """All feasible non-crossing perfect matchings for (A, A') on (Y, Y')."""
+    points, chords = _feasible_chords(Y, Yp, A, Ap)
+    return sorted(PlanarMatching((points[i], points[j]) for i, j in c) for c in chords)
+
+
+def _feasible_chords(Y, Yp, A, Ap):
+    """The circle points of (Y, Y') and the feasible matchings for (A, A'),
+    each a tuple of chords (i, j), i < j, as positions ordered by i."""
     Y, Yp = frozenset(Y), frozenset(Yp)
     A, Ap = frozenset(A), frozenset(Ap)
     if not A <= Y or not Ap <= Yp:
@@ -178,10 +185,7 @@ def feasible_matchings(Y, Yp, A, Ap):
                 for inner in runs[lo + 1, e - 1]
                 for outer in runs[e, hi]
             ]
-    return sorted(
-        PlanarMatching((points[i], points[j]) for i, j in chords)
-        for chords in runs[0, len(points)]
-    )
+    return points, runs[0, len(points)]
 
 
 def flag_feasible_matchings(Y, A, p, q):
@@ -330,13 +334,21 @@ def embed_matching(matching, Y, Yp):
 def matching_multiset(pattern):
     """Union with multiplicity of the feasible-matching sets of a 2-pattern's
     members."""
+    points, counts = _chord_multiset(pattern)
+    return Counter({PlanarMatching((points[i], points[j]) for i, j in chords): mult
+                    for chords, mult in counts.items()})
+
+
+def _chord_multiset(pattern):
+    """The circle points of ([m], [m']) and ``matching_multiset`` over chord
+    tuples, which compare as matchings do between patterns of one shape."""
     Y = frozenset(range(1, pattern.m + 1))
     Yp = frozenset(range(1, pattern.m_prime + 1))
-    out = Counter()
+    points, out = _circle_points(Y, Yp), Counter()
     for A, Ap, mult in pattern.members:
-        for m in feasible_matchings(Y, Yp, A, Ap):
-            out[m] += mult
-    return out
+        for chords in _feasible_chords(Y, Yp, A, Ap)[1]:
+            out[chords] += mult
+    return points, out
 
 
 def _normalize_pattern(pattern):
@@ -362,15 +374,16 @@ def is_balanced(pattern_a, pattern_b):
     b = _normalize_pattern(pattern_b)
     if (a.m, a.m_prime) != (b.m, b.m_prime):
         raise SizeMismatch(
-            f"patterns live on different shapes ({a.m},{a.m_prime}) vs ({b.m},{b.m_prime})"
-        )
-    ma = matching_multiset(a)
-    mb = matching_multiset(b)
+            f"patterns live on different shapes ({a.m},{a.m_prime}) vs ({b.m},{b.m_prime})")
+    points, ma = _chord_multiset(a)
+    mb = _chord_multiset(b)[1]
     if ma == mb:
         return BalanceResult(True, None, 0, 0)
-    differing = sorted(m for m in set(ma) | set(mb) if ma[m] != mb[m])
-    witness = differing[0]
-    return BalanceResult(False, witness, ma[witness], mb[witness])
+    # Each differing matching as its sorted couples: the matchings' order.
+    couples = {c: sorted(tuple(sorted((points[i], points[j]))) for i, j in c)
+               for c in ma.keys() | mb.keys() if ma[c] != mb[c]}
+    witness = min(couples, key=couples.get)
+    return BalanceResult(False, PlanarMatching(couples[witness]), ma[witness], mb[witness])
 
 
 # ---------------------------------------------------------------------------

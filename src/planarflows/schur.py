@@ -128,24 +128,25 @@ def schur_ring(N):
     return sr.polynomial_ring(*[f"x{h}" for h in range(1, N + 1)])
 
 
-def _flow_value(lam, mu, N, weighted):
+def _flow_value(lam, mu, N, weighted, flows=None):
     """Sum over the flows from mu's set to lambda's set on the lattice of N
     levels, one per skew tableau: x_h level weights in ``schur_ring(N)`` if
     ``weighted``, else a count over the integers.  Like the tableaux, an
-    empty shape gives one and any other gives zero when N < 1."""
-    lam = _partition(lam)
-    mu = _partition(mu)
+    empty shape gives one and any other gives zero when N < 1.  ``flows``
+    may be the FG-function of a lattice at least lambda_1 + r wide: a path
+    never runs right of its sink, so extra columns carry no flow."""
+    lam, mu = _partition(lam), _partition(mu)
     r = lam.length
-    I = sorted(partition_to_set(mu, r))
-    Iprime = sorted(partition_to_set(lam, r))
+    I, Iprime = sorted(partition_to_set(mu, r)), sorted(partition_to_set(lam, r))
     spec = schur_ring(N) if weighted else sr.INTEGERS
     if I == Iprime:
         return spec.one()
     if N < 1:
         return spec.zero()
-    width = lam.parts[0] + r
-    net = gv_grid(N, width)[0] if weighted else build_gv_grid(N, width)
-    return FlowFunction(spec, net)(I, Iprime)
+    if flows is None:
+        width = lam.parts[0] + r
+        flows = FlowFunction(spec, gv_grid(N, width)[0] if weighted else build_gv_grid(N, width))
+    return flows(I, Iprime)
 
 
 def schur_poly(lam, mu=None, N=1):
@@ -254,8 +255,12 @@ def verify_schur_identity(kind, params, N):
         ]
     else:
         raise BadParams(f"unknown identity kind {kind!r}")
+    shapes = [_partition(shape) for shape in shapes]
     ring = schur_ring(N)
-    a, b, c, d, e, f = (schur_poly(shape, None, N)[0] for shape in shapes)
+    # One lattice, as wide as the widest shape, carries all six values.
+    width = max(lam.parts[0] + lam.length for lam in shapes if lam.length)
+    flows = FlowFunction(ring, gv_grid(N, width)[0]) if N >= 1 else None
+    a, b, c, d, e, f = (_flow_value(lam, (0,) * lam.length, N, True, flows) for lam in shapes)
     lhs = ring.mul(a, b)
     rhs = ring.add(ring.mul(c, d), ring.mul(e, f))
     return {"lhs": lhs, "rhs": rhs, "equal": lhs == rhs, "ring": ring}

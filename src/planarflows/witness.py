@@ -35,15 +35,14 @@ from .patterns import (
     embed_matching,
     is_balanced,
     is_noncrossing,
-    is_proper,
     matching_is_feasible,
 )
-from .relations import RelationInstance, check_sets, evaluate_sq
+from .relations import RelationInstance, check_sets
 
 
 def _circle_point(t):
-    denom = 1 + t * t
-    return ((1 - t * t) / denom, 2 * t / denom)
+    p, q = t.numerator, t.denominator  # ((1 - t^2), 2t) / (1 + t^2) at t = p/q
+    return Fraction(q * q - p * p, p * p + q * q), Fraction(2 * p * q, p * p + q * q)
 
 
 # The upper half mirrors the lower: Y' sits at parameter +(n'+1-e) where Y
@@ -63,6 +62,7 @@ class WitnessNetwork:
                                     #         | b-edge | v-edge | extra
     couple_paths: dict              # tilde couple -> ordered vertex tuple
     processing_order: tuple         # tilde couples in audit order
+    flows: FlowFunction             # integer FG-function of network, for every count
 
 
 def _nesting_children(couples):
@@ -189,14 +189,8 @@ def _build_core(n_tilde, matching, points, xterms):
                 raise WitnessGeometryError("crossing too close to a neighbor")
             lo = f"z.{b[0]}.{vkey[0]}a"
             hi = f"z.{b[0]}.{vkey[0]}b"
-            vertices[lo] = (
-                pa[0] + (t - delta) * (pb[0] - pa[0]),
-                pa[1] + (t - delta) * (pb[1] - pa[1]),
-            )
-            vertices[hi] = (
-                pa[0] + (t + delta) * (pb[0] - pa[0]),
-                pa[1] + (t + delta) * (pb[1] - pa[1]),
-            )
+            for name, at in ((lo, t - delta), (hi, t + delta)):
+                vertices[name] = (pa[0] + at * (pb[0] - pa[0]), pa[1] + at * (pb[1] - pa[1]))
             names_of_crossing[(b, vkey)] = (lo, hi)
         # assemble the bridge path
         chain = [b[0]]
@@ -325,19 +319,14 @@ def build_witness_network(X, Y, Xp, Yp, matching):
     order = _processing_order(couple_paths, edge_class, edges)
     vertices.update(pads)
 
-    network = PlanarNetwork(
-        vertices,
-        tuple(edges),
-        tuple(terminals[LOWER]),
-        tuple(terminals[UPPER]),
-        "vertex",
-        {v: 1 for v in vertices},
-    )
+    network = PlanarNetwork(vertices, tuple(edges), tuple(terminals[LOWER]),
+                            tuple(terminals[UPPER]), "vertex", {v: 1 for v in vertices})
 
     report = validate(network)
     if not report["ok"]:
         raise WitnessGeometryError(f"layout failed validation: {report}")
-    return WitnessNetwork(network, matching, edge_class, couple_paths, order)
+    return WitnessNetwork(network, matching, edge_class, couple_paths, order,
+                          FlowFunction(sr.INTEGERS, network))
 
 
 def find_discriminating_matching(pattern_a, pattern_b):
@@ -353,39 +342,28 @@ def audit_witness(wn, X, Y, Xp, Yp):
 
     For every proper pair (C, C'): both flow sets are singletons when the
     encoded matching is feasible for (C, C'), and at least one is empty
-    otherwise.
+    otherwise.  Pairs come in mask order of C, then of C'.
     """
-    X, Y = frozenset(X), frozenset(Y)
-    Xp, Yp = frozenset(Xp), frozenset(Yp)
-    f = FlowFunction(sr.INTEGERS, wn.network)
+    X, Y, Xp, Yp = map(frozenset, (X, Y, Xp, Yp))
+    f = wn.flows
     cases = []
-    ok = True
     Ys, Yps = sorted(Y), sorted(Yp)
+    # (C, C') is proper when 2|C'| = 2|C| - |Y| + |Y'|: each C meets only the
+    # C' of one size, listed by 2|C'| in mask order.
+    uppers = {}
+    for maskp in range(1 << len(Yps)):
+        Cp = frozenset(Yps[k] for k in range(len(Yps)) if maskp >> k & 1)
+        uppers.setdefault(2 * len(Cp), []).append(Cp)
     for mask in range(1 << len(Ys)):
         C = frozenset(Ys[k] for k in range(len(Ys)) if mask >> k & 1)
-        for maskp in range(1 << len(Yps)):
-            Cp = frozenset(Yps[k] for k in range(len(Yps)) if maskp >> k & 1)
-            if not is_proper(Y, Yp, C, Cp):
-                continue
+        for Cp in uppers.get(2 * len(C) - len(Y) + len(Yp), ()):
             feasible = matching_is_feasible(wn.matching, Y, Yp, C, Cp)
             count1 = f(X | C, Xp | Cp)
             count2 = f(X | (Y - C), Xp | (Yp - Cp))
-            good = (
-                count1 == 1 and count2 == 1
-                if feasible
-                else count1 == 0 or count2 == 0
-            )
-            ok = ok and good
-            cases.append(
-                {
-                    "C": sorted(C),
-                    "Cprime": sorted(Cp),
-                    "feasible": feasible,
-                    "counts": [count1, count2],
-                    "ok": good,
-                }
-            )
-    return {"ok": ok, "cases": cases}
+            good = count1 == count2 == 1 if feasible else 0 in (count1, count2)
+            cases.append({"C": sorted(C), "Cprime": sorted(Cp), "feasible": feasible,
+                          "counts": [count1, count2], "ok": good})
+    return {"ok": all(case["ok"] for case in cases), "cases": cases}
 
 
 def demonstrate_violation(pattern_a, pattern_b, X, Y, Xp, Yp):
@@ -395,13 +373,5 @@ def demonstrate_violation(pattern_a, pattern_b, X, Y, Xp, Yp):
     matching0, count_a, count_b = find_discriminating_matching(pattern_a, pattern_b)
     matching = embed_matching(matching0, sorted(Y), sorted(Yp))
     wn = build_witness_network(X, Y, Xp, Yp, matching)
-    result = evaluate_sq(ri, sr.INTEGERS, wn.network)
-    return {
-        "network": wn,
-        "lhs": result["lhs"],
-        "rhs": result["rhs"],
-        "matching": matching,
-        "count_a": count_a,
-        "count_b": count_b,
-        "equal": result["equal"],
-    }
+    return dict(ri.sides(sr.INTEGERS, wn.flows), network=wn, matching=matching,
+                count_a=count_a, count_b=count_b)

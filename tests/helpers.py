@@ -2,10 +2,11 @@
 small branching network."""
 
 import random
+from collections import Counter
 from fractions import Fraction
 from itertools import combinations
 
-from planarflows.flows import Flow
+from planarflows.flows import Flow, fg_value
 from planarflows.network import (
     PlanarNetwork,
     convex_hull,
@@ -28,7 +29,7 @@ from planarflows.patterns import (
     two_pattern,
 )
 from planarflows.schur import ssyt_fillings
-from planarflows.semiring import Polynomial, fold_product
+from planarflows.semiring import INTEGERS, Polynomial, fold_product
 
 
 def diamond_network():
@@ -136,6 +137,11 @@ def validate_oracle(network):
         report["acyclic"] = False
         report["cycle"] = cycle
 
+    for name, terms in (("sources", network.sources), ("sinks", network.sinks)):
+        for v in dict.fromkeys(terms):
+            if terms.count(v) > 1:
+                report["terminal_order_ok"] = False
+                report["terminal_issues"].append(f"{v} repeats in {name}")
     hull = convex_hull(network.vertices.values())
     ordered_terms = list(reversed(network.sources)) + list(network.sinks)
     positions = []
@@ -306,6 +312,25 @@ def feasible_matchings_search(Y, Yp, A, Ap):
     return sorted(PlanarMatching(cs) for cs in rec(points))
 
 
+def balance_by_matching_multisets(pattern_a, pattern_b):
+    """Oracle for ``is_balanced``: each side's feasible matchings, listed by
+    the recursive search, as a Counter of ``PlanarMatching``s, and the least
+    differing matching.  Returns (balanced, witness, count_a, count_b)."""
+    counts = []
+    for pattern in map(_normalize_pattern, (pattern_a, pattern_b)):
+        Y, Yp = frozenset(range(1, pattern.m + 1)), frozenset(range(1, pattern.m_prime + 1))
+        count = Counter()
+        for A, Ap, mult in pattern.members:
+            for m in feasible_matchings_search(Y, Yp, A, Ap):
+                count[m] += mult
+        counts.append(count)
+    ma, mb = counts
+    if ma == mb:
+        return True, None, 0, 0
+    witness = sorted(m for m in set(ma) | set(mb) if ma[m] != mb[m])[0]
+    return False, witness, ma[witness], mb[witness]
+
+
 def perfect_matchings(points):
     """Every perfect matching of a list of points, as lists of couples."""
     if not points:
@@ -341,6 +366,27 @@ def proper_pairs(Y, Yp):
                     if is_proper(frozenset(Y), frozenset(Yp), frozenset(A), frozenset(Ap)):
                         out.append((frozenset(A), frozenset(Ap)))
     return out
+
+
+def audit_by_masks(wn, X, Y, Xp, Yp):
+    """Oracle for ``audit_witness``: every pair of subset masks of Y and Y',
+    the proper pairs kept, each count a fresh ``fg_value``."""
+    X, Y, Xp, Yp = map(frozenset, (X, Y, Xp, Yp))
+    Ys, Yps = sorted(Y), sorted(Yp)
+    cases = []
+    for mask in range(1 << len(Ys)):
+        C = frozenset(Ys[k] for k in range(len(Ys)) if mask >> k & 1)
+        for maskp in range(1 << len(Yps)):
+            Cp = frozenset(Yps[k] for k in range(len(Yps)) if maskp >> k & 1)
+            if not is_proper(Y, Yp, C, Cp):
+                continue
+            feasible = matching_is_feasible(wn.matching, Y, Yp, C, Cp)
+            counts = [fg_value(INTEGERS, wn.network, X | C, Xp | Cp),
+                      fg_value(INTEGERS, wn.network, X | (Y - C), Xp | (Yp - Cp))]
+            good = counts == [1, 1] if feasible else 0 in counts
+            cases.append({"C": sorted(C), "Cprime": sorted(Cp), "feasible": feasible,
+                          "counts": counts, "ok": good})
+    return {"ok": all(case["ok"] for case in cases), "cases": cases}
 
 
 def random_proper_pair(rng, m, mp):

@@ -49,10 +49,11 @@ def test_check_balance_unbalanced(capsys):
 
 
 def test_witness_command(capsys, tmp_path):
-    code, out = run(
-        capsys, "witness", "--patterns", fixture("unbalanced_p3.json"), "--audit"
-    )
-    assert code == 1
+    assert main(["witness", "--patterns", fixture("unbalanced_p3.json"), "--audit"]) == 1
+    text = capsys.readouterr().out
+    with open(fixture("unbalanced_p3_witness_audit.json")) as fh:
+        assert text == fh.read()
+    out = json.loads(text)
     assert out["lhs"] == 1 and out["rhs"] == 0
     assert out["audit_ok"]
     net_file = tmp_path / "witness_net.json"
@@ -565,6 +566,12 @@ _PRESSED = {"case": "pressed-double-intervals", "n": 2, "n_prime": 2,
      "values: no value for interval '1..2|1..2'"),
     (["reconstruct", "--target", "1"], {"case": "flag", "n": 3, "values": {"1..1": 2}},
      "case: expected 'flag-intervals' or 'pressed-double-intervals', got 'flag'"),
+    (["reconstruct", "--target", "1"],
+     {"case": "flag-intervals", "n": 2, "values": {"1..1": 2, "01..1": 5}},
+     "values['01..1']: interval '1..1' is also values['1..1']"),
+    (["reconstruct", "--target", "1|1"],
+     dict(_PRESSED, values=dict(_PRESSED["values"], **{"1..1|1..01": 5})),
+     "values['1..1|1..01']: interval '1..1|1..1' is also values['1..1|1..1']"),
 ])
 def test_malformed_target_and_params_are_refused_naming_the_field(
         capsys, tmp_path, argv, basis, message):

@@ -8,6 +8,7 @@ from planarflows.errors import (
     CoupleNotInMatching,
     EmptySumWithoutNeutral,
     InconsistentSets,
+    PlanarFlowsError,
     SizeMismatch,
 )
 from planarflows.doubleflows import (
@@ -260,6 +261,62 @@ def test_flow_function_reuses_walk_states_across_sources():
     spec.products = 0
     assert fg_value(spec, net, [2, 4], [1, 2]) == shared
     assert reused < spec.products
+
+
+def test_a_repeated_query_is_answered_without_a_walk():
+    spec = _CountingIntegers()
+    f = FlowFunction(spec, build_grid(4, 4).unit_weights(INTEGERS))
+    first = f([2, 4], [1, 2])
+    spec.products = 0
+    assert f((4, 2), frozenset({2, 1})) == first and spec.products == 0
+
+
+def test_flow_function_answers_repeats_complements_and_refusals_like_fresh_values():
+    """Seeded query orders on one FlowFunction per network, in vertex and edge
+    mode over the integers, tropical integers and a polynomial ring: repeats,
+    complements, index sets in any container and order, and refused indices.
+    Every answer equals a fresh ``fg_value``, and a refused call changes no
+    later answer."""
+    rng = random.Random(2020)
+    seen = Counter()
+    nets = [build_grid(3, 3), build_half_grid(4), build_gv_grid(3, 4),
+            split_vertices(build_half_grid(3)).network]
+    containers = (list, tuple, frozenset, lambda idx: sorted(idx, reverse=True))
+    for base in nets:
+        n = base.n_sources
+        assert base.n_sinks == n  # so every complement is a query
+        refused = (([0], [1]), ([n + 1], [1]), ([1], [n + 1]), ([1, 1], [1, 2]), ([1], [1, 2]))
+        for spec in (INTEGERS, TROPICAL_INT, polynomial_ring("a", "b")):
+            net = _reweighted(base, spec, rng)
+            f = FlowFunction(spec, net)
+            asked = []
+            for _ in range(40):
+                roll = rng.random()
+                if roll < 0.15:
+                    with pytest.raises(PlanarFlowsError):
+                        f(*rng.choice(refused))
+                    seen["refused"] += 1
+                    continue
+                if asked and roll < 0.35:
+                    I, Ip = rng.choice(asked)
+                    seen["repeat"] += 1
+                elif asked and roll < 0.55:
+                    I, Ip = (sorted(set(range(1, n + 1)) - set(idx)) for idx in rng.choice(asked))
+                    seen["complement"] += 1
+                else:
+                    k = rng.randint(0, min(n, 3))
+                    I, Ip = rng.sample(range(1, n + 1), k), rng.sample(range(1, n + 1), k)
+                asked.append((I, Ip))
+                ask = rng.choice(containers)
+                try:
+                    expect = fg_value(spec, net, I, Ip)
+                except EmptySumWithoutNeutral:
+                    with pytest.raises(EmptySumWithoutNeutral):
+                        f(ask(I), ask(Ip))
+                    seen["no flow"] += 1
+                    continue
+                assert spec.equal(f(ask(I), ask(Ip)), expect)
+    assert all(seen[key] > 20 for key in ("refused", "repeat", "complement", "no flow")), seen
 
 
 # ---------------------------------------------------------------------------

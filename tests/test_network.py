@@ -207,6 +207,20 @@ def test_validate_rejects_overlapping_edges_at_a_shared_vertex():
     assert report((("a", "c"), ("c", "b")))["ok"]
 
 
+def test_validate_reports_a_terminal_repeated_within_sources_or_sinks():
+    F = Fraction
+    vertices = {"a": (F(0), F(0)), "b": (F(0), F(1))}
+    net = PlanarNetwork(vertices, (("a", "b"),), ("a", "a"), ("b", "b"))
+    report = validate(net)
+    assert not report["ok"] and not report["terminal_order_ok"]
+    assert report["terminal_issues"] == ["a repeats in sources", "b repeats in sinks"]
+    assert report == validate_oracle(net)
+    only_sinks = PlanarNetwork(vertices, (("a", "b"),), ("a",), ("b", "b"))
+    assert validate(only_sinks)["terminal_issues"] == ["b repeats in sinks"]
+    # One vertex may still be both a source and a sink.
+    assert validate(PlanarNetwork(vertices, (("a", "b"),), ("a", "b"), ("b",)))["ok"]
+
+
 def test_validate_detects_bad_terminal_order():
     vertices = {
         "s1": (Fraction(0), Fraction(0)),

@@ -9,6 +9,7 @@ from planarflows.patterns import (
     UPPER,
     PlanarMatching,
     _circle_points,
+    _normalize_pattern,
     apply_exchange,
     embed_matching,
     embed_one,
@@ -28,10 +29,14 @@ from planarflows.patterns import (
 
 from helpers import (
     all_feasible_matchings_bruteforce,
+    balance_by_matching_multisets,
     feasible_matchings_search,
     is_noncrossing_pairwise,
     perfect_matchings,
     proper_pairs,
+    random_balanced_patterns,
+    random_proper_pair,
+    random_unbalanced_patterns,
 )
 
 
@@ -207,6 +212,44 @@ def test_is_balanced_symmetric_and_shift_invariant():
     # multiplicities matter: doubling one side only breaks balance
     a4 = two_pattern(a2.m, a2.m_prime, [(A, Ap, 2 * m) for A, Ap, m in a2.members])
     assert not is_balanced(a4, b2).balanced
+
+
+def _balanced_pairs_of_ten_points(rng, count):
+    """aa4 on ([7], [3]) and aa5 on ([8], [2]), each side plus one common member."""
+    pairs = []
+    for k in range(count):
+        if k % 2:
+            A0 = frozenset(rng.sample(range(1, 8), 5))
+            Z = frozenset(rng.sample(sorted(set(range(1, 8)) - A0), rng.randint(1, 2)))
+            a, b = stock_pattern("aa4", m=7, p=5, A0=A0, Z=Z)
+        else:
+            Z = frozenset(rng.sample(range(1, 9), rng.randint(1, 2)))
+            a, b = stock_pattern("aa5", m=8, p=5, Z=Z,
+                                 Zprime=frozenset(v for v in Z if rng.random() < 0.5))
+        a, b = a.to_two_pattern(), b.to_two_pattern()
+        extra = random_proper_pair(rng, a.m, a.m_prime) + (1,)
+        pairs.append((two_pattern(a.m, a.m_prime, list(a.members) + [extra]),
+                      two_pattern(b.m, b.m_prime, list(b.members) + [extra])))
+    return pairs
+
+
+def test_is_balanced_matches_the_matching_multiset_oracle():
+    """Chord tuples decide balance as multisets of matchings do, and report
+    the same least differing matching with the same counts, up to ten points."""
+    rng = random.Random(20)
+    pairs = (random_unbalanced_patterns(21, 80, max_total=10) + random_balanced_patterns(22, 30)
+             + _balanced_pairs_of_ten_points(rng, 12))
+    seen = Counter()
+    for a, b in pairs:
+        for x, y in ((a, b), (b, a)):
+            result = is_balanced(x, y)
+            expected = balance_by_matching_multisets(x, y)
+            assert (result.balanced, result.witness, result.count_a, result.count_b) == expected
+            shape = _normalize_pattern(x)
+            seen[result.balanced, shape.m + shape.m_prime] += 1
+    for balanced in (True, False):
+        assert seen[balanced, 10] >= 10 and sum(
+            n for (b, _), n in seen.items() if b == balanced) >= 60, seen
 
 
 def test_size_mismatch():

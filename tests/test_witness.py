@@ -1,10 +1,13 @@
+from collections import Counter
+
 import pytest
 
-from planarflows import INTEGERS
+from planarflows import INTEGERS, flows
 from planarflows.errors import NotPlanarMatching, PatternsBalanced
 from planarflows.flows import enumerate_flows, fg_value
 from planarflows.network import validate
 from planarflows.patterns import (
+    _normalize_pattern,
     embed_matching,
     feasible_matchings,
     matching_from_parts,
@@ -19,7 +22,7 @@ from planarflows.witness import (
     find_discriminating_matching,
 )
 
-from helpers import contexts_for, proper_pairs, random_unbalanced_patterns
+from helpers import audit_by_masks, contexts_for, proper_pairs, random_unbalanced_patterns
 
 
 def test_find_discriminating_matching():
@@ -222,3 +225,33 @@ def test_rejects_crossing_matching():
     incomplete = matching_from_parts(vertical=[(1, 1)])
     with pytest.raises(NotPlanarMatching):
         build_witness_network(set(), {1, 2}, set(), {1, 2}, incomplete)
+
+
+def test_audit_lists_the_cases_of_the_mask_loop_with_fresh_counts():
+    for a, b in random_unbalanced_patterns(41, 16):
+        shape = _normalize_pattern(a)
+        for ctx in contexts_for(shape.m, shape.m_prime):
+            wn = demonstrate_violation(a, b, *ctx)["network"]
+            assert audit_witness(wn, *ctx) == audit_by_masks(wn, *ctx)
+
+
+def test_a_witness_walks_each_flow_query_once(monkeypatch):
+    """Both sides and the audit read the witness's one counter, so the audit's
+    complementary pairs and the sides' terms are walked once between them."""
+    walks = Counter()
+    walk = flows._walk
+
+    def counted(network, I, Iprime, *rest):
+        walks[I, Iprime] += 1
+        return walk(network, I, Iprime, *rest)
+
+    monkeypatch.setattr(flows, "_walk", counted)
+    for a, b in random_unbalanced_patterns(43, 8):
+        shape = _normalize_pattern(a)
+        for ctx in contexts_for(shape.m, shape.m_prime):
+            walks.clear()
+            result = demonstrate_violation(a, b, *ctx)
+            sides = sum(walks.values())
+            audit = audit_witness(result["network"], *ctx)
+            assert audit["ok"] and sides and max(walks.values()) == 1
+            assert sum(walks.values()) < 2 * len(audit["cases"]) + sides
