@@ -89,13 +89,15 @@ class BasisAssignment:
     case: str       # "flag-intervals" | "pressed-double-intervals"
     n: int
     n_prime: int    # 0 for the flag case
-    values: dict    # interval -> Value, or (interval, interval) -> Value
+    values: dict    # pressed double interval -> Value
     spec: object
 
 
 def flag_assignment(spec, n, values):
-    vals = dict(values)
-    vals.setdefault((), spec.one())
+    """Interval values as the pressed basis on sinks 1..|S|: the interval
+    (p, q) is stored as ((p, q), (1, q - p + 1)), and () as ((), ())."""
+    vals = {(iv, (1, iv[1] - iv[0] + 1)) if iv else ((), ()): v for iv, v in values.items()}
+    vals.setdefault(((), ()), spec.one())
     return BasisAssignment("flag-intervals", n, 0, vals, spec)
 
 
@@ -131,23 +133,15 @@ def reconstruct_value(assignment, target):
     spec = assignment.spec
     if not spec.has_division:
         raise DivisionUnsupported(f"{spec.name} has no division")
-    values = assignment.values
-    flag = assignment.case == "flag-intervals"
-    if flag:
+    if assignment.case == "flag-intervals":
         S = frozenset(target)
-        # Every flag state is (S, firsts[|S|]), so S' needs no min, max or
-        # difference.
-        firsts = [frozenset(range(1, m + 1)) for m in range(len(S) + 1)]
-        Sp = firsts[len(S)]
-
-        def basis(key):
-            return values[key[0]]
+        Sp = frozenset(range(1, len(S) + 1))
     elif assignment.case == "pressed-double-intervals":
         S, Sp = map(frozenset, target)
-        basis = values.__getitem__
     else:
         raise BadParams(f"unknown basis case {assignment.case!r}")
 
+    basis = assignment.values.__getitem__
     divide, add, mul = spec.divide, spec.add, spec.mul
     start, memo = (S, Sp), {}
     stack = [(start, None)]
@@ -165,7 +159,7 @@ def reconstruct_value(assignment, target):
             memo[key] = basis(((), ()))
             continue
         lo, hi = min(S), max(S)
-        lop, hip = (1, len(S)) if flag else (min(Sp), max(Sp))
+        lop, hip = min(Sp), max(Sp)
         interval = hi - lo + 1 == len(S)
         if interval and hip - lop + 1 == len(Sp):
             if lo == 1 or lop == 1:
@@ -183,7 +177,7 @@ def reconstruct_value(assignment, target):
                 A, i, k, B, top = Sp, lop, hip, S, hi
             else:
                 A, i, k, B, top = S, lo, hi, Sp, hip
-            X, Bx = A - {i, k}, firsts[top - 1] if flag else B - {top}
+            X, Bx = A - {i, k}, B - {top}
             j = i + 1
             while j in A:
                 j += 1

@@ -12,7 +12,7 @@ import argparse
 import json
 import sys
 
-from .errors import BadInput, PlanarFlowsError
+from .errors import BadInput, NotProper, PlanarFlowsError
 
 
 def _load(path):
@@ -40,7 +40,7 @@ def _load_pattern_pair(path):
             raise BadInput(f"{key}: expected a pattern object")
         try:
             pair.append(pattern_from_json(data[key]))
-        except BadInput as exc:
+        except (BadInput, NotProper) as exc:
             raise BadInput(f"{key}.{exc}") from None
     return pair
 
@@ -63,15 +63,13 @@ def _indices(data, key, default=None, top=None):
 def _sets(path, pattern, net=None):
     """(X, Y, X', Y') from the ``--sets`` file at ``path``, else the pattern's
     default sets; X and Y index sources and X', Y' sinks of ``net``, when given."""
-    from .patterns import _normalize_pattern
     from .relations import default_sets
 
     keys = ("X", "Y", "Xprime", "Yprime")
     if path:
         data, note = _load(path), ""
     else:
-        shape = _normalize_pattern(pattern)
-        data = dict(zip(keys, map(sorted, default_sets(shape.m, shape.m_prime))))
+        data = dict(zip(keys, map(sorted, default_sets(pattern.m, pattern.m_prime))))
         note = " (default sets; pass --sets)"
     tops = (None, None) if net is None else (net.n_sources, net.n_sinks)
     try:
@@ -161,8 +159,10 @@ def cmd_eval_fg(args):
     spec = parse_semiring(args.semiring)
     net = network_from_json(_load(args.network), spec)
     fargs = _load(args.args)
-    value = fg_value(spec, net, _indices(fargs, "I", top=net.n_sources),
-                     _indices(fargs, "Iprime", top=net.n_sinks))
+    I, Ip = _indices(fargs, "I", top=net.n_sources), _indices(fargs, "Iprime", top=net.n_sinks)
+    if len(Ip) != len(I):
+        raise BadInput(f"Iprime: expected as many indices as I ({len(I)}), got {len(Ip)}")
+    value = fg_value(spec, net, I, Ip)
     _emit({"value": spec.to_json(value)}, args.output)
     return 0
 
@@ -280,7 +280,8 @@ def cmd_reconstruct(args):
     try:
         value = basis_mod.reconstruct_value(assignment, sets[0] if flag else tuple(sets))
     except KeyError as exc:  # the descent needs an interval the basis lacks
-        raise BadInput(f"values: no value for interval {show(exc.args[0])!r}") from None
+        key = exc.args[0]  # pressed: a flag interval is its source side
+        raise BadInput(f"values: no value for interval {show(key[0] if flag else key)!r}") from None
     _emit({"value": spec.to_json(value)}, args.output)
     return 0
 

@@ -378,12 +378,3 @@ def check_matrix_sq(matrix, pattern_a, pattern_b, X, Y, Xp, Yp):
         raise PatternsUnbalanced("the minor identity only covers balanced patterns")
     return ri.sides(matrix.spec, lambda I, Iprime: minor(matrix, sorted(I), sorted(Iprime)))
 
-
-def minor_function(matrix):
-    """Flag-minor function S -> det of columns S, rows 1..|S|."""
-
-    def f(S):
-        S = sorted(S)
-        return minor(matrix, S, range(1, len(S) + 1))
-
-    return f

@@ -1,4 +1,4 @@
-"""Proper pairs, 1-/2-patterns, feasible matchings, and balancedness.
+"""Proper pairs, 2-patterns, feasible matchings, and balancedness.
 
 Elements of Y sit on the lower half of a circle (increasing left to right)
 and elements of Y' on the upper half; a matching couple is a chord.  A
@@ -231,67 +231,44 @@ class TwoPattern:
     members: tuple  # ((A frozenset, A' frozenset, multiplicity), ...) sorted
 
 
-@dataclass(frozen=True)
-class OnePattern:
-    m: int
-    p: int
-    members: tuple  # ((A frozenset, multiplicity), ...) sorted
-
-    def to_two_pattern(self):
-        """Flag patterns as 2-patterns: Y' of size |p - (m-p)|, A' forced."""
-        q = self.m - self.p
-        mp = abs(self.p - q)
-        if self.p >= q:
-            ap = frozenset(range(1, mp + 1))
-        else:
-            ap = frozenset()
-        members = [(A, ap, mult) for A, mult in self.members]
-        return two_pattern(self.m, mp, members)
-
-
-def _norm_sets(members):
-    counter = Counter()
-    for item in members:
-        if len(item) == 3:
-            A, Ap, mult = item
-        else:
-            (A, Ap), mult = item, 1
-        counter[(frozenset(A), frozenset(Ap))] += mult
-    return tuple(
-        sorted(
-            ((A, Ap, mult) for (A, Ap), mult in counter.items()),
-            key=lambda t: (sorted(t[0]), sorted(t[1])),
-        )
-    )
-
-
 def two_pattern(m, m_prime, members):
-    normalized = _norm_sets(members)
+    """The 2-pattern of the members (A, A') or (A, A', multiplicity), with like
+    members merged; a member outside ([m], [m']) or off the parity condition
+    is refused by its position, as ``members[k]``."""
     ground, ground_p = frozenset(range(1, m + 1)), frozenset(range(1, m_prime + 1))
-    for A, Ap, _ in normalized:
-        if not A <= ground or not Ap <= ground_p:
-            raise NotProper(f"member ({sorted(A)},{sorted(Ap)}) escapes ([{m}],[{m_prime}])")
+    counter = Counter()
+    for k, item in enumerate(members):
+        A, Ap, mult = item if len(item) == 3 else (*item, 1)
+        A, Ap = frozenset(A), frozenset(Ap)
+        for field, S, G in (("A", A, ground), ("Aprime", Ap, ground_p)):
+            if not S <= G:
+                raise NotProper(f"members[{k}].{field}: {sorted(S)} escapes [{len(G)}]")
         if not is_proper(ground, ground_p, A, Ap):
             raise NotProper(
-                f"member ({sorted(A)},{sorted(Ap)}) violates the parity condition"
-            )
-    return TwoPattern(m, m_prime, normalized)
+                f"members[{k}]: ({sorted(A)},{sorted(Ap)}) violates the parity condition")
+        counter[A, Ap] += mult
+    return TwoPattern(m, m_prime, tuple(sorted(
+        ((A, Ap, mult) for (A, Ap), mult in counter.items()),
+        key=lambda t: (sorted(t[0]), sorted(t[1])))))
 
 
 def one_pattern(m, p, members):
-    counter = Counter()
-    for item in members:
+    """The flag pattern of p-subsets A of [m], given as A or (A, multiplicity),
+    as the 2-pattern it stands for: Y' = [|2p - m|], with A' all of Y' when
+    2p >= m and empty otherwise."""
+    m_prime = abs(2 * p - m)
+    ap = frozenset(range(1, m_prime + 1)) if 2 * p >= m else frozenset()
+    ground, out = frozenset(range(1, m + 1)), []
+    for k, item in enumerate(members):
         if isinstance(item, tuple) and len(item) == 2 and isinstance(item[1], int) and not isinstance(item[0], int):
             A, mult = item
         else:
             A, mult = item, 1
-        counter[frozenset(A)] += mult
-    ground = frozenset(range(1, m + 1))
-    for A in counter:
+        A = frozenset(A)
         if not A <= ground or len(A) != p:
-            raise NotProper(f"member {sorted(A)} is not a {p}-subset of [{m}]")
-    members = tuple(sorted(counter.items(), key=lambda t: sorted(t[0])))
-    return OnePattern(m, p, members)
+            raise NotProper(f"members[{k}].A: {sorted(A)} is not a {p}-subset of [{m}]")
+        out.append((A, ap, mult))
+    return two_pattern(m, m_prime, out)
 
 
 def embed_two(pattern, Y, Yp):
@@ -308,17 +285,6 @@ def embed_two(pattern, Y, Yp):
         out[
             (frozenset(gamma[a] for a in A), frozenset(gamma_p[a] for a in Ap))
         ] += mult
-    return out
-
-
-def embed_one(pattern, Y):
-    Y = sorted(Y)
-    if len(Y) != pattern.m:
-        raise SizeMismatch(f"|Y|={len(Y)} but pattern is on [{pattern.m}]")
-    gamma = {i + 1: y for i, y in enumerate(Y)}
-    out = Counter()
-    for A, mult in pattern.members:
-        out[frozenset(gamma[a] for a in A)] += mult
     return out
 
 
@@ -352,8 +318,8 @@ def _chord_multiset(pattern):
 
 
 def _normalize_pattern(pattern):
-    if isinstance(pattern, OnePattern):
-        return pattern.to_two_pattern()
+    """The pattern itself, since every pattern is a ``TwoPattern``; kept
+    because the benchmark sources call it."""
     return pattern
 
 
@@ -368,10 +334,8 @@ class BalanceResult:
         return self.balanced
 
 
-def is_balanced(pattern_a, pattern_b):
+def is_balanced(a, b):
     """Decide balancedness; when unbalanced, report the first differing matching."""
-    a = _normalize_pattern(pattern_a)
-    b = _normalize_pattern(pattern_b)
     if (a.m, a.m_prime) != (b.m, b.m_prime):
         raise SizeMismatch(
             f"patterns live on different shapes ({a.m},{a.m_prime}) vs ({b.m},{b.m_prime})")
@@ -394,7 +358,7 @@ def _sigma(S):
 
 
 def stock_pattern(kind, **params):
-    """Named balanced pattern pairs; flag kinds return 1-patterns."""
+    """Named balanced pattern pairs; flag kinds are built by ``one_pattern``."""
     kind = kind.lower()
     if kind == "p3":
         return (
@@ -477,15 +441,6 @@ def stock_pattern(kind, **params):
 # JSON
 
 def pattern_to_json(pattern):
-    if isinstance(pattern, OnePattern):
-        return {
-            "m": pattern.m,
-            "p": pattern.p,
-            "flag": True,
-            "members": [
-                {"A": sorted(A), "mult": mult} for A, mult in pattern.members
-            ],
-        }
     return {
         "m": pattern.m,
         "m_prime": pattern.m_prime,
@@ -498,7 +453,9 @@ def pattern_to_json(pattern):
 
 def pattern_from_json(data):
     """Parse a pattern; malformed input raises ``BadInput`` naming the field,
-    such as ``members[0].A``."""
+    such as ``members[0].A``, and a member off its ground sets raises
+    ``NotProper`` naming it the same way.  A ``"flag": true`` pattern is
+    read as the 2-pattern ``one_pattern`` builds."""
     def integer(where, value, low=0, high=None):
         if type(value) is not int or value < low or high is not None and value > high:
             bound = f">= {low}" if high is None else f"in {low}..{high}"

@@ -10,7 +10,7 @@ from . import semiring as sr
 from .errors import InconsistentSets, RingRequired
 from .flows import FlowFunction
 from .network import build_half_grid, truncated_grid
-from .patterns import _normalize_pattern, embed_two
+from .patterns import embed_two
 
 DEFAULT_VERTEX_BUDGET = 36
 
@@ -26,8 +26,7 @@ def check_sets(X, Y, Xp, Yp):
     return X, Y, Xp, Yp
 
 
-def _pattern_pair(pattern_a, pattern_b):
-    a, b = _normalize_pattern(pattern_a), _normalize_pattern(pattern_b)
+def _pattern_pair(a, b):
     if (a.m, a.m_prime) != (b.m, b.m_prime):
         raise InconsistentSets("patterns live on different shapes")
     return a, b
@@ -51,8 +50,8 @@ class RelationInstance:
 
     @classmethod
     def from_patterns(cls, pattern_a, pattern_b, X, Y, Xp, Yp):
-        """Both patterns as 2-patterns on one shape, embedded on (Y, Y') by
-        the order-preserving bijections, with the sets checked."""
+        """Both patterns, of one shape, embedded on (Y, Y') by the
+        order-preserving bijections, with the sets checked."""
         a, b = _pattern_pair(pattern_a, pattern_b)
         Y_sorted, Yp_sorted = sorted(Y), sorted(Yp)
         return cls(X, Y, Xp, Yp,

@@ -9,6 +9,7 @@ import planarflows
 from planarflows import INTEGERS, TROPICAL_INT
 from planarflows.cli import main
 from planarflows.network import build_grid, build_half_grid, network_to_json
+from planarflows.patterns import pattern_from_json, pattern_to_json
 
 FIXTURES = os.path.join(os.path.dirname(__file__), "fixtures")
 
@@ -397,6 +398,14 @@ _DODGSON = _dodgson_pair()
      "B0.members[0].Aprime: an element repeats"),
     ({"A0": {"flag": "no", "m": 2, "p": 1, "m_prime": 0, "members": [{"A": [1]}]}, "B0": {}},
      "A0.flag: expected true or false, got 'no'"),
+    ({"A0": {"flag": True, "m": 3, "p": 2, "members": [{"A": [1, 3]}, {"A": [1]}]}, "B0": {}},
+     "error: A0.members[1].A: [1] is not a 2-subset of [3]"),
+    (_dodgson_pair(A0=dict(_DODGSON["A0"], members=[{"A": [5], "Aprime": [1]}])),
+     "error: A0.members[0].A: [5] escapes [2]"),
+    (_dodgson_pair(B0=dict(_DODGSON["B0"], members=[{"A": [2], "Aprime": [3]}])),
+     "error: B0.members[0].Aprime: [3] escapes [2]"),
+    (_dodgson_pair(A0=dict(_DODGSON["A0"], members=[{"A": [1, 2], "Aprime": [1]}])),
+     "error: A0.members[0]: ([1, 2],[1]) violates the parity condition"),
 ])
 def test_malformed_patterns_are_refused_naming_the_field(capsys, tmp_path, data, message):
     pattern_file = tmp_path / "patterns.json"
@@ -405,6 +414,62 @@ def test_malformed_patterns_are_refused_naming_the_field(capsys, tmp_path, data,
         assert main([command, "--patterns", str(pattern_file)]) == 2
         captured = capsys.readouterr()
         assert captured.out == "" and message in captured.err
+
+
+def _unit_network_file(tmp_path, net):
+    net_file = tmp_path / "net.json"
+    net_file.write_text(json.dumps(network_to_json(net.unit_weights(TROPICAL_INT), TROPICAL_INT)))
+    return str(net_file)
+
+
+@pytest.mark.parametrize("pair, witness, embedded, sets", [
+    # A flag pattern with 2p < m: m = 4, p = 1 lives on ([4], [2]) with A' empty.
+    ({"A0": {"flag": True, "m": 4, "p": 1, "members": [{"A": [1]}]},
+      "B0": {"flag": True, "m": 4, "p": 1, "members": [{"A": [2]}]}},
+     {"lower": [[2, 3]], "upper": [], "vertical": [[1, 1], [4, 2]]},
+     {"lower": [[2, 3]], "upper": [], "vertical": [[1, 2], [4, 3]]},
+     {"X": [], "Y": [1, 2, 3, 4], "Xprime": [1], "Yprime": [2, 3]}),
+    # m < m': the default sets put X before Y on the source side.
+    ({"A0": {"m": 1, "m_prime": 3, "members": [{"A": [1], "Aprime": [1, 2]}]},
+      "B0": {"m": 1, "m_prime": 3, "members": [{"A": [], "Aprime": [2]}]}},
+     {"lower": [], "upper": [[1, 2]], "vertical": [[1, 3]]},
+     {"lower": [], "upper": [[1, 2]], "vertical": [[2, 3]]},
+     {"X": [1], "Y": [2], "Xprime": [], "Yprime": [1, 2, 3]}),
+])
+def test_default_sets_of_lopsided_shapes(capsys, tmp_path, pair, witness, embedded, sets):
+    """Without --sets, the witness network embeds the differing matching on
+    the default sets, which verify-relation reports."""
+    pattern_file = tmp_path / "pair.json"
+    pattern_file.write_text(json.dumps(pair))
+    code, out = run(capsys, "check-balance", "--patterns", str(pattern_file))
+    assert (code, out) == (1, {"balanced": False, "witness": witness, "counts": [0, 1]})
+    code, out = run(capsys, "witness", "--patterns", str(pattern_file), "--audit")
+    assert code == 1 and out["matching"] == embedded
+    assert (out["lhs"], out["rhs"], out["counts"]) == (0, 1, [0, 1])
+    assert out["audit_ok"] is True and out["audit_failures"] == []
+    grid = build_grid(max(sets["X"] + sets["Y"]), max(sets["Xprime"] + sets["Yprime"]))
+    code, out = run(capsys, "verify-relation", "--patterns", str(pattern_file),
+                    "--semiring", "tropical-int", "--network", _unit_network_file(tmp_path, grid))
+    assert out["sets"] == sets
+
+
+@pytest.mark.parametrize("name", ["p3_flag.json", "p4_flag.json", "quintuple_flag.json",
+                                  "unbalanced_p3.json"])
+def test_a_flag_file_runs_as_the_two_pattern_file_written_for_it(capsys, tmp_path, name):
+    with open(fixture(name)) as fh:
+        flag = json.load(fh)
+    two = {key: pattern_to_json(pattern_from_json(flag[key])) for key in ("A0", "B0")}
+    assert flag["A0"]["flag"] and "flag" not in two["A0"]
+    two_file = tmp_path / "two.json"
+    two_file.write_text(json.dumps(two))
+    network = _unit_network_file(tmp_path, build_half_grid(flag["A0"]["m"]))
+    for argv in (["check-balance"], ["witness", "--audit"],
+                 ["verify-relation", "--semiring", "tropical-int", "--network", network]):
+        outputs = []
+        for path in (fixture(name), str(two_file)):
+            code = main(argv + ["--patterns", path])
+            outputs.append((code, capsys.readouterr()))
+        assert outputs[0] == outputs[1], argv
 
 
 def test_check_balance_on_a_nested_pair_of_400_points(tmp_path):
@@ -517,7 +582,8 @@ def _half_grid_file(tmp_path):
      "Yprime: index 5 is not in 1..3"),
     ("verify-relation", "--network",
      network_to_json(build_half_grid(2).unit_weights(INTEGERS), INTEGERS),
-     "Y: index 3 is not in 1..2 (default sets; pass --sets)"),
+     "Y: index 3 is not in 1..2 (default sets; pass --sets)"),    ("eval-fg", "--args", {"I": [], "Iprime": [1, 3]},
+     "error: Iprime: expected as many indices as I (0), got 2"),
 ])
 def test_malformed_sets_basis_and_args_are_refused_naming_the_field(
         capsys, tmp_path, command, flag, data, message):

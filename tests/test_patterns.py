@@ -12,7 +12,6 @@ from planarflows.patterns import (
     _normalize_pattern,
     apply_exchange,
     embed_matching,
-    embed_one,
     embed_two,
     feasible_matchings,
     flag_feasible_matchings,
@@ -162,8 +161,8 @@ def test_dodgson_matchings():
 def test_matching_multiset_flag_pair():
     one_a = one_pattern(4, 2, [{1, 2}, {1, 4}])
     one_b = one_pattern(4, 2, [{1, 3}])
-    ms_a = matching_multiset(one_a.to_two_pattern())
-    ms_b = matching_multiset(one_b.to_two_pattern())
+    ms_a = matching_multiset(one_a)
+    ms_b = matching_multiset(one_b)
     assert ms_a == ms_b
     assert sum(ms_a.values()) == 2
     empty = two_pattern(3, 1, [])
@@ -182,11 +181,11 @@ def test_is_balanced_stock():
 
 def test_aa4_reduces_to_known_patterns():
     a, b = stock_pattern("aa4", m=3, p=2, A0={1, 2}, Z={3})
-    assert {A for A, _ in a.members} == {frozenset({1, 2}), frozenset({2, 3})}
-    assert {A for A, _ in b.members} == {frozenset({1, 3})}
+    assert {A for A, _, _ in a.members} == {frozenset({1, 2}), frozenset({2, 3})}
+    assert {A for A, _, _ in b.members} == {frozenset({1, 3})}
     a, b = stock_pattern("aa4", m=4, p=2, A0={1, 2}, Z={3})
-    assert {A for A, _ in a.members} == {frozenset({1, 2}), frozenset({2, 3})}
-    assert {A for A, _ in b.members} == {frozenset({1, 3})}
+    assert {A for A, _, _ in a.members} == {frozenset({1, 2}), frozenset({2, 3})}
+    assert {A for A, _, _ in b.members} == {frozenset({1, 3})}
 
 
 def test_unbalanced_witness():
@@ -202,7 +201,7 @@ def test_is_balanced_symmetric_and_shift_invariant():
     rng = random.Random(12)
     a, b = stock_pattern("quintuple")
     assert is_balanced(b, a).balanced
-    a2, b2 = (p.to_two_pattern() for p in (a, b))
+    a2, b2 = a, b
     from helpers import random_proper_pair
 
     extra = random_proper_pair(rng, a2.m, a2.m_prime)
@@ -226,7 +225,6 @@ def _balanced_pairs_of_ten_points(rng, count):
             Z = frozenset(rng.sample(range(1, 9), rng.randint(1, 2)))
             a, b = stock_pattern("aa5", m=8, p=5, Z=Z,
                                  Zprime=frozenset(v for v in Z if rng.random() < 0.5))
-        a, b = a.to_two_pattern(), b.to_two_pattern()
         extra = random_proper_pair(rng, a.m, a.m_prime) + (1,)
         pairs.append((two_pattern(a.m, a.m_prime, list(a.members) + [extra]),
                       two_pattern(b.m, b.m_prime, list(b.members) + [extra])))
@@ -277,8 +275,8 @@ def test_exchange_closure():
 
 def test_embed():
     p3a, _ = stock_pattern("p3")
-    assert embed_one(p3a, [2, 5, 9]) == Counter({frozenset({2, 9}): 1})
-    assert embed_one(p3a, [1, 2, 3]) == Counter({frozenset({1, 3}): 1})
+    assert embed_two(p3a, [2, 5, 9], [1]) == Counter({(frozenset({2, 9}), frozenset({1})): 1})
+    assert embed_two(p3a, [1, 2, 3], [1]) == Counter({(frozenset({1, 3}), frozenset({1})): 1})
     pat = two_pattern(3, 1, [({1, 3}, {1})])
     out = embed_two(pat, [2, 5, 9], [4])
     assert out == Counter({(frozenset({2, 9}), frozenset({4})): 1})
@@ -300,11 +298,11 @@ def test_flag_two_pattern_equivalence():
         a = one_pattern(m, p, rng.sample(subsets, min(2, len(subsets))))
         b = one_pattern(m, p, rng.sample(subsets, min(2, len(subsets))))
         flag_a = Counter()
-        for A, mult in a.members:
+        for A, _, mult in a.members:
             for M in flag_feasible_matchings(range(1, m + 1), A, p, m - p):
                 flag_a[M] += mult
         flag_b = Counter()
-        for A, mult in b.members:
+        for A, _, mult in b.members:
             for M in flag_feasible_matchings(range(1, m + 1), A, p, m - p):
                 flag_b[M] += mult
         assert (flag_a == flag_b) == is_balanced(a, b).balanced

@@ -10,7 +10,7 @@ from planarflows.flows import fg_value
 from planarflows.lindstrom import (
     compile_matrix_to_network,
     exact_matrix,
-    minor_function,
+    minor,
 )
 from planarflows.network import build_grid, build_half_grid
 from planarflows.patterns import embed_two, one_pattern, stock_pattern
@@ -55,7 +55,7 @@ def test_p3_tropical_on_half_grid():
     rng = random.Random(8)
     h = build_half_grid(3)
     net = h.with_vertex_weights({v: rng.randint(-9, 9) for v in h.vertices})
-    a0, b0 = (p.to_two_pattern() for p in stock_pattern("p3"))
+    a0, b0 = stock_pattern("p3")
     ri = RelationInstance(
         set(),
         {1, 2, 3},
@@ -79,7 +79,7 @@ def test_star_wrapping_for_semirings_without_zero():
 
     # sink 3 is unreachable, so tropical evaluation needs the star wrapper
     net = diamond_network().unit_weights(TROPICAL_INT)
-    a0 = one_pattern(3, 2, [{1, 3}]).to_two_pattern()
+    a0 = one_pattern(3, 2, [{1, 3}])
     ri = RelationInstance(
         set(),
         {1, 2, 3},
@@ -165,8 +165,8 @@ def test_integer_substitution_matches_symbolic():
         {1, 2, 3},
         {1},
         {2},
-        embed_two(a0.to_two_pattern(), [1, 2, 3], [2]),
-        embed_two(b0.to_two_pattern(), [1, 2, 3], [2]),
+        embed_two(a0, [1, 2, 3], [2]),
+        embed_two(b0, [1, 2, 3], [2]),
     )
     sym = evaluate_sq(ri, ring, weighted)
     for _ in range(5):
@@ -184,14 +184,18 @@ def test_flag_manifold_relation():
     m4 = exact_matrix(
         INTEGERS, [[rng.randint(-5, 5) for _ in range(4)] for _ in range(4)]
     )
-    f = minor_function(m4)
+
+    def flag_minors(matrix):  # S -> det of columns S, rows 1..|S|
+        return lambda S: minor(matrix, S, range(1, len(S) + 1))
+
+    f = flag_minors(m4)
     assert flag_manifold_relation(f, {1, 2}, {3}, {3}, INTEGERS)["equal"]
     assert flag_manifold_relation(f, {1, 4}, {2, 3}, {2, 3}, INTEGERS)["equal"]
     m5 = exact_matrix(
         INTEGERS, [[rng.randint(-5, 5) for _ in range(5)] for _ in range(5)]
     )
     assert flag_manifold_relation(
-        minor_function(m5), {1, 3, 5}, {2, 4}, {2}, INTEGERS
+        flag_minors(m5), {1, 3, 5}, {2, 4}, {2}, INTEGERS
     )["equal"]
     with pytest.raises(RingRequired):
         flag_manifold_relation(f, {1, 2}, {3}, {3}, TROPICAL_INT)
