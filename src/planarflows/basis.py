@@ -8,8 +8,6 @@ two-sided analogue uses pressed double intervals on the full grid.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from . import semiring as sr
 from .errors import BadParams, DivisionUnsupported, NotInvertible
 from .flows import FlowFunction
@@ -84,13 +82,19 @@ def interval_values_from_weights(spec, weights, n):
 # ---------------------------------------------------------------------------
 # basis assignments and reconstruction
 
-@dataclass
 class BasisAssignment:
-    case: str       # "flag-intervals" | "pressed-double-intervals"
-    n: int
-    n_prime: int    # 0 for the flag case
-    values: dict    # pressed double interval -> Value
-    spec: object
+    def __init__(self, case, n, n_prime, values, spec):
+        self.case = case        # "flag-intervals" | "pressed-double-intervals"
+        self.n = n
+        self.n_prime = n_prime  # 0 for the flag case
+        self.values = values    # pressed double interval -> Value
+        self.spec = spec
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return ((self.case, self.n, self.n_prime, self.values, self.spec)
+                == (other.case, other.n, other.n_prime, other.values, other.spec))
 
 
 def flag_assignment(spec, n, values):
@@ -196,10 +200,15 @@ def reconstruct_value(assignment, target):
 # ---------------------------------------------------------------------------
 # Laurent expansion (flag case)
 
-@dataclass
 class LaurentExpansion:
-    target: frozenset
-    monomials: tuple   # ((interval, exponent) sorted tuple, multiplicity)
+    def __init__(self, target, monomials):
+        self.target = target        # frozenset
+        self.monomials = monomials  # ((interval, exponent) sorted tuple, multiplicity)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.target, self.monomials) == (other.target, other.monomials)
 
     def exponent_range(self):
         exps = set()

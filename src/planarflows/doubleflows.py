@@ -1,39 +1,140 @@
-"""Double flows on a split network, their decomposition and exchange.
+"""Vertex splitting, double flows on a split network, their decomposition
+and exchange.
 
 Kept apart from ``flows`` so that evaluating flow values never imports
-``patterns``.
+``patterns``, and apart from ``network`` so that no command compiles the
+split-network construction it never runs.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from fractions import Fraction
 
 from .errors import CoupleNotInMatching, PlanarFlowsError
 from .flows import Flow, enumerate_flows
-from .network import SplitNetwork
+from .network import PlanarNetwork
 from .patterns import PlanarMatching, is_proper
 from .relations import check_sets
 
 
-@dataclass
+class SplitNetwork:
+    """The vertex-split companion of a vertex-weighted network.
+
+    Every original vertex v becomes in:v -> out:v joined by a split edge
+    carrying v's weight; fresh terminals src:i / snk:j attach by extra
+    edges.  Geometric planarity is not promised here (only the structural
+    laws), so ``validate`` is not meant to be applied to ``network``.
+    """
+
+    def __init__(self, network, edge_class):
+        self.network = network        # PlanarNetwork
+        self.edge_class = edge_class  # edge -> "split" | "ordinary" | "extra"
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.network, self.edge_class) == (other.network, other.edge_class)
+
+
+def split_vertices(network):
+    """Split every vertex and re-terminalize; coincident s_i = t_j corners
+    are fine since the fresh terminals attach to v-in and v-out separately."""
+    if network.weight_mode != "vertex":
+        raise PlanarFlowsError("split_vertices expects a vertex-weighted network")
+    d = Fraction(1, 8)
+    vertices = {}
+    for v, (x, y) in network.vertices.items():
+        vertices[f"in:{v}"] = (x - d, y - d)
+        vertices[f"out:{v}"] = (x + d, y + d)
+    edges = []
+    edge_class = {}
+    weights = {}
+    for v in network.vertices:
+        e = (f"in:{v}", f"out:{v}")
+        edges.append(e)
+        edge_class[e] = "split"
+        if v in network.weights:
+            weights[e] = network.weights[v]
+    for tail, head in network.edges:
+        e = (f"out:{tail}", f"in:{head}")
+        edges.append(e)
+        edge_class[e] = "ordinary"
+    sources = []
+    for idx, s in enumerate(network.sources, start=1):
+        x, y = network.vertices[s]
+        sid = f"src:{idx}"
+        vertices[sid] = (x, y - Fraction(1, 2))
+        e = (sid, f"in:{s}")
+        edges.append(e)
+        edge_class[e] = "extra"
+        sources.append(sid)
+    sinks = []
+    for idx, t in enumerate(network.sinks, start=1):
+        x, y = network.vertices[t]
+        tid = f"snk:{idx}"
+        vertices[tid] = (x, y + Fraction(1, 2))
+        e = (f"out:{t}", tid)
+        edges.append(e)
+        edge_class[e] = "extra"
+        sinks.append(tid)
+    split = PlanarNetwork(
+        vertices, tuple(edges), tuple(sources), tuple(sinks), "edge", weights
+    )
+    return SplitNetwork(split, edge_class)
+
+
+def edge_to_vertex_mode(network, spec):
+    """Subdivide weighted edges so all weights live on vertices."""
+    if network.weight_mode != "edge":
+        raise PlanarFlowsError("network is already vertex-weighted")
+    one = spec.one()
+    vertices = dict(network.vertices)
+    edges = []
+    weights = {v: one for v in network.vertices}
+    for tail, head in network.edges:
+        if (tail, head) in network.weights:
+            mid = f"mid:{tail}->{head}"
+            tx, ty = vertices[tail]
+            hx, hy = vertices[head]
+            vertices[mid] = ((tx + hx) / 2, (ty + hy) / 2)
+            weights[mid] = network.weights[(tail, head)]
+            edges.append((tail, mid))
+            edges.append((mid, head))
+        else:
+            edges.append((tail, head))
+    return PlanarNetwork(
+        vertices, tuple(edges), network.sources, network.sinks, "vertex", weights
+    )
+
+
 class DoubleFlow:
-    split: SplitNetwork
-    X: frozenset
-    Y: frozenset
-    Xp: frozenset
-    Yp: frozenset
-    A: frozenset
-    Ap: frozenset
-    phi: Flow        # flow for (X u A | X' u A')
-    phi_prime: Flow  # flow for (X u (Y-A) | X' u (Y'-A'))
+    def __init__(self, split, X, Y, Xp, Yp, A, Ap, phi, phi_prime):
+        self.split = split
+        self.X, self.Y, self.Xp, self.Yp = X, Y, Xp, Yp  # frozensets
+        self.A, self.Ap = A, Ap
+        self.phi = phi              # flow for (X u A | X' u A')
+        self.phi_prime = phi_prime  # flow for (X u (Y-A) | X' u (Y'-A'))
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return ((self.split, self.X, self.Y, self.Xp, self.Yp, self.A, self.Ap, self.phi,
+                 self.phi_prime) == (other.split, other.X, other.Y, other.Xp, other.Yp,
+                                     other.A, other.Ap, other.phi, other.phi_prime))
 
 
-@dataclass
 class Decomposition:
-    circuits: tuple   # frozensets of edges
-    paths: tuple      # ordered vertex tuples
-    couples: tuple    # endpoint couple per path, aligned with ``paths``
-    matching: PlanarMatching
+    def __init__(self, circuits, paths, couples, matching):
+        self.circuits = circuits  # frozensets of edges
+        self.paths = paths        # ordered vertex tuples
+        self.couples = couples    # endpoint couple per path, aligned with ``paths``
+        self.matching = matching  # PlanarMatching
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return ((self.circuits, self.paths, self.couples, self.matching)
+                == (other.circuits, other.paths, other.couples, other.matching))
 
 
 def make_double_flow(split, X, Y, Xp, Yp, A, Ap, phi, phi_prime):

@@ -8,17 +8,16 @@ re-derive from planarity.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 
 from . import semiring as sr
 from .errors import PlanarFlowsError, SizeMismatch
 
 
-@dataclass(frozen=True)
-class Flow:
-    source_idx: tuple   # I, ascending
-    sink_idx: tuple     # I', ascending
-    paths: tuple        # one vertex-id tuple per index, left to right
+class Flow(namedtuple("Flow", "source_idx sink_idx paths")):
+    """I and I' ascending, and one vertex-id tuple per index, left to right."""
+
+    __slots__ = ()
 
     def edges(self):
         out = set()

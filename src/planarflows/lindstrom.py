@@ -9,7 +9,7 @@ diagonal, and one quasi-diagonal layer.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from itertools import combinations
 
@@ -21,14 +21,13 @@ from .errors import (
     RingRequired,
     SizeMismatch,
 )
-from .flows import FlowFunction
 from .network import PlanarNetwork
 
 
-@dataclass(frozen=True)
-class ExactMatrix:
-    spec: object
-    entries: tuple  # rows (sink index) x cols (source index)
+class ExactMatrix(namedtuple("ExactMatrix", "spec entries")):
+    """``entries``: rows (sink index) x cols (source index), as tuples."""
+
+    __slots__ = ()
 
     @property
     def n_rows(self):
@@ -77,22 +76,6 @@ def matrix_from_json(data, spec):
         if len(row) != len(entries[0]):
             raise BadInput(f"entries[{r}]: has {len(row)} values, entries[0] has {len(entries[0])}")
         rows.append([parse(r, c, value) for c, value in enumerate(row)])
-    return exact_matrix(spec, rows)
-
-
-def mat_mul(a, b):
-    if a.n_cols != b.n_rows:
-        raise SizeMismatch("inner dimensions differ")
-    spec = a.spec
-    rows = []
-    for i in range(a.n_rows):
-        row = []
-        for j in range(b.n_cols):
-            acc = spec.zero()
-            for k in range(a.n_cols):
-                acc = spec.add(acc, spec.mul(a.entries[i][k], b.entries[k][j]))
-            row.append(acc)
-        rows.append(row)
     return exact_matrix(spec, rows)
 
 
@@ -159,33 +142,16 @@ def flow_matrix(network, spec):
     return exact_matrix(spec, [[col[j] for col in columns] for j in range(network.n_sinks)])
 
 
-def verify_lindstrom(network, spec):
-    """Check minor(flow matrix) = flow value for every index pair."""
-    mat = flow_matrix(network, spec)
-    f = FlowFunction(spec, network)
-    n, np_ = network.n_sources, network.n_sinks
-    checked = 0
-    failures = []
-    for k in range(0, min(n, np_) + 1):
-        for I in combinations(range(1, n + 1), k):
-            for Iprime in combinations(range(1, np_ + 1), k):
-                lhs = minor(mat, I, Iprime)
-                rhs = f(I, Iprime)
-                checked += 1
-                if not spec.equal(lhs, rhs):
-                    failures.append({"I": list(I), "Iprime": list(Iprime)})
-    return {"checked": checked, "failures": failures, "ok": not failures}
-
-
 # ---------------------------------------------------------------------------
 # elementary gadgets on one wire layout
 
-@dataclass(frozen=True)
-class GadgetFactor:
-    kind: str       # "quasi-diagonal" | "swap" | "add" | "upper-add"
-    size: tuple     # (n_rows, n_cols) of the factor matrix
-    index: int      # i for swap and the adds, 0 for quasi-diagonal
-    value: object   # x for the adds, the diagonal for quasi-diagonal, None for swap
+class GadgetFactor(namedtuple("GadgetFactor", "kind size index value")):
+    """``kind`` is "quasi-diagonal", "swap", "add" or "upper-add"; ``size``
+    the (n_rows, n_cols) of the factor matrix; ``index`` i for the swap and
+    the adds, 0 for quasi-diagonal; ``value`` x for the adds, the diagonal
+    for quasi-diagonal, None for swap."""
+
+    __slots__ = ()
 
     @property
     def matrix(self):
@@ -205,16 +171,14 @@ class GadgetFactor:
         return exact_matrix(sr.RATIONALS, rows)
 
 
-@dataclass
 class GadgetChain:
-    factors: tuple  # bottom (applied first) to top
+    def __init__(self, factors):
+        self.factors = factors  # bottom (applied first) to top
 
-    def product_matrix(self):
-        """Ordered product: top factor times ... times bottom factor."""
-        acc = self.factors[-1].matrix
-        for factor in reversed(self.factors[:-1]):
-            acc = mat_mul(acc, factor.matrix)
-        return acc
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.factors == other.factors
 
 
 def _assemble(factors, spec):
@@ -276,21 +240,6 @@ def _assemble(factors, spec):
             heads[j - 1] = vertex(j, len(factors))
             edge(head, heads[j - 1])
     return PlanarNetwork(vertices, tuple(edges), sources, tuple(heads), "edge", weights)
-
-
-def quasi_diagonal_gadget(diag, n, nprime):
-    """n sources to n' sinks; channel i carries weight d_i, others die."""
-    return _assemble([GadgetFactor("quasi-diagonal", (nprime, n), 0, tuple(diag))], sr.RATIONALS)
-
-
-def adjacent_swap_gadget(r, i, spec):
-    """Flow matrix equals the transposition of channels i, i+1."""
-    return _assemble([GadgetFactor("swap", (r, r), i, None)], spec)
-
-
-def adjacent_add_gadget(r, i, x, spec):
-    """Identity channels plus a weight-x path from source i to sink i+1."""
-    return _assemble([GadgetFactor("add", (r, r), i, x)], spec)
 
 
 def compile_matrix_to_network(matrix):

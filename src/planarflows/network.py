@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import heapq
 from collections import Counter
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from math import lcm
@@ -18,14 +17,26 @@ from math import lcm
 from .errors import ArityMismatch, BadNetwork, PlanarFlowsError
 
 
-@dataclass
 class PlanarNetwork:
-    vertices: dict  # id -> (x, y)
-    edges: tuple    # ((tail, head), ...)
-    sources: tuple  # ordered ids s_1..s_n
-    sinks: tuple    # ordered ids t_1..t_n'
-    weight_mode: str = "vertex"   # "vertex" | "edge"
-    weights: dict = field(default_factory=dict)
+    def __init__(self, vertices, edges, sources, sinks, weight_mode="vertex", weights=None):
+        self.vertices = vertices        # id -> (x, y)
+        self.edges = edges              # ((tail, head), ...)
+        self.sources = sources          # ordered ids s_1..s_n
+        self.sinks = sinks              # ordered ids t_1..t_n'
+        self.weight_mode = weight_mode  # "vertex" | "edge"
+        self.weights = {} if weights is None else weights
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.vertices, self.edges, self.sources, self.sinks, self.weight_mode,
+                self.weights) == (other.vertices, other.edges, other.sources, other.sinks,
+                                  other.weight_mode, other.weights)
+
+    def __repr__(self):
+        return (f"PlanarNetwork(vertices={self.vertices!r}, edges={self.edges!r}, "
+                f"sources={self.sources!r}, sinks={self.sinks!r}, "
+                f"weight_mode={self.weight_mode!r}, weights={self.weights!r})")
 
     @property
     def n_sources(self):
@@ -396,70 +407,6 @@ def truncated_grid(n, nprime, max_vertices):
 
 
 # ---------------------------------------------------------------------------
-# vertex splitting
-
-@dataclass
-class SplitNetwork:
-    """The vertex-split companion of a vertex-weighted network.
-
-    Every original vertex v becomes in:v -> out:v joined by a split edge
-    carrying v's weight; fresh terminals src:i / snk:j attach by extra
-    edges.  Geometric planarity is not promised here (only the structural
-    laws), so ``validate`` is not meant to be applied to ``network``.
-    """
-
-    network: PlanarNetwork
-    edge_class: dict          # edge -> "split" | "ordinary" | "extra"
-
-
-def split_vertices(network):
-    """Split every vertex and re-terminalize; coincident s_i = t_j corners
-    are fine since the fresh terminals attach to v-in and v-out separately."""
-    if network.weight_mode != "vertex":
-        raise PlanarFlowsError("split_vertices expects a vertex-weighted network")
-    d = Fraction(1, 8)
-    vertices = {}
-    for v, (x, y) in network.vertices.items():
-        vertices[f"in:{v}"] = (x - d, y - d)
-        vertices[f"out:{v}"] = (x + d, y + d)
-    edges = []
-    edge_class = {}
-    weights = {}
-    for v in network.vertices:
-        e = (f"in:{v}", f"out:{v}")
-        edges.append(e)
-        edge_class[e] = "split"
-        if v in network.weights:
-            weights[e] = network.weights[v]
-    for tail, head in network.edges:
-        e = (f"out:{tail}", f"in:{head}")
-        edges.append(e)
-        edge_class[e] = "ordinary"
-    sources = []
-    for idx, s in enumerate(network.sources, start=1):
-        x, y = network.vertices[s]
-        sid = f"src:{idx}"
-        vertices[sid] = (x, y - Fraction(1, 2))
-        e = (sid, f"in:{s}")
-        edges.append(e)
-        edge_class[e] = "extra"
-        sources.append(sid)
-    sinks = []
-    for idx, t in enumerate(network.sinks, start=1):
-        x, y = network.vertices[t]
-        tid = f"snk:{idx}"
-        vertices[tid] = (x, y + Fraction(1, 2))
-        e = (f"out:{t}", tid)
-        edges.append(e)
-        edge_class[e] = "extra"
-        sinks.append(tid)
-    split = PlanarNetwork(
-        vertices, tuple(edges), tuple(sources), tuple(sinks), "edge", weights
-    )
-    return SplitNetwork(split, edge_class)
-
-
-# ---------------------------------------------------------------------------
 # concatenation
 
 def concatenate(lower, upper):
@@ -513,31 +460,7 @@ def concatenate(lower, upper):
 
 
 # ---------------------------------------------------------------------------
-# weight-mode conversion and JSON
-
-def edge_to_vertex_mode(network, spec):
-    """Subdivide weighted edges so all weights live on vertices."""
-    if network.weight_mode != "edge":
-        raise PlanarFlowsError("network is already vertex-weighted")
-    one = spec.one()
-    vertices = dict(network.vertices)
-    edges = []
-    weights = {v: one for v in network.vertices}
-    for tail, head in network.edges:
-        if (tail, head) in network.weights:
-            mid = f"mid:{tail}->{head}"
-            tx, ty = vertices[tail]
-            hx, hy = vertices[head]
-            vertices[mid] = ((tx + hx) / 2, (ty + hy) / 2)
-            weights[mid] = network.weights[(tail, head)]
-            edges.append((tail, mid))
-            edges.append((mid, head))
-        else:
-            edges.append((tail, head))
-    return PlanarNetwork(
-        vertices, tuple(edges), network.sources, network.sinks, "vertex", weights
-    )
-
+# JSON
 
 def network_to_json(network, spec=None):
     def num(x):

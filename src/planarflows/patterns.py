@@ -9,8 +9,7 @@ two chords cross.
 
 from __future__ import annotations
 
-from collections import Counter
-from dataclasses import dataclass
+from collections import Counter, namedtuple
 from itertools import accumulate, combinations
 
 from .errors import (
@@ -224,11 +223,8 @@ def apply_exchange(A, Ap, couples):
 # ---------------------------------------------------------------------------
 # patterns
 
-@dataclass(frozen=True)
-class TwoPattern:
-    m: int
-    m_prime: int
-    members: tuple  # ((A frozenset, A' frozenset, multiplicity), ...) sorted
+# members: ((A frozenset, A' frozenset, multiplicity), ...), sorted
+TwoPattern = namedtuple("TwoPattern", "m m_prime members")
 
 
 def two_pattern(m, m_prime, members):
@@ -323,12 +319,10 @@ def _normalize_pattern(pattern):
     return pattern
 
 
-@dataclass(frozen=True)
-class BalanceResult:
-    balanced: bool
-    witness: object      # PlanarMatching or None
-    count_a: int
-    count_b: int
+class BalanceResult(namedtuple("BalanceResult", "balanced witness count_a count_b")):
+    """``witness`` is the first differing PlanarMatching, or None."""
+
+    __slots__ = ()
 
     def __bool__(self):
         return self.balanced

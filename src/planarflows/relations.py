@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from itertools import combinations
 
 from . import semiring as sr
@@ -32,21 +31,21 @@ def _pattern_pair(a, b):
     return a, b
 
 
-@dataclass
 class RelationInstance:
     """One quadratic identity: the families of a pattern pair embedded on
     (Y, Y'), around X and X'.  The values come from a network or from
     elsewhere, such as matrix minors."""
 
-    X: frozenset
-    Y: frozenset
-    Xp: frozenset
-    Yp: frozenset
-    family_a: dict   # (A, A') -> multiplicity, subsets of (Y, Y')
-    family_b: dict
+    def __init__(self, X, Y, Xp, Yp, family_a, family_b):
+        self.X, self.Y, self.Xp, self.Yp = check_sets(X, Y, Xp, Yp)
+        self.family_a = family_a  # (A, A') -> multiplicity, subsets of (Y, Y')
+        self.family_b = family_b
 
-    def __post_init__(self):
-        self.X, self.Y, self.Xp, self.Yp = check_sets(self.X, self.Y, self.Xp, self.Yp)
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return ((self.X, self.Y, self.Xp, self.Yp, self.family_a, self.family_b)
+                == (other.X, other.Y, other.Xp, other.Yp, other.family_a, other.family_b))
 
     @classmethod
     def from_patterns(cls, pattern_a, pattern_b, X, Y, Xp, Yp):
@@ -84,12 +83,17 @@ def evaluate_sq(ri, spec, network):
     return dict(ri.sides(spec, FlowFunction(spec, network)), spec=spec)
 
 
-@dataclass
 class InstanceConfig:
     """Sampling knobs for symbolic verification."""
 
-    max_cases: int = 4
-    vertex_budget: int = DEFAULT_VERTEX_BUDGET
+    def __init__(self, max_cases=4, vertex_budget=DEFAULT_VERTEX_BUDGET):
+        self.max_cases = max_cases
+        self.vertex_budget = vertex_budget
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.max_cases, self.vertex_budget) == (other.max_cases, other.vertex_budget)
 
 
 def default_sets(m, m_prime):

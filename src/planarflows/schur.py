@@ -12,24 +12,25 @@ horizontal steps at level h match the number of h entries in that row.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 
 from . import semiring as sr
-from .errors import BadLength, BadParams, NotAFlow, NotSemistandard
-from .flows import Flow, FlowFunction
+from .errors import BadLength, BadParams
+from .flows import FlowFunction
 from .network import build_gv_grid
 
 
-@dataclass(frozen=True)
-class Partition:
-    parts: tuple  # weakly decreasing, >= 0; trailing zeros significant
+class Partition(namedtuple("Partition", "parts")):
+    """``parts`` weakly decreasing, >= 0; trailing zeros significant."""
 
-    def __post_init__(self):
-        parts = self.parts
+    __slots__ = ()
+
+    def __new__(cls, parts):
         if any(p < 0 for p in parts):
             raise BadParams("partition parts must be nonnegative")
         if any(parts[i] < parts[i + 1] for i in range(len(parts) - 1)):
             raise BadParams(f"{parts} is not weakly decreasing")
+        return super().__new__(cls, parts)
 
     @property
     def length(self):
@@ -50,16 +51,6 @@ def partition_to_set(lam, r):
     if lam.length != r:
         raise BadLength(f"partition has {lam.length} parts, expected {r}")
     return frozenset(lam.parts[r - 1 - k] + k + 1 for k in range(r))
-
-
-def set_to_partition(A, r):
-    A = sorted(A)
-    if len(A) != r:
-        raise BadLength(f"set has {len(A)} elements, expected {r}")
-    parts = tuple(A[r - 1 - i] - (r - i) for i in range(r))
-    if any(p < 0 for p in parts):
-        raise BadLength("set elements too small for a partition")
-    return Partition(parts)
 
 
 def _skew_cells(lam, mu):
@@ -102,28 +93,6 @@ def ssyt_fillings(lam, mu, N):
         stack.extend((idx, v) for v in range(N, lo - 1, -1))
 
 
-def check_semistandard(lam, mu, rows, N):
-    lam = _partition(lam)
-    mu = _partition(mu)
-    filling = {}
-    if len(rows) != lam.length:
-        raise NotSemistandard("wrong number of rows")
-    for r, row in enumerate(rows, start=1):
-        cols = range(mu.parts[r - 1] + 1, lam.parts[r - 1] + 1)
-        if len(row) != len(cols):
-            raise NotSemistandard(f"row {r} has the wrong number of entries")
-        for c, v in zip(cols, row):
-            if not 1 <= v <= N:
-                raise NotSemistandard(f"entry {v} outside [1..{N}]")
-            filling[(r, c)] = v
-    for (r, c), v in filling.items():
-        if (r, c - 1) in filling and filling[(r, c - 1)] > v:
-            raise NotSemistandard(f"row {r} decreases at column {c}")
-        if (r - 1, c) in filling and filling[(r - 1, c)] >= v:
-            raise NotSemistandard(f"column {c} does not increase into row {r}")
-    return filling
-
-
 def schur_ring(N):
     return sr.polynomial_ring(*[f"x{h}" for h in range(1, N + 1)])
 
@@ -163,72 +132,6 @@ def gv_grid(N, width):
     level_weights = {h: ring.var(h - 1) for h in range(1, N + 1)}
     net = build_gv_grid(N, width, level_weights)
     return net, ring
-
-
-def tableau_to_flow(lam, mu, rows, N):
-    """Path system of a tableau on the level-weighted lattice."""
-    lam = _partition(lam)
-    mu = _partition(mu)
-    check_semistandard(lam, mu, rows, N)
-    r = lam.length
-    paths = []
-    for k in range(1, r + 1):
-        row = rows[r - k]  # row r+1-k, bottom-to-top storage
-        x = k + mu.parts[r - k]
-        level = 1
-        trail = [f"{x},{level}"]
-        for v in sorted(row):
-            while level < v:
-                level += 1
-                trail.append(f"{x},{level}")
-            x += 1
-            trail.append(f"{x},{level}")
-        while level < N:
-            level += 1
-            trail.append(f"{x},{level}")
-        paths.append(tuple(trail))
-    I = tuple(sorted(partition_to_set(mu, r)))
-    Iprime = tuple(sorted(partition_to_set(lam, r)))
-    return Flow(I, Iprime, tuple(paths))
-
-
-def flow_to_tableau(flow, N):
-    """Inverse of ``tableau_to_flow``; validates semistandardness."""
-    r = len(flow.paths)
-    rows = [None] * r
-    mu_parts = [0] * r
-    lam_parts = [0] * r
-    for k, path in enumerate(flow.paths, start=1):
-        entries = []
-        start_x, start_level = (int(c) for c in path[0].split(","))
-        end_level = int(path[-1].split(",")[1])
-        if start_level != 1 or end_level != N:
-            raise NotAFlow("paths must run from level 1 to level N")
-        for a, b in zip(path, path[1:]):
-            ax, ay = (int(c) for c in a.split(","))
-            bx, by = (int(c) for c in b.split(","))
-            if by == ay + 1 and bx == ax:
-                continue
-            if bx == ax + 1 and by == ay:
-                entries.append(ay)
-                continue
-            raise NotAFlow(f"step {a}->{b} is not a lattice step")
-        row_index = r + 1 - k
-        rows[row_index - 1] = entries
-        mu_parts[row_index - 1] = start_x - k
-        lam_parts[row_index - 1] = start_x - k + len(entries)
-    if any(p is None for p in rows):
-        raise NotAFlow("missing paths")
-    try:
-        lam = Partition(tuple(lam_parts))
-        mu = Partition(tuple(mu_parts))
-    except BadParams as exc:
-        raise NotAFlow(str(exc)) from exc
-    try:
-        check_semistandard(lam, mu, rows, N)
-    except NotSemistandard as exc:
-        raise NotAFlow(str(exc)) from exc
-    return lam, mu, rows
 
 
 def count_flows(lam, mu, N):

@@ -16,7 +16,6 @@ resolved by splitting the crossing point into a short extra edge.
 from __future__ import annotations
 
 from collections import namedtuple
-from dataclasses import dataclass
 from fractions import Fraction
 
 from . import semiring as sr
@@ -35,7 +34,6 @@ from .patterns import (
     embed_matching,
     is_balanced,
     is_noncrossing,
-    matching_is_feasible,
 )
 from .relations import RelationInstance, check_sets
 
@@ -54,15 +52,23 @@ _SIDES = (
 )
 
 
-@dataclass
 class WitnessNetwork:
-    network: PlanarNetwork          # unit integer weights, vertex mode
-    matching: PlanarMatching        # on the original (Y, Y')
-    edge_class: dict                # edge -> thin | lower-bridge | upper-bridge
-                                    #         | b-edge | v-edge | extra
-    couple_paths: dict              # tilde couple -> ordered vertex tuple
-    processing_order: tuple         # tilde couples in audit order
-    flows: FlowFunction             # integer FG-function of network, for every count
+    def __init__(self, network, matching, edge_class, couple_paths, processing_order, flows):
+        self.network = network                    # unit integer weights, vertex mode
+        self.matching = matching                  # PlanarMatching on the original (Y, Y')
+        self.edge_class = edge_class              # edge -> thin | lower-bridge | upper-bridge
+                                                  #         | b-edge | v-edge | extra
+        self.couple_paths = couple_paths          # tilde couple -> ordered vertex tuple
+        self.processing_order = processing_order  # tilde couples in audit order
+        self.flows = flows                        # integer FlowFunction, for every count
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return ((self.network, self.matching, self.edge_class, self.couple_paths,
+                 self.processing_order, self.flows)
+                == (other.network, other.matching, other.edge_class, other.couple_paths,
+                    other.processing_order, other.flows))
 
 
 def _nesting_children(couples):
@@ -348,16 +354,26 @@ def audit_witness(wn, X, Y, Xp, Yp):
     f = wn.flows
     cases = []
     Ys, Yps = sorted(Y), sorted(Yp)
+    # The rule of ``matching_is_feasible`` on bit masks: bit k stands for
+    # the lower point Ys[k] and bit |Y| + k for the upper point Yps[k], and
+    # ``odd`` holds the odd points of (C, C'), those of C and those of Y'
+    # off C'.  A couple is feasible when exactly one end is odd; a point off
+    # (Y, Y') has no bit and is never odd.
+    bit = {(LOWER, y): 1 << k for k, y in enumerate(Ys)}
+    bit.update({(UPPER, y): 1 << (len(Ys) + k) for k, y in enumerate(Yps)})
+    ends = [(bit.get(p, 0), bit.get(q, 0)) for p, q in wn.matching.couples]
     # (C, C') is proper when 2|C'| = 2|C| - |Y| + |Y'|: each C meets only the
-    # C' of one size, listed by 2|C'| in mask order.
+    # C' of one size, listed by 2|C'| in mask order with their odd points.
     uppers = {}
     for maskp in range(1 << len(Yps)):
         Cp = frozenset(Yps[k] for k in range(len(Yps)) if maskp >> k & 1)
-        uppers.setdefault(2 * len(Cp), []).append(Cp)
+        odd_upper = ((1 << len(Yps)) - 1 - maskp) << len(Ys)
+        uppers.setdefault(2 * len(Cp), []).append((Cp, odd_upper))
     for mask in range(1 << len(Ys)):
         C = frozenset(Ys[k] for k in range(len(Ys)) if mask >> k & 1)
-        for Cp in uppers.get(2 * len(C) - len(Y) + len(Yp), ()):
-            feasible = matching_is_feasible(wn.matching, Y, Yp, C, Cp)
+        for Cp, odd_upper in uppers.get(2 * len(C) - len(Y) + len(Yp), ()):
+            odd = mask | odd_upper
+            feasible = all(bool(odd & p) != bool(odd & q) for p, q in ends)
             count1 = f(X | C, Xp | Cp)
             count2 = f(X | (Y - C), Xp | (Yp - Cp))
             good = count1 == count2 == 1 if feasible else 0 in (count1, count2)

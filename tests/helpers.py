@@ -6,7 +6,9 @@ from collections import Counter
 from fractions import Fraction
 from itertools import combinations
 
-from planarflows.flows import Flow, fg_value
+from planarflows.errors import BadLength, BadParams, NotAFlow, NotSemistandard, SizeMismatch
+from planarflows.flows import Flow, FlowFunction, fg_value
+from planarflows.lindstrom import GadgetFactor, _assemble, exact_matrix, flow_matrix, minor
 from planarflows.network import (
     PlanarNetwork,
     convex_hull,
@@ -28,8 +30,8 @@ from planarflows.patterns import (
     stock_pattern,
     two_pattern,
 )
-from planarflows.schur import ssyt_fillings
-from planarflows.semiring import INTEGERS, Polynomial, fold_product
+from planarflows.schur import Partition, _partition, partition_to_set, ssyt_fillings
+from planarflows.semiring import INTEGERS, RATIONALS, Polynomial, fold_product
 
 
 def diamond_network():
@@ -273,6 +275,170 @@ def tableau_poly(lam, mu, N):
         counts[tuple(exps)] = counts.get(tuple(exps), 0) + 1
     return Polynomial(N, counts)
 
+
+# ---------------------------------------------------------------------------
+# tableaux as lattice-path flows (Gessel--Viennot), the bijection both ways
+
+def set_to_partition(A, r):
+    A = sorted(A)
+    if len(A) != r:
+        raise BadLength(f"set has {len(A)} elements, expected {r}")
+    parts = tuple(A[r - 1 - i] - (r - i) for i in range(r))
+    if any(p < 0 for p in parts):
+        raise BadLength("set elements too small for a partition")
+    return Partition(parts)
+
+
+def check_semistandard(lam, mu, rows, N):
+    lam = _partition(lam)
+    mu = _partition(mu)
+    filling = {}
+    if len(rows) != lam.length:
+        raise NotSemistandard("wrong number of rows")
+    for r, row in enumerate(rows, start=1):
+        cols = range(mu.parts[r - 1] + 1, lam.parts[r - 1] + 1)
+        if len(row) != len(cols):
+            raise NotSemistandard(f"row {r} has the wrong number of entries")
+        for c, v in zip(cols, row):
+            if not 1 <= v <= N:
+                raise NotSemistandard(f"entry {v} outside [1..{N}]")
+            filling[(r, c)] = v
+    for (r, c), v in filling.items():
+        if (r, c - 1) in filling and filling[(r, c - 1)] > v:
+            raise NotSemistandard(f"row {r} decreases at column {c}")
+        if (r - 1, c) in filling and filling[(r - 1, c)] >= v:
+            raise NotSemistandard(f"column {c} does not increase into row {r}")
+    return filling
+
+
+def tableau_to_flow(lam, mu, rows, N):
+    """Path system of a tableau on the level-weighted lattice."""
+    lam = _partition(lam)
+    mu = _partition(mu)
+    check_semistandard(lam, mu, rows, N)
+    r = lam.length
+    paths = []
+    for k in range(1, r + 1):
+        row = rows[r - k]  # row r+1-k, bottom-to-top storage
+        x = k + mu.parts[r - k]
+        level = 1
+        trail = [f"{x},{level}"]
+        for v in sorted(row):
+            while level < v:
+                level += 1
+                trail.append(f"{x},{level}")
+            x += 1
+            trail.append(f"{x},{level}")
+        while level < N:
+            level += 1
+            trail.append(f"{x},{level}")
+        paths.append(tuple(trail))
+    I = tuple(sorted(partition_to_set(mu, r)))
+    Iprime = tuple(sorted(partition_to_set(lam, r)))
+    return Flow(I, Iprime, tuple(paths))
+
+
+def flow_to_tableau(flow, N):
+    """Inverse of ``tableau_to_flow``; validates semistandardness."""
+    r = len(flow.paths)
+    rows = [None] * r
+    mu_parts = [0] * r
+    lam_parts = [0] * r
+    for k, path in enumerate(flow.paths, start=1):
+        entries = []
+        start_x, start_level = (int(c) for c in path[0].split(","))
+        end_level = int(path[-1].split(",")[1])
+        if start_level != 1 or end_level != N:
+            raise NotAFlow("paths must run from level 1 to level N")
+        for a, b in zip(path, path[1:]):
+            ax, ay = (int(c) for c in a.split(","))
+            bx, by = (int(c) for c in b.split(","))
+            if by == ay + 1 and bx == ax:
+                continue
+            if bx == ax + 1 and by == ay:
+                entries.append(ay)
+                continue
+            raise NotAFlow(f"step {a}->{b} is not a lattice step")
+        row_index = r + 1 - k
+        rows[row_index - 1] = entries
+        mu_parts[row_index - 1] = start_x - k
+        lam_parts[row_index - 1] = start_x - k + len(entries)
+    if any(p is None for p in rows):
+        raise NotAFlow("missing paths")
+    try:
+        lam = Partition(tuple(lam_parts))
+        mu = Partition(tuple(mu_parts))
+    except BadParams as exc:
+        raise NotAFlow(str(exc)) from exc
+    try:
+        check_semistandard(lam, mu, rows, N)
+    except NotSemistandard as exc:
+        raise NotAFlow(str(exc)) from exc
+    return lam, mu, rows
+
+
+# ---------------------------------------------------------------------------
+# Lindstrom oracles: matrix products, single gadgets and the minor check
+
+def mat_mul(a, b):
+    if a.n_cols != b.n_rows:
+        raise SizeMismatch("inner dimensions differ")
+    spec = a.spec
+    rows = []
+    for i in range(a.n_rows):
+        row = []
+        for j in range(b.n_cols):
+            acc = spec.zero()
+            for k in range(a.n_cols):
+                acc = spec.add(acc, spec.mul(a.entries[i][k], b.entries[k][j]))
+            row.append(acc)
+        rows.append(row)
+    return exact_matrix(spec, rows)
+
+
+def product_matrix(chain):
+    """Ordered product of a ``GadgetChain``: top factor times ... times bottom."""
+    acc = chain.factors[-1].matrix
+    for factor in reversed(chain.factors[:-1]):
+        acc = mat_mul(acc, factor.matrix)
+    return acc
+
+
+def quasi_diagonal_gadget(diag, n, nprime):
+    """n sources to n' sinks; channel i carries weight d_i, others die."""
+    return _assemble([GadgetFactor("quasi-diagonal", (nprime, n), 0, tuple(diag))], RATIONALS)
+
+
+def adjacent_swap_gadget(r, i, spec):
+    """Flow matrix equals the transposition of channels i, i+1."""
+    return _assemble([GadgetFactor("swap", (r, r), i, None)], spec)
+
+
+def adjacent_add_gadget(r, i, x, spec):
+    """Identity channels plus a weight-x path from source i to sink i+1."""
+    return _assemble([GadgetFactor("add", (r, r), i, x)], spec)
+
+
+def verify_lindstrom(network, spec):
+    """Check minor(flow matrix) = flow value for every index pair."""
+    mat = flow_matrix(network, spec)
+    f = FlowFunction(spec, network)
+    n, np_ = network.n_sources, network.n_sinks
+    checked = 0
+    failures = []
+    for k in range(0, min(n, np_) + 1):
+        for I in combinations(range(1, n + 1), k):
+            for Iprime in combinations(range(1, np_ + 1), k):
+                lhs = minor(mat, I, Iprime)
+                rhs = f(I, Iprime)
+                checked += 1
+                if not spec.equal(lhs, rhs):
+                    failures.append({"I": list(I), "Iprime": list(Iprime)})
+    return {"checked": checked, "failures": failures, "ok": not failures}
+
+
+# ---------------------------------------------------------------------------
+# matchings
 
 def chords_cross(pos, c1, c2):
     """Whether two chords cross, given each point's circle position."""

@@ -21,21 +21,24 @@ from planarflows.basis import (
     weights_from_intervals,
     weights_from_pressed,
 )
-from planarflows.doubleflows import decompose_double_flow, enumerate_double_flows, exchange
+from planarflows.doubleflows import (
+    decompose_double_flow,
+    enumerate_double_flows,
+    exchange,
+    split_vertices,
+)
 from planarflows.flows import fg_value
 from planarflows.lindstrom import (
     check_matrix_sq,
     compile_matrix_to_network,
     exact_matrix,
     flow_matrix,
-    verify_lindstrom,
 )
 from planarflows.network import (
     PlanarNetwork,
     build_grid,
     build_gv_grid,
     build_half_grid,
-    split_vertices,
     validate,
 )
 from planarflows.patterns import (
@@ -52,15 +55,21 @@ from planarflows.relations import InstanceConfig, verify_symbolic
 from planarflows.schur import (
     Partition,
     count_flows,
-    flow_to_tableau,
     partition,
     ssyt_fillings,
-    tableau_to_flow,
     verify_schur_identity,
 )
 from planarflows.witness import audit_witness, demonstrate_violation
 
-from helpers import contexts_for, random_balanced_patterns, random_unbalanced_patterns
+from helpers import (
+    contexts_for,
+    flow_to_tableau,
+    product_matrix,
+    random_balanced_patterns,
+    random_unbalanced_patterns,
+    tableau_to_flow,
+    verify_lindstrom,
+)
 
 
 def _report(number, label, started, budget):
@@ -174,7 +183,7 @@ def test_criterion_4_lindstrom_and_compiler():
             ],
         )
         net, chain = compile_matrix_to_network(mat)
-        assert chain.product_matrix().entries == mat.entries
+        assert product_matrix(chain).entries == mat.entries
         assert flow_matrix(net, RATIONALS).entries == mat.entries
     _report(4, "Lindstrom corpus + 100 compiler round trips", started, 120.0)
 

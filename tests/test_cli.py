@@ -712,7 +712,7 @@ def _isolation_argv(tmp_path, command):
     ("verify-relation", 0, _FLOWS | {"patterns", "relations"}),
     ("witness", 1, _FLOWS | {"patterns", "relations", "witness"}),
     ("eval-fg", 0, _FLOWS),
-    ("compile-matrix", 0, _FLOWS | {"lindstrom"}),
+    ("compile-matrix", 0, _CORE | {"lindstrom", "network", "semiring"}),
     ("schur", 0, _FLOWS | {"schur"}),
     ("reconstruct", 0, _FLOWS | {"basis"}),
     ("validate-network", 0, _CORE | {"network"}),
@@ -722,6 +722,7 @@ def test_each_command_imports_only_the_modules_it_uses(tmp_path, command, code, 
         "import json, sys\n"
         "from planarflows import cli\n"
         "code = cli.main(sys.argv[1:])\n"
+        "print(json.dumps(sorted({'dataclasses', 'inspect'} & set(sys.modules))))\n"
         "print(json.dumps([m for m in sys.modules if m.startswith('planarflows.')]))\n"
         "sys.exit(code)\n"
     )
@@ -732,3 +733,4 @@ def test_each_command_imports_only_the_modules_it_uses(tmp_path, command, code, 
     assert proc.returncode == code, proc.stderr
     loaded = json.loads(proc.stdout.splitlines()[-1])
     assert set(loaded) == {f"planarflows.{m}" for m in modules}
+    assert json.loads(proc.stdout.splitlines()[-2]) == []

@@ -16,6 +16,7 @@ from planarflows.doubleflows import (
     enumerate_double_flows,
     exchange,
     make_double_flow,
+    split_vertices,
 )
 from planarflows.flows import (
     FlowFunction,
@@ -29,7 +30,6 @@ from planarflows.network import (
     build_grid,
     build_gv_grid,
     build_half_grid,
-    split_vertices,
 )
 from planarflows.patterns import LOWER, UPPER, _normalize_pattern
 from planarflows.witness import demonstrate_violation

@@ -8,13 +8,13 @@ from itertools import combinations
 import pytest
 
 from planarflows import INTEGERS, RATIONALS, polynomial_ring
+from planarflows.doubleflows import edge_to_vertex_mode, split_vertices
 from planarflows.errors import ArityMismatch, PlanarFlowsError
 from planarflows.flows import enumerate_flows, fg_value
 from planarflows.lindstrom import (
     compile_matrix_to_network,
     exact_matrix,
     flow_matrix,
-    mat_mul,
     minor,
 )
 from planarflows.network import (
@@ -25,11 +25,9 @@ from planarflows.network import (
     concatenate,
     convex_hull,
     cross,
-    edge_to_vertex_mode,
     find_cycle,
     network_from_json,
     network_to_json,
-    split_vertices,
     topological_order,
     truncated_grid,
     validate,
@@ -38,7 +36,11 @@ from planarflows.patterns import _normalize_pattern
 from planarflows.witness import demonstrate_violation
 
 from helpers import (
+    adjacent_add_gadget,
+    adjacent_swap_gadget,
     contexts_for,
+    mat_mul,
+    quasi_diagonal_gadget,
     random_unbalanced_patterns,
     scanned_hull_position,
     validate_oracle,
@@ -241,8 +243,6 @@ def test_validate_detects_bad_terminal_order():
 
 
 def test_concatenate_identity_gadgets():
-    from planarflows.lindstrom import quasi_diagonal_gadget
-
     one = [Fraction(1)] * 3
     a = quasi_diagonal_gadget(one, 3, 3)
     b = quasi_diagonal_gadget(one, 3, 3)
@@ -254,8 +254,6 @@ def test_concatenate_identity_gadgets():
 
 
 def test_concatenate_multiplicativity():
-    from planarflows.lindstrom import adjacent_add_gadget, adjacent_swap_gadget
-
     rng = random.Random(2)
     for _ in range(10):
         parts = []
@@ -277,8 +275,6 @@ def test_concatenate_multiplicativity():
 
 
 def test_concatenate_swap_twice_is_identity():
-    from planarflows.lindstrom import adjacent_swap_gadget
-
     g = adjacent_swap_gadget(3, 1, RATIONALS)
     net = concatenate(g, adjacent_swap_gadget(3, 1, RATIONALS))
     fm = flow_matrix(net, RATIONALS)
@@ -288,8 +284,6 @@ def test_concatenate_swap_twice_is_identity():
 
 
 def test_concatenate_arity_mismatch():
-    from planarflows.lindstrom import quasi_diagonal_gadget
-
     a = quasi_diagonal_gadget([Fraction(1)] * 2, 2, 2)
     b = quasi_diagonal_gadget([Fraction(1)] * 3, 3, 3)
     with pytest.raises(ArityMismatch):

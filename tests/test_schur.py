@@ -2,21 +2,18 @@ import random
 
 import pytest
 
-from helpers import tableau_poly
+from helpers import flow_to_tableau, set_to_partition, tableau_poly, tableau_to_flow
 from planarflows.errors import BadLength, BadParams, NotAFlow, NotSemistandard
 from planarflows.flows import fg_value
 from planarflows.lindstrom import flow_matrix, minor
 from planarflows.schur import (
     Partition,
     count_flows,
-    flow_to_tableau,
     gv_grid,
     partition,
     partition_to_set,
     schur_poly,
-    set_to_partition,
     ssyt_fillings,
-    tableau_to_flow,
     verify_schur_identity,
 )
 
