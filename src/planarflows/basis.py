@@ -8,6 +8,8 @@ two-sided analogue uses pressed double intervals on the full grid.
 
 from __future__ import annotations
 
+from collections import namedtuple
+
 from . import semiring as sr
 from .errors import BadParams, DivisionUnsupported, NotInvertible
 from .flows import FlowFunction
@@ -82,27 +84,18 @@ def interval_values_from_weights(spec, weights, n):
 # ---------------------------------------------------------------------------
 # basis assignments and reconstruction
 
-class BasisAssignment:
-    def __init__(self, case, n, n_prime, values, spec):
-        self.case = case        # "flag-intervals" | "pressed-double-intervals"
-        self.n = n
-        self.n_prime = n_prime  # 0 for the flag case
-        self.values = values    # pressed double interval -> Value
-        self.spec = spec
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return ((self.case, self.n, self.n_prime, self.values, self.spec)
-                == (other.case, other.n, other.n_prime, other.values, other.spec))
+# ``case`` is "flag-intervals" or "pressed-double-intervals"; ``values``
+# maps each pressed double interval to its value over ``spec``.
+BasisAssignment = namedtuple("BasisAssignment", "case values spec")
 
 
 def flag_assignment(spec, n, values):
     """Interval values as the pressed basis on sinks 1..|S|: the interval
-    (p, q) is stored as ((p, q), (1, q - p + 1)), and () as ((), ())."""
+    (p, q) is stored as ((p, q), (1, q - p + 1)), and () as ((), ()).
+    ``n`` is not stored: the keys of ``values`` carry the shape."""
     vals = {(iv, (1, iv[1] - iv[0] + 1)) if iv else ((), ()): v for iv, v in values.items()}
     vals.setdefault(((), ()), spec.one())
-    return BasisAssignment("flag-intervals", n, 0, vals, spec)
+    return BasisAssignment("flag-intervals", vals, spec)
 
 
 def pressed_basis(n, n_prime):
@@ -112,9 +105,11 @@ def pressed_basis(n, n_prime):
 
 
 def pressed_assignment(spec, n, n_prime, values):
+    """Pressed double-interval values, ((), ()) defaulting to one; as in
+    ``flag_assignment``, the sizes are not stored."""
     vals = dict(values)
     vals.setdefault(((), ()), spec.one())
-    return BasisAssignment("pressed-double-intervals", n, n_prime, vals, spec)
+    return BasisAssignment("pressed-double-intervals", vals, spec)
 
 
 def weights_from_pressed(spec, values, n, n_prime):
@@ -200,33 +195,16 @@ def reconstruct_value(assignment, target):
 # ---------------------------------------------------------------------------
 # Laurent expansion (flag case)
 
-class LaurentExpansion:
-    def __init__(self, target, monomials):
-        self.target = target        # frozenset
-        self.monomials = monomials  # ((interval, exponent) sorted tuple, multiplicity)
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.target, self.monomials) == (other.target, other.monomials)
+# ``target`` is a frozenset; ``monomials`` holds (sorted tuple of
+# (interval, exponent), multiplicity) pairs.
+class LaurentExpansion(namedtuple("LaurentExpansion", "target monomials")):
+    __slots__ = ()
 
     def exponent_range(self):
         exps = set()
         for mono, _ in self.monomials:
             exps.update(e for _, e in mono)
         return exps
-
-    def to_json(self):
-        return {
-            "target": sorted(self.target),
-            "monomials": [
-                {
-                    "exps": {f"{p}..{q}": e for (p, q), e in mono},
-                    "mult": mult,
-                }
-                for mono, mult in self.monomials
-            ],
-        }
 
 
 def _weight_exponents(n):

@@ -17,7 +17,10 @@ from .errors import BadInput, NotProper, PlanarFlowsError
 
 def _load(path):
     with open(path) as fh:
-        return json.load(fh)
+        try:
+            return json.load(fh)
+        except (RecursionError, ValueError) as exc:  # bad syntax, encoding or nesting depth
+            raise BadInput(f"{path}: cannot read as JSON: {exc}") from None
 
 
 def _emit(data, output):
@@ -266,7 +269,8 @@ def cmd_reconstruct(args):
             raise BadInput(f"values[{key!r}]: interval {show(ivs)!r} is also values[{first!r}]")
     values = dict(parsed.values())
     try:
-        sets = [frozenset(int(x) for x in side.split(",")) for side in sides(args.target)]
+        sets = [frozenset(int(x) for x in side.split(",")) if side else frozenset()
+                for side in sides(args.target)]
         if len({len(S) for S in sets}) > 1 or any(
                 not S <= set(range(1, size + 1)) for S, size in zip(sets, sizes)):
             raise ValueError

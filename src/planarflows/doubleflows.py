@@ -8,6 +8,7 @@ split-network construction it never runs.
 
 from __future__ import annotations
 
+from collections import namedtuple
 from fractions import Fraction
 
 from .errors import CoupleNotInMatching, PlanarFlowsError
@@ -17,23 +18,15 @@ from .patterns import PlanarMatching, is_proper
 from .relations import check_sets
 
 
-class SplitNetwork:
-    """The vertex-split companion of a vertex-weighted network.
-
-    Every original vertex v becomes in:v -> out:v joined by a split edge
-    carrying v's weight; fresh terminals src:i / snk:j attach by extra
-    edges.  Geometric planarity is not promised here (only the structural
-    laws), so ``validate`` is not meant to be applied to ``network``.
-    """
-
-    def __init__(self, network, edge_class):
-        self.network = network        # PlanarNetwork
-        self.edge_class = edge_class  # edge -> "split" | "ordinary" | "extra"
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.network, self.edge_class) == (other.network, other.edge_class)
+# The vertex-split companion of a vertex-weighted network.
+#
+# Every original vertex v becomes in:v -> out:v joined by a split edge
+# carrying v's weight; fresh terminals src:i / snk:j attach by extra edges.
+# ``network`` is the PlanarNetwork and ``edge_class`` maps each edge to
+# "split", "ordinary" or "extra".  Geometric planarity is not promised here
+# (only the structural laws), so ``validate`` is not meant to be applied to
+# ``network``.
+SplitNetwork = namedtuple("SplitNetwork", "network edge_class")
 
 
 def split_vertices(network):
@@ -107,34 +100,14 @@ def edge_to_vertex_mode(network, spec):
     )
 
 
-class DoubleFlow:
-    def __init__(self, split, X, Y, Xp, Yp, A, Ap, phi, phi_prime):
-        self.split = split
-        self.X, self.Y, self.Xp, self.Yp = X, Y, Xp, Yp  # frozensets
-        self.A, self.Ap = A, Ap
-        self.phi = phi              # flow for (X u A | X' u A')
-        self.phi_prime = phi_prime  # flow for (X u (Y-A) | X' u (Y'-A'))
+# X, Y, Xp, Yp, A and Ap are frozensets; ``phi`` is the flow for
+# (X u A | X' u A') and ``phi_prime`` the one for (X u (Y-A) | X' u (Y'-A')).
+DoubleFlow = namedtuple("DoubleFlow", "split X Y Xp Yp A Ap phi phi_prime")
 
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return ((self.split, self.X, self.Y, self.Xp, self.Yp, self.A, self.Ap, self.phi,
-                 self.phi_prime) == (other.split, other.X, other.Y, other.Xp, other.Yp,
-                                     other.A, other.Ap, other.phi, other.phi_prime))
-
-
-class Decomposition:
-    def __init__(self, circuits, paths, couples, matching):
-        self.circuits = circuits  # frozensets of edges
-        self.paths = paths        # ordered vertex tuples
-        self.couples = couples    # endpoint couple per path, aligned with ``paths``
-        self.matching = matching  # PlanarMatching
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return ((self.circuits, self.paths, self.couples, self.matching)
-                == (other.circuits, other.paths, other.couples, other.matching))
+# ``circuits`` are frozensets of edges and ``paths`` ordered vertex tuples;
+# ``couples`` holds each path's endpoint couple, aligned with ``paths``, and
+# ``matching`` is their PlanarMatching.
+Decomposition = namedtuple("Decomposition", "circuits paths couples matching")
 
 
 def make_double_flow(split, X, Y, Xp, Yp, A, Ap, phi, phi_prime):

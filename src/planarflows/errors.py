@@ -65,20 +65,8 @@ class RingRequired(PlanarFlowsError):
     """The operation needs additive inverses (a ring-like semiring)."""
 
 
-class NotSemistandard(PlanarFlowsError):
-    """A tableau filling violates row/column monotonicity."""
-
-
-class NotAFlow(PlanarFlowsError):
-    """A path system is not a valid vertex-disjoint flow."""
-
-
-class BadNetwork(PlanarFlowsError):
-    """A network's JSON form is malformed; the message names the field."""
-
-
 class BadInput(PlanarFlowsError):
-    """A pattern's or matrix's JSON form is malformed; the message names the field."""
+    """An input's JSON form is malformed; the message names the field."""
 
 
 class WitnessGeometryError(PlanarFlowsError):

@@ -171,14 +171,8 @@ class GadgetFactor(namedtuple("GadgetFactor", "kind size index value")):
         return exact_matrix(sr.RATIONALS, rows)
 
 
-class GadgetChain:
-    def __init__(self, factors):
-        self.factors = factors  # bottom (applied first) to top
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self.factors == other.factors
+# ``factors`` run bottom (applied first) to top.
+GadgetChain = namedtuple("GadgetChain", "factors")
 
 
 def _assemble(factors, spec):

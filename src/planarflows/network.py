@@ -14,7 +14,7 @@ from fractions import Fraction
 from functools import cached_property
 from math import lcm
 
-from .errors import ArityMismatch, BadNetwork, PlanarFlowsError
+from .errors import ArityMismatch, BadInput, PlanarFlowsError
 
 
 class PlanarNetwork:
@@ -25,13 +25,6 @@ class PlanarNetwork:
         self.sinks = sinks              # ordered ids t_1..t_n'
         self.weight_mode = weight_mode  # "vertex" | "edge"
         self.weights = {} if weights is None else weights
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.vertices, self.edges, self.sources, self.sinks, self.weight_mode,
-                self.weights) == (other.vertices, other.edges, other.sources, other.sinks,
-                                  other.weight_mode, other.weights)
 
     def __repr__(self):
         return (f"PlanarNetwork(vertices={self.vertices!r}, edges={self.edges!r}, "
@@ -484,17 +477,17 @@ def network_to_json(network, spec=None):
 
 
 def network_from_json(data, spec=None):
-    """Parse a network; malformed input raises ``BadNetwork`` naming the field.
+    """Parse a network; malformed input raises ``BadInput`` naming the field.
     With a ``spec``, every vertex of a vertex-weighted network needs a weight."""
     def expect(ok, where, what):
         if not ok:
-            raise BadNetwork(f"{where}: {what}")
+            raise BadInput(f"{where}: {what}")
 
     def parse(where, fn, value):
         try:
             return fn(value)
         except (ArithmeticError, LookupError, PlanarFlowsError, TypeError, ValueError) as e:
-            raise BadNetwork(f"{where}: {e}") from None
+            raise BadInput(f"{where}: {e}") from None
 
     def ids(where, value, count=None):
         """An edge (``count`` 2) or a terminal list, which repeats no vertex."""

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+from collections import namedtuple
 from itertools import combinations
 
 from . import semiring as sr
@@ -41,12 +42,6 @@ class RelationInstance:
         self.family_a = family_a  # (A, A') -> multiplicity, subsets of (Y, Y')
         self.family_b = family_b
 
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return ((self.X, self.Y, self.Xp, self.Yp, self.family_a, self.family_b)
-                == (other.X, other.Y, other.Xp, other.Yp, other.family_a, other.family_b))
-
     @classmethod
     def from_patterns(cls, pattern_a, pattern_b, X, Y, Xp, Yp):
         """Both patterns, of one shape, embedded on (Y, Y') by the
@@ -83,17 +78,9 @@ def evaluate_sq(ri, spec, network):
     return dict(ri.sides(spec, FlowFunction(spec, network)), spec=spec)
 
 
-class InstanceConfig:
-    """Sampling knobs for symbolic verification."""
-
-    def __init__(self, max_cases=4, vertex_budget=DEFAULT_VERTEX_BUDGET):
-        self.max_cases = max_cases
-        self.vertex_budget = vertex_budget
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.max_cases, self.vertex_budget) == (other.max_cases, other.vertex_budget)
+# Sampling knobs for symbolic verification.
+InstanceConfig = namedtuple("InstanceConfig", "max_cases vertex_budget",
+                            defaults=(4, DEFAULT_VERTEX_BUDGET))
 
 
 def default_sets(m, m_prime):

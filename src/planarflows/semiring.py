@@ -261,12 +261,6 @@ class Semiring:
     def __repr__(self):
         return self.name
 
-    def __eq__(self, other):
-        return type(self) is type(other) and self.name == other.name
-
-    def __hash__(self):
-        return hash((type(self), self.name))
-
 
 class IntegerRing(Semiring):
     name = "integers"

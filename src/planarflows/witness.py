@@ -52,23 +52,14 @@ _SIDES = (
 )
 
 
-class WitnessNetwork:
-    def __init__(self, network, matching, edge_class, couple_paths, processing_order, flows):
-        self.network = network                    # unit integer weights, vertex mode
-        self.matching = matching                  # PlanarMatching on the original (Y, Y')
-        self.edge_class = edge_class              # edge -> thin | lower-bridge | upper-bridge
-                                                  #         | b-edge | v-edge | extra
-        self.couple_paths = couple_paths          # tilde couple -> ordered vertex tuple
-        self.processing_order = processing_order  # tilde couples in audit order
-        self.flows = flows                        # integer FlowFunction, for every count
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return ((self.network, self.matching, self.edge_class, self.couple_paths,
-                 self.processing_order, self.flows)
-                == (other.network, other.matching, other.edge_class, other.couple_paths,
-                    other.processing_order, other.flows))
+# ``network`` has unit integer weights in vertex mode; ``matching`` is the
+# PlanarMatching on the original (Y, Y'); ``edge_class`` maps each edge to
+# thin, lower-bridge, upper-bridge, b-edge, v-edge or extra; ``couple_paths``
+# maps each tilde couple to its ordered vertex tuple; ``processing_order``
+# lists the tilde couples in audit order; ``flows`` is the integer
+# FlowFunction that answers every count.
+WitnessNetwork = namedtuple(
+    "WitnessNetwork", "network matching edge_class couple_paths processing_order flows")
 
 
 def _nesting_children(couples):

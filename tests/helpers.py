@@ -6,7 +6,7 @@ from collections import Counter
 from fractions import Fraction
 from itertools import combinations
 
-from planarflows.errors import BadLength, BadParams, NotAFlow, NotSemistandard, SizeMismatch
+from planarflows.errors import BadLength, BadParams, PlanarFlowsError, SizeMismatch
 from planarflows.flows import Flow, FlowFunction, fg_value
 from planarflows.lindstrom import GadgetFactor, _assemble, exact_matrix, flow_matrix, minor
 from planarflows.network import (
@@ -287,6 +287,14 @@ def set_to_partition(A, r):
     if any(p < 0 for p in parts):
         raise BadLength("set elements too small for a partition")
     return Partition(parts)
+
+
+class NotSemistandard(PlanarFlowsError):
+    """A tableau filling violates row/column monotonicity."""
+
+
+class NotAFlow(PlanarFlowsError):
+    """A path system is not a valid vertex-disjoint flow."""
 
 
 def check_semistandard(lam, mu, rows, N):

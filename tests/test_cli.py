@@ -1,13 +1,17 @@
 import json
 import os
+import random
 import subprocess
 import sys
+from fractions import Fraction
 
 import pytest
 
 import planarflows
-from planarflows import INTEGERS, TROPICAL_INT
+from planarflows import INTEGERS, RATIONALS, TROPICAL_INT
+from planarflows.basis import flag_values_from_network, pressed_values_from_network
 from planarflows.cli import main
+from planarflows.lindstrom import exact_matrix
 from planarflows.network import build_grid, build_half_grid, network_to_json
 from planarflows.patterns import pattern_from_json, pattern_to_json
 
@@ -64,21 +68,22 @@ def test_witness_command(capsys, tmp_path):
 
 
 def test_verify_relation_command(capsys, tmp_path):
-    net = build_half_grid(3).unit_weights(INTEGERS)
-    net_file = tmp_path / "net.json"
-    net_file.write_text(json.dumps(network_to_json(net, INTEGERS)))
-    code, out = run(
-        capsys,
-        "verify-relation",
-        "--patterns",
-        fixture("p3_flag.json"),
-        "--semiring",
-        "integers",
-        "--network",
-        str(net_file),
-    )
-    assert code == 0
-    assert out["equal"]
+    for spec in (INTEGERS, TROPICAL_INT):
+        net = build_half_grid(3).unit_weights(spec)
+        net_file = tmp_path / "net.json"
+        net_file.write_text(json.dumps(network_to_json(net, spec)))
+        code, out = run(
+            capsys,
+            "verify-relation",
+            "--patterns",
+            fixture("p3_flag.json"),
+            "--semiring",
+            spec.name,
+            "--network",
+            str(net_file),
+        )
+        assert code == 0
+        assert out["equal"]
 
 
 def test_eval_fg_command(capsys, tmp_path):
@@ -110,6 +115,14 @@ def test_compile_matrix_command(capsys, tmp_path):
     assert code == 0
     assert out["exact"]
     assert out["flow_matrix"]["entries"] == [["1/2", 3], [0, 5]]
+    # Neville elimination: at most n(n-1) + 1 factors for a square matrix.
+    rng = random.Random(0)
+    rows = [[Fraction(rng.randint(-9, 9), rng.randint(1, 5)) for _ in range(8)]
+            for _ in range(8)]
+    mat_file.write_text(json.dumps(exact_matrix(RATIONALS, rows).to_json()))
+    code, out = run(capsys, "compile-matrix", "--matrix", str(mat_file))
+    assert code == 0
+    assert out["exact"] and len(out["factors"]) <= 57
 
 
 def test_schur_command(capsys):
@@ -149,6 +162,84 @@ def test_reconstruct_command(capsys, tmp_path):
     )
     assert code == 0
     assert out == {"value": max(7 + 5, 2 + 11) - 3}
+
+
+@pytest.mark.parametrize("empty_key", [False, True], ids=["no-empty-key", "empty-key"])
+@pytest.mark.parametrize("flag, target, I, Iprime", [
+    (True, "1,3", [1, 3], [1, 2]),
+    (True, "", [], []),
+    (False, "1,3|1,3", [1, 3], [1, 3]),
+    (False, "|", [], []),
+], ids=["flag", "flag-empty", "pressed", "pressed-empty"])
+def test_reconstruct_agrees_with_eval_fg(capsys, tmp_path, flag, target, I, Iprime, empty_key):
+    """The flag basis of a weighted half-grid of 4, or the pressed basis of a
+    weighted 3x3 grid, gives the value eval-fg reads off the network.  The
+    empty target reads as the empty set, whose value is the semiring's one;
+    ``empty_key`` also lists that value under the empty basis key."""
+    rng = random.Random(0)
+    base = build_half_grid(4) if flag else build_grid(3, 3)
+    net = base.with_vertex_weights({v: TROPICAL_INT.random_value(rng) for v in base.vertices})
+    if flag:
+        values = {f"{p}..{q}": v
+                  for (p, q), v in flag_values_from_network(TROPICAL_INT, net, 4).items()}
+        basis = {"case": "flag-intervals", "n": 4, "values": values}
+    else:
+        values = {f"{p}..{q}|{r}..{s}": v for ((p, q), (r, s)), v
+                  in pressed_values_from_network(TROPICAL_INT, net, 3, 3).items()}
+        basis = {"case": "pressed-double-intervals", "n": 3, "n_prime": 3, "values": values}
+    if empty_key:
+        values["" if flag else "|"] = TROPICAL_INT.to_json(TROPICAL_INT.one())
+    files = {"basis": basis, "net": network_to_json(net, TROPICAL_INT),
+             "args": {"I": I, "Iprime": Iprime}}
+    for name, data in files.items():
+        (tmp_path / f"{name}.json").write_text(json.dumps(data))
+    outputs = []
+    for argv in (["reconstruct", "--basis", str(tmp_path / "basis.json"), "--target", target],
+                 ["eval-fg", "--network", str(tmp_path / "net.json"),
+                  "--args", str(tmp_path / "args.json")]):
+        assert main(argv + ["--semiring", "tropical-int"]) == 0
+        outputs.append(capsys.readouterr().out)
+    assert outputs[0] == outputs[1]
+
+
+@pytest.mark.parametrize("text", ["{not json", "\udcff", "[" * 100_000],
+                         ids=["syntax", "encoding", "depth"])
+@pytest.mark.parametrize("command, option", [
+    ("check-balance", "--patterns"),
+    ("verify-relation", "--patterns"),
+    ("verify-relation", "--network"),
+    ("verify-relation", "--sets"),
+    ("witness", "--patterns"),
+    ("witness", "--sets"),
+    ("eval-fg", "--network"),
+    ("eval-fg", "--args"),
+    ("compile-matrix", "--matrix"),
+    ("reconstruct", "--basis"),
+    ("validate-network", "--network"),
+])
+def test_a_file_that_is_not_json_is_refused_naming_the_file(
+        capsys, tmp_path, command, option, text):
+    """Bad syntax, bytes that are not UTF-8 and nesting too deep to parse
+    each exit 2 with the file's path, on every option that names a file."""
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(text.encode("utf-8", "surrogateescape"))
+    args_file = tmp_path / "args.json"
+    args_file.write_text(json.dumps({"I": [1], "Iprime": [1]}))
+    required = {
+        "check-balance": ["--patterns", fixture("p3_flag.json")],
+        "verify-relation": ["--patterns", fixture("p3_flag.json"), "--semiring", "integers",
+                            "--network", _half_grid_file(tmp_path)],
+        "witness": ["--patterns", fixture("p3_flag.json")],
+        "eval-fg": ["--network", _half_grid_file(tmp_path), "--semiring", "integers",
+                    "--args", str(args_file)],
+        "compile-matrix": ["--matrix", str(bad)],
+        "reconstruct": ["--basis", str(bad), "--semiring", "integers", "--target", "1"],
+        "validate-network": ["--network", str(bad)],
+    }
+    assert main([command] + required[command] + [option, str(bad)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: {bad}: cannot read as JSON: ")
 
 
 def test_eval_fg_reads_many_star_prefixes_as_one(capsys, tmp_path):
@@ -473,17 +564,19 @@ def test_a_flag_file_runs_as_the_two_pattern_file_written_for_it(capsys, tmp_pat
 
 
 def test_check_balance_on_a_nested_pair_of_400_points(tmp_path):
-    # A = 1..200 on Y = 1..400, Y' empty: one feasible matching, nested chords.
-    pattern = {"m": 400, "m_prime": 0, "members": [{"A": list(range(1, 201))}]}
-    pattern_file = tmp_path / "nested400.json"
-    pattern_file.write_text(json.dumps({"A0": pattern, "B0": pattern}))
+    # A = 1..m/2 on Y = 1..m, Y' empty: one feasible matching, nested chords.
     env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(planarflows.__file__)))
-    proc = subprocess.run(
-        [sys.executable, "-m", "planarflows.cli", "check-balance", "--patterns", str(pattern_file)],
-        env=env, capture_output=True, text=True, timeout=10,
-    )
-    assert proc.returncode == 0, proc.stderr
-    assert json.loads(proc.stdout) == {"balanced": True}
+    for m in (400, 2000):
+        pattern = {"m": m, "m_prime": 0, "members": [{"A": list(range(1, m // 2 + 1))}]}
+        pattern_file = tmp_path / f"nested{m}.json"
+        pattern_file.write_text(json.dumps({"A0": pattern, "B0": pattern}))
+        proc = subprocess.run(
+            [sys.executable, "-m", "planarflows.cli", "check-balance", "--patterns",
+             str(pattern_file)],
+            env=env, capture_output=True, text=True, timeout=10,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(proc.stdout) == {"balanced": True}
 
 
 @pytest.mark.parametrize("data, message", [

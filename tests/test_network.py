@@ -9,7 +9,7 @@ import pytest
 
 from planarflows import INTEGERS, RATIONALS, polynomial_ring
 from planarflows.doubleflows import edge_to_vertex_mode, split_vertices
-from planarflows.errors import ArityMismatch, PlanarFlowsError
+from planarflows.errors import ArityMismatch, BadInput, PlanarFlowsError
 from planarflows.flows import enumerate_flows, fg_value
 from planarflows.lindstrom import (
     compile_matrix_to_network,
@@ -329,6 +329,13 @@ def test_network_json_round_trip():
     assert json.dumps(data, sort_keys=True) == json.dumps(
         network_to_json(back, INTEGERS), sort_keys=True
     )
+
+
+def test_a_malformed_network_raises_bad_input():
+    data = network_to_json(build_grid(2, 2))
+    data["edges"][0][1] = "zz"
+    with pytest.raises(BadInput, match=r"^edges\[0\]: unknown vertex 'zz'$"):
+        network_from_json(data)
 
 
 def _random_drawing(rng):

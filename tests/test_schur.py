@@ -2,8 +2,15 @@ import random
 
 import pytest
 
-from helpers import flow_to_tableau, set_to_partition, tableau_poly, tableau_to_flow
-from planarflows.errors import BadLength, BadParams, NotAFlow, NotSemistandard
+from helpers import (
+    NotAFlow,
+    NotSemistandard,
+    flow_to_tableau,
+    set_to_partition,
+    tableau_poly,
+    tableau_to_flow,
+)
+from planarflows.errors import BadLength, BadParams
 from planarflows.flows import fg_value
 from planarflows.lindstrom import flow_matrix, minor
 from planarflows.schur import (
