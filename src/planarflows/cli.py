@@ -157,7 +157,7 @@ def cmd_witness(args):
 def cmd_eval_fg(args):
     from .flows import fg_value
     from .network import network_from_json
-    from .semiring import parse_semiring
+    from .semiring import parse_semiring, star_extend
 
     spec = parse_semiring(args.semiring)
     net = network_from_json(_load(args.network), spec)
@@ -165,6 +165,8 @@ def cmd_eval_fg(args):
     I, Ip = _indices(fargs, "I", top=net.n_sources), _indices(fargs, "Iprime", top=net.n_sinks)
     if len(Ip) != len(I):
         raise BadInput(f"Iprime: expected as many indices as I ({len(I)}), got {len(Ip)}")
+    # As in verify-relation, a semiring without a zero values no flow as "star".
+    spec = spec if spec.has_zero else star_extend(spec)
     value = fg_value(spec, net, I, Ip)
     _emit({"value": spec.to_json(value)}, args.output)
     return 0

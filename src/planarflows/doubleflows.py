@@ -14,7 +14,7 @@ from fractions import Fraction
 from .errors import CoupleNotInMatching, PlanarFlowsError
 from .flows import Flow, enumerate_flows
 from .network import PlanarNetwork
-from .patterns import PlanarMatching, is_proper
+from .patterns import LOWER, UPPER, PlanarMatching, is_proper
 from .relations import check_sets
 
 
@@ -131,11 +131,11 @@ def enumerate_double_flows(split, X, Y, Xp, Yp, A, Ap):
     ]
 
 
-def _terminal_element(split, vertex):
-    if vertex.startswith("src:"):
-        return (0, int(vertex.split(":")[1]))
-    if vertex.startswith("snk:"):
-        return (1, int(vertex.split(":")[1]))
+def _terminal_element(vertex):
+    """(LOWER, i) for the fresh source src:i, (UPPER, j) for the sink snk:j."""
+    for prefix, side in (("src:", LOWER), ("snk:", UPPER)):
+        if vertex.startswith(prefix):
+            return (side, int(vertex[len(prefix):]))
     return None
 
 
@@ -158,51 +158,37 @@ def decompose_double_flow(df):
 
     unvisited = set(sym)
 
-    def other_end(edge, v):
-        return edge[1] if edge[0] == v else edge[0]
-
-    paths = []
-    endpoints = [v for v, inc in incidence.items() if len(inc) == 1]
-    endpoints.sort()
-    for start in endpoints:
-        first = incidence[start][0]
-        if first not in unvisited:
-            continue
-        walk = [start]
-        v, edge = start, first
-        while True:
+    def walk(v, edge):
+        """Follow unvisited edges from v, first along ``edge``, until none is
+        left: the vertices passed and the edges taken, in order."""
+        trail, taken = [v], []
+        while edge is not None:
             unvisited.discard(edge)
-            v = other_end(edge, v)
-            walk.append(v)
-            nxt = [e for e in incidence[v] if e in unvisited]
-            if not nxt:
-                break
-            edge = nxt[0]
-        paths.append(tuple(walk))
+            taken.append(edge)
+            v = edge[1] if edge[0] == v else edge[0]
+            trail.append(v)
+            edge = next((e for e in incidence[v] if e in unvisited), None)
+        return trail, taken
 
+    # Paths run between the vertices of degree one, each walked from its
+    # least end; every edge left over lies on a circuit.
+    paths = []
+    for start in sorted(v for v, inc in incidence.items() if len(inc) == 1):
+        if incidence[start][0] in unvisited:
+            paths.append(tuple(walk(start, incidence[start][0])[0]))
     circuits = []
     while unvisited:
         edge = min(unvisited)
-        start = edge[0]
-        walk = set()
-        v = start
-        while True:
-            walk.add(edge)
-            unvisited.discard(edge)
-            v = other_end(edge, v)
-            nxt = [e for e in incidence[v] if e in unvisited]
-            if not nxt:
-                break
-            edge = nxt[0]
-        if v != start:
+        trail, taken = walk(edge[0], edge)
+        if trail[-1] != trail[0]:
             raise PlanarFlowsError("difference component is neither path nor circuit")
-        circuits.append(frozenset(walk))
+        circuits.append(frozenset(taken))
 
     couples = []
-    for walk in paths:
+    for path in paths:
         ends = []
-        for v in (walk[0], walk[-1]):
-            elem = _terminal_element(df.split, v)
+        for v in (path[0], path[-1]):
+            elem = _terminal_element(v)
             if elem is None:
                 raise PlanarFlowsError(f"path endpoint {v} is not a terminal")
             ends.append(elem)
@@ -267,8 +253,8 @@ def exchange(df, chosen_couples):
             else:
                 raise PlanarFlowsError("decomposition edge missing from flows")
 
-    Z = frozenset(e for (side, e) in {x for c in chosen for x in c} if side == 0)
-    Zp = frozenset(e for (side, e) in {x for c in chosen for x in c} if side == 1)
+    Z = frozenset(e for (side, e) in {x for c in chosen for x in c} if side == LOWER)
+    Zp = frozenset(e for (side, e) in {x for c in chosen for x in c} if side == UPPER)
     B = df.A ^ (Z & df.Y)
     Bp = df.Ap ^ (Zp & df.Yp)
 

@@ -56,14 +56,35 @@ class PlanarNetwork:
         return adj
 
     @cached_property
+    def peel(self):
+        """(order, succ): the vertices Kahn's algorithm peels, always taking
+        the least ready id (all of them exactly when the network is acyclic),
+        and the successor lists.  Built once, like ``view``."""
+        succ = self.successors()
+        indeg = {v: 0 for v in self.vertices}
+        for _, head in self.edges:
+            indeg[head] += 1
+        ready = [v for v, d in indeg.items() if d == 0]
+        heapq.heapify(ready)
+        order = []
+        while ready:
+            v = heapq.heappop(ready)
+            order.append(v)
+            for u in succ[v]:
+                indeg[u] -= 1
+                if indeg[u] == 0:
+                    heapq.heappush(ready, u)
+        return order, succ
+
+    @cached_property
     def view(self):
         """(order, rank, succ): the topological order, each vertex's position
         in it, and per position the positions of the successors.  Built once:
         networks are never mutated in place."""
         order = topological_order(self)
         rank = {v: r for r, v in enumerate(order)}
-        adj = self.successors()
-        return order, rank, [[rank[u] for u in adj[v]] for v in order]
+        succ = self.peel[1]
+        return order, rank, [[rank[u] for u in succ[v]] for v in order]
 
     def with_vertex_weights(self, weights):
         if self.weight_mode != "vertex":
@@ -174,26 +195,6 @@ def _hull_position(point, clockwise):
     return None
 
 
-def _peel(network):
-    """Kahn's algorithm, always taking the least ready id: the order of the
-    peeled vertices and the in-degrees left (nonzero exactly off the order)."""
-    adj = network.successors()
-    indeg = {v: 0 for v in network.vertices}
-    for _, head in network.edges:
-        indeg[head] += 1
-    ready = [v for v, d in indeg.items() if d == 0]
-    heapq.heapify(ready)
-    order = []
-    while ready:
-        v = heapq.heappop(ready)
-        order.append(v)
-        for u in adj[v]:
-            indeg[u] -= 1
-            if indeg[u] == 0:
-                heapq.heappush(ready, u)
-    return order, indeg
-
-
 def find_cycle(network):
     """Return the vertices of some directed cycle (first repeated last), or
     None if acyclic.
@@ -201,21 +202,22 @@ def find_cycle(network):
     Every vertex Kahn's algorithm cannot peel has an unpeeled predecessor, so
     walking back along those must repeat a vertex.
     """
-    order, indeg = _peel(network)
+    order = network.peel[0]
     if len(order) == len(network.vertices):
         return None
+    peeled = set(order)
     preds = network.predecessors()
-    v = next(v for v in network.vertices if indeg[v])
+    v = next(v for v in network.vertices if v not in peeled)
     seen = {}
     while v not in seen:
         seen[v] = len(seen)
-        v = next(u for u in preds[v] if indeg[u])
+        v = next(u for u in preds[v] if u not in peeled)
     cycle = list(seen)[seen[v]:][::-1]
     return cycle + cycle[:1]
 
 
 def topological_order(network):
-    order, _ = _peel(network)
+    order = network.peel[0]
     if len(order) != len(network.vertices):
         raise PlanarFlowsError("network has a directed cycle")
     return order

@@ -20,7 +20,6 @@ from fractions import Fraction
 
 from . import semiring as sr
 from .errors import (
-    InconsistentSets,
     NotPlanarMatching,
     PatternsBalanced,
     WitnessGeometryError,
@@ -55,11 +54,9 @@ _SIDES = (
 # ``network`` has unit integer weights in vertex mode; ``matching`` is the
 # PlanarMatching on the original (Y, Y'); ``edge_class`` maps each edge to
 # thin, lower-bridge, upper-bridge, b-edge, v-edge or extra; ``couple_paths``
-# maps each tilde couple to its ordered vertex tuple; ``processing_order``
-# lists the tilde couples in audit order; ``flows`` is the integer
-# FlowFunction that answers every count.
-WitnessNetwork = namedtuple(
-    "WitnessNetwork", "network matching edge_class couple_paths processing_order flows")
+# maps each tilde couple to its ordered vertex tuple; ``flows`` is the
+# integer FlowFunction that answers every count.
+WitnessNetwork = namedtuple("WitnessNetwork", "network matching edge_class couple_paths flows")
 
 
 def _nesting_children(couples):
@@ -88,13 +85,8 @@ def _build_core(n_tilde, matching, points, xterms):
     couple's only even vertex and its whole path, with no thin edges.
     """
     vertices = {}
-    edges = []
-    edge_class = {}
+    edge_class = {}  # in insertion order, the network's edges
     couple_paths = {}
-
-    def add(e, cls):
-        edges.append(e)
-        edge_class[e] = cls
 
     for e in range(1, n_tilde + 1):
         for side in _SIDES:
@@ -129,7 +121,7 @@ def _build_core(n_tilde, matching, points, xterms):
             odds[(side.key, i, j)] = inner[1::2]
             for k in range(len(names) - 1):
                 edge = (names[k], names[k + 1])
-                add(edge if (k % 2 == 0) != side.reversed else edge[::-1], "thin")
+                edge_class[edge if (k % 2 == 0) != side.reversed else edge[::-1]] = "thin"
 
     # Lower and upper bridges between nested couples.
     roots = []
@@ -144,7 +136,7 @@ def _build_core(n_tilde, matching, points, xterms):
             if len(W) != len(V):
                 raise WitnessGeometryError("bridge endpoint counts disagree")
             for w, v in zip(W, V):
-                add((v, w) if side.reversed else (w, v), side.bridge)
+                edge_class[(v, w) if side.reversed else (w, v)] = side.bridge
 
     # Middle bridges between maximal couples.
     Q = [v for c in sorted(roots[LOWER]) for v in evens[(LOWER, *c)]]
@@ -196,9 +188,9 @@ def _build_core(n_tilde, matching, points, xterms):
             chain.extend([lo, hi])
         chain.append(b[1])
         for k in range(0, len(chain) - 1, 2):
-            add((chain[k], chain[k + 1]), "b-edge")
+            edge_class[chain[k], chain[k + 1]] = "b-edge"
         for k in range(1, len(chain) - 1, 2):
-            add((chain[k], chain[k + 1]), "extra")
+            edge_class[chain[k], chain[k + 1]] = "extra"
 
     for (i, j), crossings in vert_cross.items():
         crossings.sort()
@@ -212,43 +204,9 @@ def _build_core(n_tilde, matching, points, xterms):
         chain.append(f"t{j}")
         couple_paths[((LOWER, i), (UPPER, j))] = tuple(chain)
         for k in range(0, len(chain) - 1, 2):
-            add((chain[k], chain[k + 1]), "v-edge")
+            edge_class[chain[k], chain[k + 1]] = "v-edge"
 
-    return vertices, edges, edge_class, couple_paths
-
-
-def _processing_order(couple_paths, edge_class, edges):
-    """Order couples so some bridge side is already covered at each step."""
-    thick = {"lower-bridge", "upper-bridge", "b-edge"}
-    vertex_couple = {}
-    for couple, path in couple_paths.items():
-        for v in path:
-            vertex_couple[v] = couple
-    zin = {c: set() for c in couple_paths}
-    zout = {c: set() for c in couple_paths}
-    for e in edges:
-        if edge_class[e] not in thick:
-            continue
-        tail, head = e
-        if head in vertex_couple:
-            zin[vertex_couple[head]].add(e)
-        if tail in vertex_couple:
-            zout[vertex_couple[tail]].add(e)
-    covered = set()
-    remaining = set(couple_paths)
-    order = []
-    while remaining:
-        pick = None
-        for c in sorted(remaining):
-            if zin[c] <= covered or zout[c] <= covered:
-                pick = c
-                break
-        if pick is None:
-            raise WitnessGeometryError("no processing order exists")
-        order.append(pick)
-        covered |= zin[pick] | zout[pick]
-        remaining.discard(pick)
-    return tuple(order)
+    return vertices, edge_class, couple_paths
 
 
 def build_witness_network(X, Y, Xp, Yp, matching):
@@ -280,7 +238,6 @@ def build_witness_network(X, Y, Xp, Yp, matching):
     tilde_pos = {}
     terminals = ([], [])
     pads = {}
-    sizes = []
     for side in _SIDES:
         xs, ys, m = grounds[side.key]
         sign = 1 if side.reversed else -1
@@ -302,27 +259,23 @@ def build_witness_network(X, Y, Xp, Yp, matching):
                 vid = f"pad_{side.terminal}{e}"
                 pads[vid] = _circle_point(base)
             terminals[side.key].append(vid)
-        sizes.append(pos)
-    if sizes[LOWER] != sizes[UPPER]:
-        raise InconsistentSets("doubling produced unequal tilde sizes")
 
     couples += [
         tuple(sorted(((p[0], tilde_pos[p]), (q[0], tilde_pos[q]))))
         for p, q in matching.couples
     ]
-    vertices, edges, edge_class, couple_paths = _build_core(
-        sizes[LOWER], PlanarMatching(couples), points, xterms
+    vertices, edge_class, couple_paths = _build_core(
+        2 * len(X) + len(Y), PlanarMatching(couples), points, xterms
     )
-    order = _processing_order(couple_paths, edge_class, edges)
     vertices.update(pads)
 
-    network = PlanarNetwork(vertices, tuple(edges), tuple(terminals[LOWER]),
+    network = PlanarNetwork(vertices, tuple(edge_class), tuple(terminals[LOWER]),
                             tuple(terminals[UPPER]), "vertex", {v: 1 for v in vertices})
 
     report = validate(network)
     if not report["ok"]:
         raise WitnessGeometryError(f"layout failed validation: {report}")
-    return WitnessNetwork(network, matching, edge_class, couple_paths, order,
+    return WitnessNetwork(network, matching, edge_class, couple_paths,
                           FlowFunction(sr.INTEGERS, network))
 
 

@@ -255,6 +255,26 @@ def test_eval_fg_reads_many_star_prefixes_as_one(capsys, tmp_path):
         assert outs[0][0] == 0 and outs[0] == outs[1]
 
 
+def test_eval_fg_without_a_zero_values_no_flow_as_star(capsys, tmp_path):
+    """Over tropical-int, which has no zero, a value with no flow is "star",
+    as verify-relation reads it; the weights are still tropical integers."""
+    net = build_half_grid(3).unit_weights(TROPICAL_INT)
+    data = network_to_json(net, TROPICAL_INT)
+    net_file, args_file = tmp_path / "net.json", tmp_path / "args.json"
+    net_file.write_text(json.dumps(data))
+    argv = ["eval-fg", "--network", str(net_file), "--semiring", "tropical-int",
+            "--args", str(args_file)]
+    for I, Iprime, value in (([2, 3], [1, 2], 0), ([1], [3], "star")):
+        args_file.write_text(json.dumps({"I": I, "Iprime": Iprime}))
+        assert run(capsys, *argv) == (0, {"value": value})
+    data["weights"]["1,1"] = "star"
+    net_file.write_text(json.dumps(data))
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: weights['1,1']: expected tropical integer, got 'star'\n"
+
+
 def test_validate_network_failure(capsys, tmp_path):
     data = {
         "vertices": [

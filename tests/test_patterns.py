@@ -197,6 +197,12 @@ def test_unbalanced_witness():
     assert result.witness.lower_couples() == [(1, 2)]
 
 
+def test_a_balance_result_is_true_exactly_when_balanced():
+    # A non-empty tuple is true, so only ``__bool__`` makes an unbalanced result false.
+    assert bool(is_balanced(one_pattern(3, 2, [{1, 3}]), one_pattern(3, 2, [{1, 2}]))) is False
+    assert bool(is_balanced(*stock_pattern("p3"))) is True
+
+
 def test_is_balanced_symmetric_and_shift_invariant():
     rng = random.Random(12)
     a, b = stock_pattern("quintuple")

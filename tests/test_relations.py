@@ -145,6 +145,21 @@ def test_verify_symbolic_default_instances():
         assert all(c["network_vertices"] <= 25 for c in report["cases"])
 
 
+@pytest.mark.parametrize("kind, half_grid_vertices, Xp", [
+    ("rowdecomposition3", 6, []),  # m = m' = 3: the half-grid of size 3
+    ("dodgson", 3, []),
+    ("p4", 10, [1, 2]),  # m' = 0: X' takes the first m // 2 sinks
+])
+def test_verify_symbolic_default_config_ends_on_a_half_grid(kind, half_grid_vertices, Xp):
+    a0, b0 = stock_pattern(kind)
+    report = verify_symbolic(a0, b0)
+    assert report["all_equal"]
+    assert len(report["cases"]) == 4
+    last = report["cases"][-1]
+    assert last["network_vertices"] == half_grid_vertices
+    assert (last["X"], last["Y"], last["Xprime"]) == ([], list(range(1, a0.m + 1)), Xp)
+
+
 def test_soundness_on_random_balanced_sample():
     pairs = random_balanced_patterns(99, 12)
     cfg = InstanceConfig(max_cases=2)

@@ -5,7 +5,7 @@ import pytest
 from planarflows import INTEGERS, flows
 from planarflows.errors import NotPlanarMatching, PatternsBalanced
 from planarflows.flows import enumerate_flows, fg_value
-from planarflows.network import validate
+from planarflows.network import PlanarNetwork, validate
 from planarflows.patterns import (
     _normalize_pattern,
     embed_matching,
@@ -215,7 +215,6 @@ def test_thin_components_are_couple_paths():
             edges_on_path |= seen.get(v, set())
         for e in edges_on_path:
             assert e[0] in path and e[1] in path
-    assert len(wn.processing_order) == len(wn.couple_paths)
 
 
 def test_rejects_crossing_matching():
@@ -255,3 +254,23 @@ def test_a_witness_walks_each_flow_query_once(monkeypatch):
             audit = audit_witness(result["network"], *ctx)
             assert audit["ok"] and sides and max(walks.values()) == 1
             assert sum(walks.values()) < 2 * len(audit["cases"]) + sides
+
+
+def test_a_witness_is_peeled_once(monkeypatch):
+    """``validate`` and the witness's counter read one cached peel, so each
+    witness builds its successor lists once across the sides and the audit."""
+    calls = Counter()
+    successors = PlanarNetwork.successors
+
+    def counted(network):
+        calls[id(network)] += 1
+        return successors(network)
+
+    monkeypatch.setattr(PlanarNetwork, "successors", counted)
+    for a, b in random_unbalanced_patterns(43, 8):
+        shape = _normalize_pattern(a)
+        for ctx in contexts_for(shape.m, shape.m_prime):
+            calls.clear()
+            result = demonstrate_violation(a, b, *ctx)
+            assert audit_witness(result["network"], *ctx)["ok"]
+            assert dict(calls) == {id(result["network"].network): 1}
