@@ -57,10 +57,11 @@ class PlanarNetwork:
 
     @cached_property
     def peel(self):
-        """(order, succ): the vertices Kahn's algorithm peels, always taking
-        the least ready id (all of them exactly when the network is acyclic),
-        and the successor lists.  Built once, like ``view``."""
-        succ = self.successors()
+        """The vertices Kahn's algorithm peels, always taking the least ready
+        id: all of them exactly when the network is acyclic.  Built once,
+        like ``view``; the successor lists it builds wait in ``_succ`` until
+        ``view`` turns them into rank lists."""
+        succ = self._succ = self.successors()
         indeg = {v: 0 for v in self.vertices}
         for _, head in self.edges:
             indeg[head] += 1
@@ -74,7 +75,7 @@ class PlanarNetwork:
                 indeg[u] -= 1
                 if indeg[u] == 0:
                     heapq.heappush(ready, u)
-        return order, succ
+        return order
 
     @cached_property
     def view(self):
@@ -83,7 +84,8 @@ class PlanarNetwork:
         networks are never mutated in place."""
         order = topological_order(self)
         rank = {v: r for r, v in enumerate(order)}
-        succ = self.peel[1]
+        succ = self._succ
+        del self._succ
         return order, rank, [[rank[u] for u in succ[v]] for v in order]
 
     def with_vertex_weights(self, weights):
@@ -202,7 +204,7 @@ def find_cycle(network):
     Every vertex Kahn's algorithm cannot peel has an unpeeled predecessor, so
     walking back along those must repeat a vertex.
     """
-    order = network.peel[0]
+    order = network.peel
     if len(order) == len(network.vertices):
         return None
     peeled = set(order)
@@ -217,7 +219,7 @@ def find_cycle(network):
 
 
 def topological_order(network):
-    order = network.peel[0]
+    order = network.peel
     if len(order) != len(network.vertices):
         raise PlanarFlowsError("network has a directed cycle")
     return order

@@ -4,10 +4,11 @@ from __future__ import annotations
 
 import random
 from collections import namedtuple
+from functools import lru_cache
 from itertools import combinations
 
 from . import semiring as sr
-from .errors import InconsistentSets, RingRequired
+from .errors import BadInput, InconsistentSets, RingRequired
 from .flows import FlowFunction
 from .network import build_half_grid, truncated_grid
 from .patterns import embed_two
@@ -154,21 +155,46 @@ def default_instances(m, m_prime, config=None):
     return cases[: config.max_cases]
 
 
+def _generic(instances):
+    """Each (network, X, Y, X', Y') as (ring, weighted network, X, Y, X', Y'):
+    the network weighted by one variable of the ring per vertex."""
+    out = []
+    for net, X, Y, Xp, Yp in instances:
+        ring = sr.polynomial_ring(*[f"w_{v}" for v in net.vertices])
+        weights = {v: ring.var(k) for k, v in enumerate(net.vertices)}
+        out.append((ring, net.with_vertex_weights(weights), X, Y, Xp, Yp))
+    return tuple(out)
+
+
+@lru_cache
+def _default_generic(m, m_prime, config):
+    """The generic ``default_instances`` of a shape, built once per shape.
+    Only inputs are kept: each check walks them with its own FlowFunction."""
+    return _generic(default_instances(m, m_prime, config))
+
+
 def verify_symbolic(pattern_a, pattern_b, config=None, instances=None):
     """Check the identity with one polynomial variable per weighted vertex.
 
     Exact polynomial equality on every sampled instance is strong evidence of
     stability; the decision procedure proper is ``patterns.is_balanced``.
+    A check with no instance to run (``max_cases`` below 1, or an empty
+    ``instances``) is refused rather than reported equal.
     """
     a, b = _pattern_pair(pattern_a, pattern_b)
     if instances is None:
-        instances = default_instances(a.m, a.m_prime, config)
+        config = config or InstanceConfig()
+        if config.max_cases < 1:
+            raise BadInput(f"max_cases: {config.max_cases} leaves no case to check")
+        generic = _default_generic(a.m, a.m_prime, config)
+    elif not instances:
+        raise BadInput("instances: no case to check")
+    else:
+        generic = _generic(instances)
     cases = []
-    for net, X, Y, Xp, Yp in instances:
-        ring = sr.polynomial_ring(*[f"w_{v}" for v in net.vertices])
-        weights = {v: ring.var(k) for k, v in enumerate(net.vertices)}
+    for ring, net, X, Y, Xp, Yp in generic:
         ri = RelationInstance.from_patterns(a, b, X, Y, Xp, Yp)
-        result = evaluate_sq(ri, ring, net.with_vertex_weights(weights))
+        result = evaluate_sq(ri, ring, net)
         cases.append(
             {
                 "network_vertices": len(net.vertices),

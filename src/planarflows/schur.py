@@ -13,6 +13,7 @@ horizontal steps at level h match the number of h entries in that row.
 from __future__ import annotations
 
 from collections import namedtuple
+from functools import lru_cache
 
 from . import semiring as sr
 from .errors import BadLength, BadParams
@@ -126,8 +127,11 @@ def schur_poly(lam, mu=None, N=1):
     return _flow_value(lam, mu, N, True), schur_ring(N)
 
 
+@lru_cache
 def gv_grid(N, width):
-    """The lattice network whose flows carry tableaux, with x_h level weights."""
+    """The lattice network whose flows carry tableaux, with x_h level weights.
+    Built once per (N, width) and shared by every caller, who must not
+    change it; each value is walked by its own FlowFunction."""
     ring = schur_ring(N)
     level_weights = {h: ring.var(h - 1) for h in range(1, N + 1)}
     net = build_gv_grid(N, width, level_weights)

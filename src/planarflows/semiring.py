@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from collections.abc import Mapping
 from fractions import Fraction
+from functools import lru_cache
 
 from .errors import (
     DivisionUnsupported,
@@ -46,9 +47,15 @@ class Polynomial:
     biased by 2**(w-1), so a monomial product is one int addition.  A product
     re-packs at a doubled w while the sum of its factors' exponent bounds
     (each an upper bound on every |exponent|) could leave the field.
+
+    The packed dict is never changed once built, so polynomials may share
+    it: a term's key is its dict key plus the pending offset ``_shift``.  A
+    product by a unit monomial (one term, coefficient 1) shares the other
+    factor's dict, re-packed first only when the product needs wider fields,
+    and adds the monomial's key to the offset: O(1) instead of a new dict.
     """
 
-    __slots__ = ("nvars", "_width", "_bound", "_packed")
+    __slots__ = ("nvars", "_width", "_bound", "_packed", "_shift")
 
     def __init__(self, nvars, terms=None):
         clean = {tuple(e): c for e, c in (terms or {}).items() if c}
@@ -58,11 +65,13 @@ class Polynomial:
         width = _width_for(bound, 8)
         packed = {_pack(e, width): c for e, c in clean.items()}
         self.nvars, self._width, self._bound, self._packed = nvars, width, bound, packed
+        self._shift = 0
 
-    def _new(self, width, bound, packed):
+    def _new(self, width, bound, packed, shift=0):
         """A polynomial in the same variables from packed terms."""
         poly = object.__new__(Polynomial)
         poly.nvars, poly._width, poly._bound, poly._packed = self.nvars, width, bound, packed
+        poly._shift = shift
         return poly
 
     @property
@@ -80,51 +89,59 @@ class Polynomial:
         return cls(nvars, {tuple(exps): 1})
 
     def __add__(self, other):
+        """The larger dict is copied once and keeps its offset; the other's
+        keys move into that frame as they merge."""
         width = max(self._width, other._width)
-        a, b = _packed_at(self, width), _packed_at(other, width)
+        (a, sa), (b, sb) = _framed_at(self, width), _framed_at(other, width)
         if len(a) < len(b):
-            a, b = b, a
+            a, sa, b, sb = b, sb, a, sa
         terms = dict(a)
         get = terms.get
+        shift = sb - sa
         for key, coeff in b.items():
+            key += shift
             coeff += get(key, 0)
             if coeff:
                 terms[key] = coeff
             else:
                 del terms[key]
-        return self._new(width, max(self._bound, other._bound), terms)
+        return self._new(width, max(self._bound, other._bound), terms, sa)
 
     def __neg__(self):
-        return self._new(self._width, self._bound, {k: -c for k, c in self._packed.items()})
+        packed = {k: -c for k, c in self._packed.items()}
+        return self._new(self._width, self._bound, packed, self._shift)
 
     def __mul__(self, other):
+        """Keys add, less the key of the monomial 1, and so do offsets."""
+        if len(self._packed) > len(other._packed):
+            self, other = other, self
         bound = self._bound + other._bound
         width = _width_for(bound, max(self._width, other._width))
-        a, b = _packed_at(self, width), _packed_at(other, width)
-        if len(a) > len(b):
-            a, b = b, a
-        # the key of the monomial 1: the bias in each of the nvars fields
-        one = (1 << width - 1) * ((1 << width * self.nvars) - 1) // ((1 << width) - 1)
+        (a, sa), (b, sb) = _framed_at(self, width), _framed_at(other, width)
+        offset = sa + sb - _one_key(width, self.nvars)
         if len(a) == 1:  # a monomial times b: shift every key of b
             ((key, coeff),) = a.items()
-            shift = key - one
-            terms = {k + shift: coeff * c for k, c in b.items()}
-        else:
-            terms = {}
-            get = terms.get
-            for k1, c1 in a.items():
-                k1 -= one
-                for k2, c2 in b.items():
-                    key = k1 + k2
-                    terms[key] = get(key, 0) + c1 * c2
-            terms = {k: c for k, c in terms.items() if c}
-        return self._new(width, bound, terms)
+            offset += key
+            if coeff == 1:
+                return self._new(width, bound, b, offset)
+            return self._new(width, bound, {k + offset: coeff * c for k, c in b.items()})
+        terms = {}
+        get = terms.get
+        for k1, c1 in a.items():
+            k1 += offset
+            for k2, c2 in b.items():
+                key = k1 + k2
+                terms[key] = get(key, 0) + c1 * c2
+        return self._new(width, bound, {k: c for k, c in terms.items() if c})
 
     def __eq__(self, other):
         if not isinstance(other, Polynomial) or self.nvars != other.nvars:
             return False
         width = max(self._width, other._width)
-        return _packed_at(self, width) == _packed_at(other, width)
+        (a, sa), (b, sb) = _framed_at(self, width), _framed_at(other, width)
+        if sa != sb:
+            a = {k + sa - sb: c for k, c in a.items()}
+        return a == b
 
     def __hash__(self):
         return hash((self.nvars, frozenset(self.terms.items())))
@@ -175,12 +192,20 @@ def _unpack(key, nvars, width):
     return tuple((key >> width * i & mask) - bias for i in range(nvars))
 
 
-def _packed_at(poly, width):
-    """The packed terms of ``poly`` with fields ``width`` bits wide."""
+@lru_cache
+def _one_key(width, nvars):
+    """The key of the monomial 1: the bias in each of the nvars fields."""
+    return _pack((0,) * nvars, width)
+
+
+def _framed_at(poly, width):
+    """(dict, offset): ``poly``'s terms with fields ``width`` bits wide, each
+    under its key less the offset.  At its own width a polynomial lends its
+    dict; a narrower one is re-packed into a new dict, offset applied."""
     if poly._width == width:
-        return poly._packed
-    n, w = poly.nvars, poly._width
-    return {_pack(_unpack(k, n, w), width): c for k, c in poly._packed.items()}
+        return poly._packed, poly._shift
+    n, w, shift = poly.nvars, poly._width, poly._shift
+    return {_pack(_unpack(k + shift, n, w), width): c for k, c in poly._packed.items()}, 0
 
 
 class _Terms(Mapping):
@@ -196,13 +221,13 @@ class _Terms(Mapping):
 
     def __iter__(self):
         p = self._poly
-        return (_unpack(k, p.nvars, p._width) for k in p._packed)
+        return (_unpack(k + p._shift, p.nvars, p._width) for k in p._packed)
 
     def __getitem__(self, exps):
         p = self._poly
         if len(exps) != p.nvars or any(abs(e) > p._bound for e in exps):
             raise KeyError(exps)
-        return p._packed[_pack(exps, p._width)]
+        return p._packed[_pack(exps, p._width) - p._shift]
 
 
 def _frac_to_json(x):

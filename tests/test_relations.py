@@ -1,11 +1,13 @@
+import gc
 import random
 from fractions import Fraction
 from itertools import combinations
+from types import FunctionType, ModuleType
 
 import pytest
 
-from planarflows import INTEGERS, RATIONALS, TROPICAL_INT, polynomial_ring
-from planarflows.errors import InconsistentSets, RingRequired
+from planarflows import INTEGERS, RATIONALS, TROPICAL_INT, polynomial_ring, relations
+from planarflows.errors import BadInput, InconsistentSets, RingRequired
 from planarflows.flows import fg_value
 from planarflows.lindstrom import (
     compile_matrix_to_network,
@@ -21,8 +23,9 @@ from planarflows.relations import (
     flag_manifold_relation,
     verify_symbolic,
 )
+from planarflows.schur import gv_grid, verify_schur_identity
 
-from helpers import random_balanced_patterns
+from helpers import random_balanced_patterns, random_unbalanced_patterns
 
 
 def test_relation_instance_validation():
@@ -158,6 +161,68 @@ def test_verify_symbolic_default_config_ends_on_a_half_grid(kind, half_grid_vert
     last = report["cases"][-1]
     assert last["network_vertices"] == half_grid_vertices
     assert (last["X"], last["Y"], last["Xprime"]) == ([], list(range(1, a0.m + 1)), Xp)
+
+
+@pytest.mark.parametrize("config, instances, field", [
+    (InstanceConfig(max_cases=0), None, "max_cases"),
+    (InstanceConfig(max_cases=-1), None, "max_cases"),
+    (None, [], "instances"),
+])
+def test_verify_symbolic_refuses_a_check_with_no_cases(config, instances, field):
+    for a, b in [stock_pattern("p3")] + random_unbalanced_patterns(5, 3):
+        with pytest.raises(BadInput, match=f"^{field}: "):
+            verify_symbolic(a, b, config, instances)
+
+
+def test_pairs_of_one_shape_share_the_generic_instances(monkeypatch):
+    seen = []
+
+    def recording(ri, spec, network):
+        seen.append(network)
+        return evaluate_sq(ri, spec, network)
+
+    monkeypatch.setattr(relations, "evaluate_sq", recording)
+    a0, b0 = stock_pattern("p3")
+    config = InstanceConfig(max_cases=3)
+    assert verify_symbolic(a0, b0, config)["all_equal"]
+    first = list(seen)
+    seen.clear()
+    assert verify_symbolic(b0, a0, config)["all_equal"]
+    assert len(first) == 3 and all(x is y for x, y in zip(first, seen, strict=True))
+
+
+def test_reports_are_the_same_with_the_instance_cache_cold_and_warm():
+    config = InstanceConfig(max_cases=3, vertex_budget=20)
+    pairs = random_balanced_patterns(17, 4) + random_unbalanced_patterns(17, 4)
+    for a, b in pairs + [stock_pattern("rowdecomposition3")]:
+        for cfg in (config, None):
+            relations._default_generic.cache_clear()
+            cold = verify_symbolic(a, b, cfg)
+            assert verify_symbolic(a, b, cfg) == cold
+    assert any(not verify_symbolic(a, b, config)["all_equal"] for a, b in pairs)
+
+
+def _reachable(roots):
+    """Everything reachable from ``roots`` through containers and instance
+    fields, not through classes, modules or functions."""
+    stack, seen = list(roots), {}
+    while stack:
+        obj = stack.pop()
+        if id(obj) in seen or isinstance(obj, (type, ModuleType, FunctionType)):
+            continue
+        seen[id(obj)] = obj
+        stack.extend(gc.get_referents(obj))
+    return seen.values()
+
+
+def test_the_instance_caches_hold_no_flow_values():
+    a0, b0 = stock_pattern("dodgson")
+    assert verify_symbolic(a0, b0)["all_equal"]
+    assert verify_schur_identity("tworow", (1, 2, 3, 4), 3)["equal"]
+    roots = [relations._default_generic(a0.m, a0.m_prime, InstanceConfig()), gv_grid(3, 5)]
+    kinds = {type(obj).__name__ for obj in _reachable(roots)}
+    assert {"PlanarNetwork", "PolynomialRing", "Polynomial"} <= kinds
+    assert "FlowFunction" not in kinds
 
 
 def test_soundness_on_random_balanced_sample():

@@ -186,6 +186,11 @@ def test_tableau_enumeration_depth_does_not_grow_the_call_stack():
     ]
 
 
+def test_a_lattice_is_built_once_per_size():
+    assert gv_grid(3, 5) is gv_grid(3, 5)
+    assert gv_grid(3, 5) is not gv_grid(3, 6)
+
+
 def test_jacobi_trudi_via_flow_matrix():
     N = 3
     net, ring = gv_grid(N, 6)

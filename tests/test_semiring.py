@@ -2,17 +2,20 @@ import random
 import re
 from collections import Counter
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 
 from planarflows import semiring as sr
+from planarflows.basis import _weight_exponents, laurent_expand
 from planarflows.errors import (
     DivisionUnsupported,
     EmptySumWithoutNeutral,
     NotInvertible,
 )
+from planarflows.network import build_half_grid
 
-from helpers import TuplePolynomial
+from helpers import TuplePolynomial, brute_force_flows
 
 ALL_SPECS = [
     sr.INTEGERS,
@@ -223,6 +226,73 @@ def test_packed_polynomials_match_the_tuple_reference():
                 assert (p * q) * m == p * (q * m)
                 assert p * (q + m) == p * q + p * m
     assert seen["widths differ"] > 0 and seen["substituted"] > 0 and seen["zero"] > 0
+
+
+def _unit_monomial(rng, nvars, pool):
+    exps = tuple(rng.choice(pool) for _ in range(nvars))
+    return sr.Polynomial(nvars, {exps: 1}), TuplePolynomial(nvars, {exps: 1})
+
+
+def test_unit_monomial_chains_match_the_tuple_reference():
+    """Chains of unit-monomial products carry a pending offset; every
+    operation reads it, across Laurent exponents and field growth."""
+    rng = random.Random(707)
+    seen = Counter()
+    for nvars in (1, 2, 3, 6):
+        for pool in EXPONENTS:
+            for _ in range(12):
+                p, rp = _random_pair(rng, nvars, pool)
+                q, rq = _random_pair(rng, nvars, (0, 1, 2), max_terms=6)
+                chains = []
+                for start, rstart in ((p, rp), (q, rq)):
+                    for _ in range(rng.randint(1, 4)):
+                        m, rm = _unit_monomial(rng, nvars, pool)
+                        if rng.random() < 0.5:
+                            start, rstart = m * start, rm * rstart
+                        else:
+                            start, rstart = start * m, rstart * rm
+                        _check_against(start, rstart, seen)
+                        seen["shifted"] += start._shift != 0
+                    chains.append((start, rstart))
+                (s, rs), (t, rt) = chains
+                results = [(s + t, rs + rt), (t + s, rt + rs), (s + q, rs + rq),
+                           (p + t, rp + rt), (s * t, rs * rt), (t * q, rt * rq),
+                           (-s, -rs), (s + -s, rs + -rs), (-t + t * p, -rt + rt * rp)]
+                for got, want in results:
+                    _check_against(got, want, seen)
+                assert (s == t) == (rs == rt) and (s == p) == (rs == rp)
+                assert s * t == t * s and hash(s * t) == hash(t * s)
+                assert (s * t) * p == s * (t * p)
+    assert seen["shifted"] > 0 and seen["widths differ"] > 0 and seen["substituted"] > 0
+
+
+def test_a_unit_monomial_product_shares_its_factors_terms():
+    ring = sr.polynomial_ring("a", "b", "c")
+    p = ring.var("a") * ring.var("b") + ring.var("c") + ring.const(3)
+    x = ring.var("b", -2)
+    for product in (x * p, p * x, x * (x * p)):
+        assert product._packed is p._packed
+    assert x * p == sr.Polynomial(3, {(1, -1, 0): 1, (0, -2, 1): 1, (0, -2, 0): 3})
+    # a product past the field's reach re-packs instead
+    wide = sr.Polynomial(3, {(200, 0, 0): 1})
+    assert (wide * p)._packed is not p._packed and (wide * p)._width > p._width
+
+
+def test_laurent_expansions_match_the_brute_force_flows():
+    """Each flow of the half-grid adds its vertices' Laurent exponents."""
+    for n in range(1, 6):
+        exponents = _weight_exponents(n)
+        net = build_half_grid(n)
+        for k in range(1, n + 1):
+            for target in combinations(range(1, n + 1), k):
+                monomials = Counter()
+                for paths in brute_force_flows(net, target, range(1, k + 1)):
+                    mono = Counter()
+                    for v in {v for path in paths for v in path}:
+                        mono.update(exponents[v])
+                    monomials[tuple(sorted((iv, e) for iv, e in mono.items() if e))] += 1
+                got = laurent_expand(n, target)
+                assert got.monomials == tuple(sorted(monomials.items())), (n, target)
 
 
 def test_exponents_at_the_field_limit_multiply_exactly():
