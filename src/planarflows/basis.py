@@ -1,19 +1,17 @@
-"""Interval bases and Laurent reconstruction over division semirings.
+"""Interval bases and reconstruction over division semirings.
 
 Flag flow values on a half-grid are free on the nonempty intervals of [n]:
-the vertex weights are recovered as cross-ratios of interval values, and
-every other value is a subtraction-free Laurent expression in them.  The
-two-sided analogue uses pressed double intervals on the full grid.
+every other value is a subtraction-free Laurent expression in them, reached
+by exchange and condensation steps.  The two-sided analogue uses pressed
+double intervals on the full grid.
 """
 
 from __future__ import annotations
 
 from collections import namedtuple
 
-from . import semiring as sr
-from .errors import BadParams, DivisionUnsupported, NotInvertible
+from .errors import BadParams, DivisionUnsupported
 from .flows import FlowFunction
-from .network import build_half_grid
 
 
 def intervals(n):
@@ -28,43 +26,6 @@ def _pressed(k, kp):
     if length == 0:
         return ((), ())
     return ((k - length + 1, k), (kp - length + 1, kp))
-
-
-def _cross_ratio(k, kp):
-    """Numerator and denominator keys of grid vertex (k, k')'s weight:
-    F(k, k') F(k-1, k'-1) / (F(k-1, k') F(k, k'-1)), F the pressed value."""
-    return ((_pressed(k, kp), _pressed(k - 1, kp - 1)),
-            (_pressed(k - 1, kp), _pressed(k, kp - 1)))
-
-
-def _half_grid_cells(n):
-    return [(i, j) for i in range(1, n + 1) for j in range(1, i + 1)]
-
-
-def _weights_from_ratios(spec, cells, value):
-    """Weight of each cell as its cross-ratio of ``value(key)``."""
-    if not spec.has_division:
-        raise DivisionUnsupported(f"{spec.name} has no division")
-    weights = {}
-    for k, kp in cells:
-        num, den = (spec.mul(value(a), value(b)) for a, b in _cross_ratio(k, kp))
-        weights[f"{k},{kp}"] = sr.divide(spec, num, den)
-    return weights
-
-
-# ---------------------------------------------------------------------------
-# flag case: half-grid weights from interval values
-
-def weights_from_intervals(spec, values, n):
-    """Vertex weights on the half-grid reproducing the given interval values.
-
-    ``values`` maps nonempty intervals (p, q) to invertible semiring values.
-    (p, q) is the pressed double interval ((p, q), (1, q - p + 1)), so each
-    weight is the pressed cross-ratio read through its keys' source sides.
-    """
-    return _weights_from_ratios(
-        spec, _half_grid_cells(n),
-        lambda key: values[key[0]] if key[0] else spec.one())
 
 
 def interval_values_from_weights(spec, weights, n):
@@ -110,13 +71,6 @@ def pressed_assignment(spec, n, n_prime, values):
     vals = dict(values)
     vals.setdefault(((), ()), spec.one())
     return BasisAssignment("pressed-double-intervals", vals, spec)
-
-
-def weights_from_pressed(spec, values, n, n_prime):
-    """Grid vertex weights from pressed double-interval values."""
-    return _weights_from_ratios(
-        spec, [(k, kp) for k in range(1, n + 1) for kp in range(1, n_prime + 1)],
-        lambda key: values[key] if key[0] else spec.one())
 
 
 def reconstruct_value(assignment, target):
@@ -190,72 +144,6 @@ def reconstruct_value(assignment, target):
             if part not in memo:
                 stack.append((part, None))
     return memo[start]
-
-
-# ---------------------------------------------------------------------------
-# Laurent expansion (flag case)
-
-# ``target`` is a frozenset; ``monomials`` holds (sorted tuple of
-# (interval, exponent), multiplicity) pairs.
-class LaurentExpansion(namedtuple("LaurentExpansion", "target monomials")):
-    __slots__ = ()
-
-    def exponent_range(self):
-        exps = set()
-        for mono, _ in self.monomials:
-            exps.update(e for _, e in mono)
-        return exps
-
-
-def _weight_exponents(n):
-    """Exponent map of each half-grid vertex weight in interval values."""
-    out = {}
-    for i, j in _half_grid_cells(n):
-        terms = {}
-        for sign, keys in zip((1, -1), _cross_ratio(i, j)):
-            for iv, _ in keys:
-                if iv:
-                    terms[iv] = terms.get(iv, 0) + sign
-        out[f"{i},{j}"] = {iv: e for iv, e in terms.items() if e}
-    return out
-
-
-def laurent_expand(n, target):
-    """Expansion of a flag value as Laurent monomials in interval values.
-
-    The flow value of the half-grid whose vertex weights are their
-    cross-ratio substitutions, one variable per nonempty interval: each
-    flow contributes one monomial and like monomials are collected.
-    """
-    target = frozenset(target)
-    ivs = intervals(n)
-    weights = {
-        v: sr.Polynomial(len(ivs), {tuple(exps.get(iv, 0) for iv in ivs): 1})
-        for v, exps in _weight_exponents(n).items()
-    }
-    ring = sr.PolynomialRing(f"{p}..{q}" for p, q in ivs)
-    net = build_half_grid(n).with_vertex_weights(weights)
-    value = FlowFunction(ring, net)(target, range(1, len(target) + 1))
-    monomials = tuple(sorted(
-        (tuple((ivs[k], e) for k, e in enumerate(exps) if e), mult)
-        for exps, mult in value.terms.items()
-    ))
-    return LaurentExpansion(target, monomials)
-
-
-def eval_expansion(spec, expansion, values):
-    """Evaluate a Laurent expansion at given interval values."""
-    if not spec.has_division:
-        raise DivisionUnsupported(f"{spec.name} has no division")
-    terms = []
-    for mono, mult in expansion.monomials:
-        acc = spec.one()
-        for iv, e in mono:
-            acc = spec.mul(acc, sr.power(spec, values[iv], e))
-        terms.extend([acc] * mult)
-    if not terms:
-        raise NotInvertible("empty expansion cannot be evaluated")
-    return sr.fold_sum(spec, terms)
 
 
 # ---------------------------------------------------------------------------

@@ -32,6 +32,16 @@ def _emit(data, output):
         print(text)
 
 
+def _semiring(text):
+    """The semiring ``--semiring`` names; an unknown one is refused naming the option."""
+    from .semiring import parse_semiring
+
+    try:
+        return parse_semiring(text)
+    except ValueError as exc:
+        raise BadInput(f"semiring: {exc}") from None
+
+
 def _load_pattern_pair(path):
     """Both patterns of a pattern file, a bad field named from the file's root."""
     from .patterns import pattern_from_json
@@ -98,10 +108,9 @@ def cmd_check_balance(args):
 def cmd_verify_relation(args):
     from .network import network_from_json
     from .relations import RelationInstance, evaluate_sq
-    from .semiring import parse_semiring
 
     a, b = _load_pattern_pair(args.patterns)
-    spec = parse_semiring(args.semiring)
+    spec = _semiring(args.semiring)
     net = network_from_json(_load(args.network), spec)
     X, Y, Xp, Yp = _sets(args.sets, a, net)
     ri = RelationInstance.from_patterns(a, b, X, Y, Xp, Yp)
@@ -157,9 +166,9 @@ def cmd_witness(args):
 def cmd_eval_fg(args):
     from .flows import fg_value
     from .network import network_from_json
-    from .semiring import parse_semiring, star_extend
+    from .semiring import star_extend
 
-    spec = parse_semiring(args.semiring)
+    spec = _semiring(args.semiring)
     net = network_from_json(_load(args.network), spec)
     fargs = _load(args.args)
     I, Ip = _indices(fargs, "I", top=net.n_sources), _indices(fargs, "Iprime", top=net.n_sinks)
@@ -219,9 +228,8 @@ def cmd_schur(args):
 
 def cmd_reconstruct(args):
     from . import basis as basis_mod
-    from .semiring import parse_semiring
 
-    spec = parse_semiring(args.semiring)
+    spec = _semiring(args.semiring)
     data = _load(args.basis)
     if not isinstance(data, dict) or not isinstance(data.get("values"), dict):
         raise BadInput("values: expected a JSON object")

@@ -29,10 +29,6 @@ class NotProper(PlanarFlowsError):
     """A pair (A, A') violates the parity condition for (Y, Y')."""
 
 
-class BadSizes(PlanarFlowsError):
-    """Invalid (m, p, q) combination for a flag pattern."""
-
-
 class BadParams(PlanarFlowsError):
     """Invalid parameters for a stock pattern or identity."""
 
@@ -47,10 +43,6 @@ class CoupleNotInMatching(PlanarFlowsError):
 
 class PatternsBalanced(PlanarFlowsError):
     """A counterexample was requested for patterns that are balanced."""
-
-
-class PatternsUnbalanced(PlanarFlowsError):
-    """A balanced-only check was requested for unbalanced patterns."""
 
 
 class NotPlanarMatching(PlanarFlowsError):

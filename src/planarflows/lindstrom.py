@@ -14,13 +14,7 @@ from fractions import Fraction
 from itertools import combinations
 
 from . import semiring as sr
-from .errors import (
-    BadInput,
-    PatternsUnbalanced,
-    PlanarFlowsError,
-    RingRequired,
-    SizeMismatch,
-)
+from .errors import BadInput, PlanarFlowsError, RingRequired, SizeMismatch
 from .network import PlanarNetwork
 
 
@@ -145,31 +139,11 @@ def flow_matrix(network, spec):
 # ---------------------------------------------------------------------------
 # elementary gadgets on one wire layout
 
-class GadgetFactor(namedtuple("GadgetFactor", "kind size index value")):
-    """``kind`` is "quasi-diagonal", "swap", "add" or "upper-add"; ``size``
-    the (n_rows, n_cols) of the factor matrix; ``index`` i for the swap and
-    the adds, 0 for quasi-diagonal; ``value`` x for the adds, the diagonal
-    for quasi-diagonal, None for swap."""
-
-    __slots__ = ()
-
-    @property
-    def matrix(self):
-        """Swap: the transposition of channels i, i+1.  Add: the identity
-        plus x at (i+1, i); upper-add: plus x at (i, i+1).  Quasi-diagonal:
-        d_j at (j, j), zero elsewhere."""
-        (n_rows, n_cols), i = self.size, self.index
-        diag = self.value if self.kind == "quasi-diagonal" else [Fraction(1)] * n_rows
-        rows = [[diag[r] if r == c and r < len(diag) else Fraction(0) for c in range(n_cols)]
-                for r in range(n_rows)]
-        if self.kind == "swap":
-            rows[i - 1], rows[i] = rows[i], rows[i - 1]
-        elif self.kind == "add":
-            rows[i][i - 1] = self.value
-        elif self.kind == "upper-add":
-            rows[i - 1][i] = self.value
-        return exact_matrix(sr.RATIONALS, rows)
-
+# ``kind`` is "quasi-diagonal", "swap", "add" or "upper-add"; ``size`` the
+# (n_rows, n_cols) of the factor matrix; ``index`` i for the swap and the
+# adds, 0 for quasi-diagonal; ``value`` x for the adds, the diagonal for
+# quasi-diagonal, None for swap.
+GadgetFactor = namedtuple("GadgetFactor", "kind size index value")
 
 # ``factors`` run bottom (applied first) to top.
 GadgetChain = namedtuple("GadgetChain", "factors")
@@ -302,22 +276,3 @@ def compile_matrix_to_network(matrix):
     factors.append(GadgetFactor("quasi-diagonal", (nprime, n), 0, diag))
     factors += [GadgetFactor(kind, (nprime, nprime), i, x) for kind, i, x in reversed(row_ops)]
     return _assemble(factors, sr.RATIONALS), GadgetChain(tuple(factors))
-
-
-# ---------------------------------------------------------------------------
-# quadratic relations on matrix minors
-
-def check_matrix_sq(matrix, pattern_a, pattern_b, X, Y, Xp, Yp):
-    """Evaluate the quadratic identity with f = minors of ``matrix``.
-
-    Only balanced patterns are covered by the guarantee, so unbalanced input
-    is refused.
-    """
-    from .patterns import is_balanced
-    from .relations import RelationInstance
-
-    ri = RelationInstance.from_patterns(pattern_a, pattern_b, X, Y, Xp, Yp)
-    if not is_balanced(pattern_a, pattern_b).balanced:
-        raise PatternsUnbalanced("the minor identity only covers balanced patterns")
-    return ri.sides(matrix.spec, lambda I, Iprime: minor(matrix, sorted(I), sorted(Iprime)))
-

@@ -95,19 +95,6 @@ class PlanarNetwork:
             self.vertices, self.edges, self.sources, self.sinks, "vertex", dict(weights)
         )
 
-    def unit_weights(self, spec):
-        one = spec.one()
-        if self.weight_mode == "vertex":
-            return self.with_vertex_weights({v: one for v in self.vertices})
-        return PlanarNetwork(
-            self.vertices,
-            self.edges,
-            self.sources,
-            self.sinks,
-            "edge",
-            {e: one for e in self.edges},
-        )
-
 
 # ---------------------------------------------------------------------------
 # exact 2D geometry helpers
@@ -283,11 +270,15 @@ def validate(network):
             report["terminal_issues"].append(f"{term} not on the convex boundary")
         positions.append(pos)
     if report["terminal_order_ok"] and positions:
-        vals = [p for p in positions if p is not None]
-        descents = sum(
-            1 for i in range(len(vals)) if vals[(i + 1) % len(vals)] < vals[i]
-        )
-        if descents > 1:
+        # Cyclically, the positions may fall once, back to the start.  A
+        # segment has no inside: a clockwise walk runs along it one way and
+        # back the other, so there they may rise once and fall once.
+        rises = [b > a for a, b in zip(positions, positions[1:] + positions[:1]) if a != b]
+        if len(clockwise) == 2:
+            out_of_order = sum(r != s for r, s in zip(rises, rises[1:] + rises[:1])) > 2
+        else:
+            out_of_order = rises.count(False) > 1
+        if out_of_order:
             report["terminal_order_ok"] = False
             report["terminal_issues"].append(
                 "terminals are not in clockwise order s_n..s_1,t_1..t_n'"

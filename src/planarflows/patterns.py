@@ -12,13 +12,7 @@ from __future__ import annotations
 from collections import Counter, namedtuple
 from itertools import accumulate, combinations
 
-from .errors import (
-    BadInput,
-    BadParams,
-    BadSizes,
-    NotProper,
-    SizeMismatch,
-)
+from .errors import BadInput, BadParams, NotProper, SizeMismatch
 
 LOWER, UPPER = 0, 1
 
@@ -98,13 +92,6 @@ class PlanarMatching:
         return "M[" + ";".join(p for p in (low, up, ver) if p) + "]"
 
 
-def matching_from_parts(lower=(), upper=(), vertical=()):
-    couples = [((LOWER, i), (LOWER, j)) for i, j in lower]
-    couples += [((UPPER, i), (UPPER, j)) for i, j in upper]
-    couples += [((LOWER, i), (UPPER, j)) for i, j in vertical]
-    return PlanarMatching(couples)
-
-
 def _circle_points(Y, Yp):
     """Cyclic layout: lower elements ascending, then upper descending."""
     return [(LOWER, y) for y in sorted(Y)] + [(UPPER, y) for y in sorted(Yp, reverse=True)]
@@ -132,15 +119,6 @@ def _odd_points(Yp, A, Ap):
     feasible exactly when one endpoint is odd, so a same-side couple has
     two colors and a cross-side couple one."""
     return {(LOWER, a) for a in A} | {(UPPER, y) for y in Yp if y not in Ap}
-
-
-def matching_is_feasible(matching, Y, Yp, A, Ap):
-    """Color conditions only; planarity of the matching is assumed/checked."""
-    odd = _odd_points(Yp, A, Ap)
-    for p, q in matching.couples:
-        if (p in odd) == (q in odd):
-            return False
-    return True
 
 
 def feasible_matchings(Y, Yp, A, Ap):
@@ -185,39 +163,6 @@ def _feasible_chords(Y, Yp, A, Ap):
                 for outer in runs[e, hi]
             ]
     return points, runs[0, len(points)]
-
-
-def flag_feasible_matchings(Y, A, p, q):
-    """Nested bichromatic couple systems for the flag case (p >= q).
-
-    Returned as frozensets of (i, j) couples: exactly the lower-horizontal
-    parts of the feasible matchings of the equivalent 2-pattern.
-    """
-    Y = frozenset(Y)
-    A = frozenset(A)
-    if p < q:
-        raise BadSizes(f"flag matchings need p >= q, got p={p}, q={q}")
-    if len(A) != p or len(Y) != p + q:
-        raise BadSizes("sizes do not match |A| = p and |Y| = p + q")
-    synthetic_upper = frozenset(range(1, p - q + 1))
-    full = feasible_matchings(Y, synthetic_upper, A, synthetic_upper)
-    out = sorted({frozenset(m.lower_couples()) for m in full})
-    if len(out) != len(full):
-        raise BadSizes("flag reduction lost matchings; this cannot happen")
-    return out
-
-
-def apply_exchange(A, Ap, couples):
-    """Flip the colors of both elements of each chosen couple."""
-    A, Ap = set(A), set(Ap)
-    for p, q in couples:
-        for side, e in (p, q):
-            target = A if side == LOWER else Ap
-            if e in target:
-                target.remove(e)
-            else:
-                target.add(e)
-    return frozenset(A), frozenset(Ap)
 
 
 # ---------------------------------------------------------------------------
@@ -293,17 +238,10 @@ def embed_matching(matching, Y, Yp):
     )
 
 
-def matching_multiset(pattern):
-    """Union with multiplicity of the feasible-matching sets of a 2-pattern's
-    members."""
-    points, counts = _chord_multiset(pattern)
-    return Counter({PlanarMatching((points[i], points[j]) for i, j in chords): mult
-                    for chords, mult in counts.items()})
-
-
 def _chord_multiset(pattern):
-    """The circle points of ([m], [m']) and ``matching_multiset`` over chord
-    tuples, which compare as matchings do between patterns of one shape."""
+    """The circle points of ([m], [m']) and the union with multiplicity of
+    the members' feasible matchings, as chord tuples, which compare as
+    matchings do between patterns of one shape."""
     Y = frozenset(range(1, pattern.m + 1))
     Yp = frozenset(range(1, pattern.m_prime + 1))
     points, out = _circle_points(Y, Yp), Counter()

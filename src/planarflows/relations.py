@@ -5,10 +5,9 @@ from __future__ import annotations
 import random
 from collections import namedtuple
 from functools import lru_cache
-from itertools import combinations
 
 from . import semiring as sr
-from .errors import BadInput, InconsistentSets, RingRequired
+from .errors import BadInput, InconsistentSets
 from .flows import FlowFunction
 from .network import build_half_grid, truncated_grid
 from .patterns import embed_two
@@ -157,12 +156,15 @@ def default_instances(m, m_prime, config=None):
 
 def _generic(instances):
     """Each (network, X, Y, X', Y') as (ring, weighted network, X, Y, X', Y'):
-    the network weighted by one variable of the ring per vertex."""
-    out = []
+    the network weighted by one variable of the ring per vertex.  Entries
+    that hold one network object share its ring and weighted network."""
+    out, generic = [], {}
     for net, X, Y, Xp, Yp in instances:
-        ring = sr.polynomial_ring(*[f"w_{v}" for v in net.vertices])
-        weights = {v: ring.var(k) for k, v in enumerate(net.vertices)}
-        out.append((ring, net.with_vertex_weights(weights), X, Y, Xp, Yp))
+        if id(net) not in generic:
+            ring = sr.polynomial_ring(*[f"w_{v}" for v in net.vertices])
+            weights = {v: ring.var(k) for k, v in enumerate(net.vertices)}
+            generic[id(net)] = ring, net.with_vertex_weights(weights)
+        out.append((*generic[id(net)], X, Y, Xp, Yp))
     return tuple(out)
 
 
@@ -206,37 +208,3 @@ def verify_symbolic(pattern_a, pattern_b, config=None, instances=None):
             }
         )
     return {"cases": cases, "all_equal": all(c["equal"] for c in cases)}
-
-
-# ---------------------------------------------------------------------------
-# the signed flag-manifold identity
-
-def inversions(I, J):
-    return sum(1 for i in I for j in J if i > j)
-
-
-def flag_manifold_relation(f, I, J, Z, spec):
-    """Signed quadratic identity on flag values over a ring.
-
-    ``f`` maps a set of column indices to a ring value (e.g. a flag minor).
-    """
-    if not spec.has_additive_inverse:
-        raise RingRequired("the signed identity needs additive inverses")
-    I, J, Z = frozenset(I), frozenset(J), frozenset(Z)
-    if len(I) < len(J):
-        raise InconsistentSets("need |I| >= |J|")
-    if not Z <= J - I:
-        raise InconsistentSets("Z must sit inside J - I")
-    lhs = spec.mul(f(I), f(J))
-    a = len(Z) + inversions(I - J, J - I)
-    rhs = spec.zero()
-    for K in combinations(sorted(I - J), len(Z)):
-        K = frozenset(K)
-        left = (I - K) | Z
-        right = (J - Z) | K
-        sign = (-1) ** ((a + inversions(left, right)) % 2)
-        term = spec.mul(f(left), f(right))
-        if sign < 0:
-            term = spec.negate(term)
-        rhs = spec.add(rhs, term)
-    return {"lhs": lhs, "rhs": rhs, "equal": spec.equal(lhs, rhs)}

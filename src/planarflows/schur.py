@@ -38,10 +38,6 @@ class Partition(namedtuple("Partition", "parts")):
         return len(self.parts)
 
 
-def partition(*parts):
-    return Partition(tuple(parts))
-
-
 def _partition(parts):
     return parts if isinstance(parts, Partition) else Partition(tuple(parts))
 
@@ -98,24 +94,23 @@ def schur_ring(N):
     return sr.polynomial_ring(*[f"x{h}" for h in range(1, N + 1)])
 
 
-def _flow_value(lam, mu, N, weighted, flows=None):
+def _flow_value(lam, mu, N, flows=None):
     """Sum over the flows from mu's set to lambda's set on the lattice of N
-    levels, one per skew tableau: x_h level weights in ``schur_ring(N)`` if
-    ``weighted``, else a count over the integers.  Like the tableaux, an
-    empty shape gives one and any other gives zero when N < 1.  ``flows``
-    may be the FG-function of a lattice at least lambda_1 + r wide: a path
-    never runs right of its sink, so extra columns carry no flow."""
+    levels, one per skew tableau, with x_h level weights in ``schur_ring(N)``.
+    Like the tableaux, an empty shape gives one and any other gives zero
+    when N < 1.  ``flows`` may be the FG-function of a lattice at least
+    lambda_1 + r wide: a path never runs right of its sink, so extra columns
+    carry no flow."""
     lam, mu = _partition(lam), _partition(mu)
     r = lam.length
     I, Iprime = sorted(partition_to_set(mu, r)), sorted(partition_to_set(lam, r))
-    spec = schur_ring(N) if weighted else sr.INTEGERS
+    ring = schur_ring(N)
     if I == Iprime:
-        return spec.one()
+        return ring.one()
     if N < 1:
-        return spec.zero()
+        return ring.zero()
     if flows is None:
-        width = lam.parts[0] + r
-        flows = FlowFunction(spec, gv_grid(N, width)[0] if weighted else build_gv_grid(N, width))
+        flows = FlowFunction(ring, gv_grid(N, lam.parts[0] + r)[0])
     return flows(I, Iprime)
 
 
@@ -124,7 +119,7 @@ def schur_poly(lam, mu=None, N=1):
     lam = _partition(lam)
     mu = _partition(mu or (0,) * lam.length)
     _skew_cells(lam, mu)  # refuses a mu that does not fit lambda
-    return _flow_value(lam, mu, N, True), schur_ring(N)
+    return _flow_value(lam, mu, N), schur_ring(N)
 
 
 @lru_cache
@@ -136,10 +131,6 @@ def gv_grid(N, width):
     level_weights = {h: ring.var(h - 1) for h in range(1, N + 1)}
     net = build_gv_grid(N, width, level_weights)
     return net, ring
-
-
-def count_flows(lam, mu, N):
-    return _flow_value(lam, mu, N, False)
 
 
 def verify_schur_identity(kind, params, N):
@@ -167,7 +158,7 @@ def verify_schur_identity(kind, params, N):
     # One lattice, as wide as the widest shape, carries all six values.
     width = max(lam.parts[0] + lam.length for lam in shapes if lam.length)
     flows = FlowFunction(ring, gv_grid(N, width)[0]) if N >= 1 else None
-    a, b, c, d, e, f = (_flow_value(lam, (0,) * lam.length, N, True, flows) for lam in shapes)
+    a, b, c, d, e, f = (_flow_value(lam, (0,) * lam.length, N, flows) for lam in shapes)
     lhs = ring.mul(a, b)
     rhs = ring.add(ring.mul(c, d), ring.mul(e, f))
     return {"lhs": lhs, "rhs": rhs, "equal": lhs == rhs, "ring": ring}

@@ -146,21 +146,6 @@ class Polynomial:
     def __hash__(self):
         return hash((self.nvars, frozenset(self.terms.items())))
 
-    def is_zero(self):
-        return not self._packed
-
-    def substitute(self, values):
-        """Evaluate at integer/Fraction values (all exponents must be >= 0)."""
-        total = 0
-        for exps, coeff in self.terms.items():
-            term = coeff
-            for v, e in zip(values, exps):
-                if e < 0:
-                    raise ValueError("negative exponent in substitution")
-                term *= v**e
-            total += term
-        return total
-
     def __repr__(self):
         if not self._packed:
             return "Poly(0)"
@@ -592,22 +577,6 @@ def fold_product(spec, values):
     for v in values[1:]:
         acc = spec.mul(acc, v)
     return acc
-
-
-def divide(spec, a, b):
-    if not spec.has_division:
-        raise DivisionUnsupported(f"{spec.name} has no division")
-    return spec.divide(a, b)
-
-
-def power(spec, a, k):
-    """a to the k-th multiplicative power; negative k uses division by a."""
-    if k == 0:
-        return spec.one()
-    acc = a
-    for _ in range(abs(k) - 1):
-        acc = spec.mul(acc, a)
-    return divide(spec, spec.one(), acc) if k < 0 else acc
 
 
 def parse_semiring(text):

@@ -298,7 +298,7 @@ def audit_witness(wn, X, Y, Xp, Yp):
     f = wn.flows
     cases = []
     Ys, Yps = sorted(Y), sorted(Yp)
-    # The rule of ``matching_is_feasible`` on bit masks: bit k stands for
+    # The rule of ``patterns._odd_points`` on bit masks: bit k stands for
     # the lower point Ys[k] and bit |Y| + k for the upper point Yps[k], and
     # ``odd`` holds the odd points of (C, C'), those of C and those of Y'
     # off C'.  A couple is feasible when exactly one end is odd; a point off

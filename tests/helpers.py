@@ -1,16 +1,28 @@
-"""Shared test utilities: independent oracles, pattern generators and a
-small branching network."""
+"""Shared test utilities: independent oracles, input generators, the paper
+checks that no command runs, and a small branching network."""
 
 import random
-from collections import Counter
+from collections import Counter, namedtuple
 from fractions import Fraction
 from itertools import combinations
 
-from planarflows.errors import BadLength, BadParams, PlanarFlowsError, SizeMismatch
+from planarflows.basis import _pressed, intervals
+from planarflows.errors import (
+    BadLength,
+    BadParams,
+    DivisionUnsupported,
+    InconsistentSets,
+    NotInvertible,
+    PlanarFlowsError,
+    RingRequired,
+    SizeMismatch,
+)
 from planarflows.flows import Flow, FlowFunction, fg_value
 from planarflows.lindstrom import GadgetFactor, _assemble, exact_matrix, flow_matrix, minor
 from planarflows.network import (
     PlanarNetwork,
+    build_gv_grid,
+    build_half_grid,
     convex_hull,
     cross,
     find_cycle,
@@ -24,14 +36,22 @@ from planarflows.patterns import (
     _circle_points,
     _normalize_pattern,
     _odd_points,
+    feasible_matchings,
     is_balanced,
     is_proper,
-    matching_is_feasible,
     stock_pattern,
     two_pattern,
 )
+from planarflows.relations import RelationInstance
 from planarflows.schur import Partition, _partition, partition_to_set, ssyt_fillings
-from planarflows.semiring import INTEGERS, RATIONALS, Polynomial, fold_product
+from planarflows.semiring import (
+    INTEGERS,
+    RATIONALS,
+    Polynomial,
+    PolynomialRing,
+    fold_product,
+    fold_sum,
+)
 
 
 def diamond_network():
@@ -88,6 +108,38 @@ class TuplePolynomial:
                 coeff *= v**e
             total += coeff
         return total
+
+
+def substitute(poly, values):
+    """Evaluate a polynomial at integer/Fraction values (all exponents must be >= 0)."""
+    total = 0
+    for exps, coeff in poly.terms.items():
+        term = coeff
+        for v, e in zip(values, exps):
+            if e < 0:
+                raise ValueError("negative exponent in substitution")
+            term *= v**e
+        total += term
+    return total
+
+
+def power(spec, a, k):
+    """a to the k-th multiplicative power; negative k uses division by a."""
+    if k == 0:
+        return spec.one()
+    acc = a
+    for _ in range(abs(k) - 1):
+        acc = spec.mul(acc, a)
+    return spec.divide(spec.one(), acc) if k < 0 else acc
+
+
+def unit_weights(network, spec):
+    """The network with every vertex (or every edge) weighted one."""
+    one = spec.one()
+    if network.weight_mode == "vertex":
+        return network.with_vertex_weights({v: one for v in network.vertices})
+    return PlanarNetwork(network.vertices, network.edges, network.sources, network.sinks,
+                         "edge", {e: one for e in network.edges})
 
 
 def scanned_hull_position(point, hull):
@@ -155,10 +207,19 @@ def validate_oracle(network):
         positions.append(pos)
     if report["terminal_order_ok"] and positions:
         vals = [p for p in positions if p is not None]
-        descents = sum(
-            1 for i in range(len(vals)) if vals[(i + 1) % len(vals)] < vals[i]
-        )
-        if descents > 1:
+        if len(hull) == 2:
+            # On a segment, some rotation of the positions rises, then falls.
+            rotations = [vals[r:] + vals[:r] for r in range(len(vals))]
+            in_order = any(
+                all(a <= b for a, b in zip(rot[:k], rot[1:k]))
+                and all(a >= b for a, b in zip(rot[k:], rot[k + 1:]))
+                for rot in rotations for k in range(len(rot) + 1)
+            )
+        else:
+            in_order = sum(
+                1 for i in range(len(vals)) if vals[(i + 1) % len(vals)] < vals[i]
+            ) <= 1
+        if not in_order:
             report["terminal_order_ok"] = False
             report["terminal_issues"].append(
                 "terminals are not in clockwise order s_n..s_1,t_1..t_n'"
@@ -276,6 +337,20 @@ def tableau_poly(lam, mu, N):
     return Polynomial(N, counts)
 
 
+def count_flows(lam, mu, N):
+    """The number of flows from mu's set to lambda's set on the lattice of N
+    levels, one per skew tableau.  Like the tableaux, an empty shape gives
+    one and any other gives zero when N < 1."""
+    lam, mu = _partition(lam), _partition(mu)
+    r = lam.length
+    I, Iprime = sorted(partition_to_set(mu, r)), sorted(partition_to_set(lam, r))
+    if I == Iprime:
+        return 1
+    if N < 1:
+        return 0
+    return fg_value(INTEGERS, build_gv_grid(N, lam.parts[0] + r), I, Iprime)
+
+
 # ---------------------------------------------------------------------------
 # tableaux as lattice-path flows (Gessel--Viennot), the bijection both ways
 
@@ -386,6 +461,113 @@ def flow_to_tableau(flow, N):
 
 
 # ---------------------------------------------------------------------------
+# interval bases: vertex weights from basis values, and Laurent expansions
+
+def _cross_ratio(k, kp):
+    """Numerator and denominator keys of grid vertex (k, k')'s weight:
+    F(k, k') F(k-1, k'-1) / (F(k-1, k') F(k, k'-1)), F the pressed value."""
+    return ((_pressed(k, kp), _pressed(k - 1, kp - 1)),
+            (_pressed(k - 1, kp), _pressed(k, kp - 1)))
+
+
+def _half_grid_cells(n):
+    return [(i, j) for i in range(1, n + 1) for j in range(1, i + 1)]
+
+
+def _weights_from_ratios(spec, cells, value):
+    """Weight of each cell as its cross-ratio of ``value(key)``."""
+    if not spec.has_division:
+        raise DivisionUnsupported(f"{spec.name} has no division")
+    weights = {}
+    for k, kp in cells:
+        num, den = (spec.mul(value(a), value(b)) for a, b in _cross_ratio(k, kp))
+        weights[f"{k},{kp}"] = spec.divide(num, den)
+    return weights
+
+
+def weights_from_intervals(spec, values, n):
+    """Vertex weights on the half-grid reproducing the given interval values.
+
+    ``values`` maps nonempty intervals (p, q) to invertible semiring values.
+    (p, q) is the pressed double interval ((p, q), (1, q - p + 1)), so each
+    weight is the pressed cross-ratio read through its keys' source sides.
+    """
+    return _weights_from_ratios(
+        spec, _half_grid_cells(n),
+        lambda key: values[key[0]] if key[0] else spec.one())
+
+
+def weights_from_pressed(spec, values, n, n_prime):
+    """Grid vertex weights from pressed double-interval values."""
+    return _weights_from_ratios(
+        spec, [(k, kp) for k in range(1, n + 1) for kp in range(1, n_prime + 1)],
+        lambda key: values[key] if key[0] else spec.one())
+
+
+# ``target`` is a frozenset; ``monomials`` holds (sorted tuple of
+# (interval, exponent), multiplicity) pairs.
+class LaurentExpansion(namedtuple("LaurentExpansion", "target monomials")):
+    __slots__ = ()
+
+    def exponent_range(self):
+        exps = set()
+        for mono, _ in self.monomials:
+            exps.update(e for _, e in mono)
+        return exps
+
+
+def weight_exponents(n):
+    """Exponent map of each half-grid vertex weight in interval values."""
+    out = {}
+    for i, j in _half_grid_cells(n):
+        terms = {}
+        for sign, keys in zip((1, -1), _cross_ratio(i, j)):
+            for iv, _ in keys:
+                if iv:
+                    terms[iv] = terms.get(iv, 0) + sign
+        out[f"{i},{j}"] = {iv: e for iv, e in terms.items() if e}
+    return out
+
+
+def laurent_expand(n, target):
+    """Expansion of a flag value as Laurent monomials in interval values.
+
+    The flow value of the half-grid whose vertex weights are their
+    cross-ratio substitutions, one variable per nonempty interval: each
+    flow contributes one monomial and like monomials are collected.
+    """
+    target = frozenset(target)
+    ivs = intervals(n)
+    weights = {
+        v: Polynomial(len(ivs), {tuple(exps.get(iv, 0) for iv in ivs): 1})
+        for v, exps in weight_exponents(n).items()
+    }
+    ring = PolynomialRing(f"{p}..{q}" for p, q in ivs)
+    net = build_half_grid(n).with_vertex_weights(weights)
+    value = FlowFunction(ring, net)(target, range(1, len(target) + 1))
+    monomials = tuple(sorted(
+        (tuple((ivs[k], e) for k, e in enumerate(exps) if e), mult)
+        for exps, mult in value.terms.items()
+    ))
+    return LaurentExpansion(target, monomials)
+
+
+def eval_expansion(spec, expansion, values):
+    """Evaluate a Laurent expansion at given interval values."""
+    if not spec.has_division:
+        raise DivisionUnsupported(f"{spec.name} has no division")
+    terms = []
+    for mono, mult in expansion.monomials:
+        acc = spec.one()
+        for iv, e in mono:
+            acc = spec.mul(acc, power(spec, values[iv], e))
+        terms.extend([acc] * mult)
+    if not terms:
+        raise NotInvertible("empty expansion cannot be evaluated")
+    return fold_sum(spec, terms)
+
+
+# ---------------------------------------------------------------------------
 # Lindstrom oracles: matrix products, single gadgets and the minor check
 
 def mat_mul(a, b):
@@ -404,11 +586,28 @@ def mat_mul(a, b):
     return exact_matrix(spec, rows)
 
 
+def factor_matrix(factor):
+    """The matrix of a ``GadgetFactor``.  Swap: the transposition of channels
+    i, i+1.  Add: the identity plus x at (i+1, i); upper-add: plus x at
+    (i, i+1).  Quasi-diagonal: d_j at (j, j), zero elsewhere."""
+    (n_rows, n_cols), i = factor.size, factor.index
+    diag = factor.value if factor.kind == "quasi-diagonal" else [Fraction(1)] * n_rows
+    rows = [[diag[r] if r == c and r < len(diag) else Fraction(0) for c in range(n_cols)]
+            for r in range(n_rows)]
+    if factor.kind == "swap":
+        rows[i - 1], rows[i] = rows[i], rows[i - 1]
+    elif factor.kind == "add":
+        rows[i][i - 1] = factor.value
+    elif factor.kind == "upper-add":
+        rows[i - 1][i] = factor.value
+    return exact_matrix(RATIONALS, rows)
+
+
 def product_matrix(chain):
     """Ordered product of a ``GadgetChain``: top factor times ... times bottom."""
-    acc = chain.factors[-1].matrix
+    acc = factor_matrix(chain.factors[-1])
     for factor in reversed(chain.factors[:-1]):
-        acc = mat_mul(acc, factor.matrix)
+        acc = mat_mul(acc, factor_matrix(factor))
     return acc
 
 
@@ -445,8 +644,119 @@ def verify_lindstrom(network, spec):
     return {"checked": checked, "failures": failures, "ok": not failures}
 
 
+class PatternsUnbalanced(PlanarFlowsError):
+    """A balanced-only check was requested for unbalanced patterns."""
+
+
+def check_matrix_sq(matrix, pattern_a, pattern_b, X, Y, Xp, Yp):
+    """Evaluate the quadratic identity with f = minors of ``matrix``.
+
+    Only balanced patterns are covered by the guarantee, so unbalanced input
+    is refused.
+    """
+    ri = RelationInstance.from_patterns(pattern_a, pattern_b, X, Y, Xp, Yp)
+    if not is_balanced(pattern_a, pattern_b).balanced:
+        raise PatternsUnbalanced("the minor identity only covers balanced patterns")
+    return ri.sides(matrix.spec, lambda I, Iprime: minor(matrix, sorted(I), sorted(Iprime)))
+
+
+def inversions(I, J):
+    return sum(1 for i in I for j in J if i > j)
+
+
+def flag_manifold_relation(f, I, J, Z, spec):
+    """Signed quadratic identity on flag values over a ring.
+
+    ``f`` maps a set of column indices to a ring value (e.g. a flag minor).
+    """
+    if not spec.has_additive_inverse:
+        raise RingRequired("the signed identity needs additive inverses")
+    I, J, Z = frozenset(I), frozenset(J), frozenset(Z)
+    if len(I) < len(J):
+        raise InconsistentSets("need |I| >= |J|")
+    if not Z <= J - I:
+        raise InconsistentSets("Z must sit inside J - I")
+    lhs = spec.mul(f(I), f(J))
+    a = len(Z) + inversions(I - J, J - I)
+    rhs = spec.zero()
+    for K in combinations(sorted(I - J), len(Z)):
+        K = frozenset(K)
+        left = (I - K) | Z
+        right = (J - Z) | K
+        sign = (-1) ** ((a + inversions(left, right)) % 2)
+        term = spec.mul(f(left), f(right))
+        if sign < 0:
+            term = spec.negate(term)
+        rhs = spec.add(rhs, term)
+    return {"lhs": lhs, "rhs": rhs, "equal": spec.equal(lhs, rhs)}
+
+
 # ---------------------------------------------------------------------------
 # matchings
+
+class BadSizes(PlanarFlowsError):
+    """Invalid (m, p, q) combination for a flag pattern."""
+
+
+def matching_from_parts(lower=(), upper=(), vertical=()):
+    couples = [((LOWER, i), (LOWER, j)) for i, j in lower]
+    couples += [((UPPER, i), (UPPER, j)) for i, j in upper]
+    couples += [((LOWER, i), (UPPER, j)) for i, j in vertical]
+    return PlanarMatching(couples)
+
+
+def matching_is_feasible(matching, Y, Yp, A, Ap):
+    """Color conditions only; planarity of the matching is assumed/checked."""
+    odd = _odd_points(Yp, A, Ap)
+    for p, q in matching.couples:
+        if (p in odd) == (q in odd):
+            return False
+    return True
+
+
+def apply_exchange(A, Ap, couples):
+    """Flip the colors of both elements of each chosen couple."""
+    A, Ap = set(A), set(Ap)
+    for p, q in couples:
+        for side, e in (p, q):
+            target = A if side == LOWER else Ap
+            if e in target:
+                target.remove(e)
+            else:
+                target.add(e)
+    return frozenset(A), frozenset(Ap)
+
+
+def flag_feasible_matchings(Y, A, p, q):
+    """Nested bichromatic couple systems for the flag case (p >= q).
+
+    Returned as frozensets of (i, j) couples: exactly the lower-horizontal
+    parts of the feasible matchings of the equivalent 2-pattern.
+    """
+    Y = frozenset(Y)
+    A = frozenset(A)
+    if p < q:
+        raise BadSizes(f"flag matchings need p >= q, got p={p}, q={q}")
+    if len(A) != p or len(Y) != p + q:
+        raise BadSizes("sizes do not match |A| = p and |Y| = p + q")
+    synthetic_upper = frozenset(range(1, p - q + 1))
+    full = feasible_matchings(Y, synthetic_upper, A, synthetic_upper)
+    out = sorted({frozenset(m.lower_couples()) for m in full})
+    if len(out) != len(full):
+        raise BadSizes("flag reduction lost matchings; this cannot happen")
+    return out
+
+
+def matching_multiset(pattern):
+    """Union with multiplicity of the feasible-matching sets of a 2-pattern's
+    members, each listed by ``feasible_matchings``."""
+    Y, Yp = range(1, pattern.m + 1), range(1, pattern.m_prime + 1)
+    out = Counter()
+    for A, Ap, mult in pattern.members:
+        for m in feasible_matchings(Y, Yp, A, Ap):
+            out[m] += mult
+    return out
+
 
 def chords_cross(pos, c1, c2):
     """Whether two chords cross, given each point's circle position."""

@@ -14,12 +14,9 @@ from planarflows import INTEGERS, POSITIVE_RATIONALS, RATIONALS, TROPICAL_INT, p
 from planarflows.basis import (
     flag_assignment,
     flag_values_from_network,
-    laurent_expand,
     pressed_assignment,
     pressed_values_from_network,
     reconstruct_value,
-    weights_from_intervals,
-    weights_from_pressed,
 )
 from planarflows.doubleflows import (
     decompose_double_flow,
@@ -28,12 +25,7 @@ from planarflows.doubleflows import (
     split_vertices,
 )
 from planarflows.flows import fg_value
-from planarflows.lindstrom import (
-    check_matrix_sq,
-    compile_matrix_to_network,
-    exact_matrix,
-    flow_matrix,
-)
+from planarflows.lindstrom import compile_matrix_to_network, exact_matrix, flow_matrix
 from planarflows.network import (
     PlanarNetwork,
     build_grid,
@@ -45,30 +37,30 @@ from planarflows.patterns import (
     LOWER,
     UPPER,
     _normalize_pattern,
-    flag_feasible_matchings,
     is_balanced,
-    matching_from_parts,
-    matching_multiset,
     stock_pattern,
 )
 from planarflows.relations import InstanceConfig, verify_symbolic
-from planarflows.schur import (
-    Partition,
-    count_flows,
-    partition,
-    ssyt_fillings,
-    verify_schur_identity,
-)
+from planarflows.schur import Partition, ssyt_fillings, verify_schur_identity
 from planarflows.witness import audit_witness, demonstrate_violation
 
 from helpers import (
+    check_matrix_sq,
     contexts_for,
+    count_flows,
+    flag_feasible_matchings,
     flow_to_tableau,
+    laurent_expand,
+    matching_from_parts,
+    matching_multiset,
     product_matrix,
     random_balanced_patterns,
     random_unbalanced_patterns,
     tableau_to_flow,
+    unit_weights,
     verify_lindstrom,
+    weights_from_intervals,
+    weights_from_pressed,
 )
 
 
@@ -238,7 +230,7 @@ def _partitions_inside(box, length):
 def test_criterion_6_schur_suite():
     started = time.time()
     # the displayed tableau and its flow
-    lam, mu = partition(6, 5, 3, 3, 2), partition(2, 2, 1, 1, 0)
+    lam, mu = Partition((6, 5, 3, 3, 2)), Partition((2, 2, 1, 1, 0))
     rows = [[1, 3, 3, 5], [2, 4, 4], [1, 3], [2, 6], [2, 5]]
     flow = tableau_to_flow(lam, mu, rows, 6)
     assert flow.source_idx == (1, 3, 4, 6, 7)
@@ -351,11 +343,11 @@ def test_criterion_8_double_flow_algebra():
     corpus = [
         _vertexify(build_gv_grid(2, 2)),
         _vertexify(build_gv_grid(2, 3)),
-        build_half_grid(3).unit_weights(INTEGERS),
-        build_grid(3, 2).unit_weights(INTEGERS),
+        unit_weights(build_half_grid(3), INTEGERS),
+        unit_weights(build_grid(3, 2), INTEGERS),
         _vertexify(build_gv_grid(3, 3)),
         diamond_network(),
-        build_half_grid(4).unit_weights(INTEGERS),
+        unit_weights(build_half_grid(4), INTEGERS),
         _vertexify(build_gv_grid(3, 4)),
     ]
     total_flows = 0

@@ -12,23 +12,27 @@ from planarflows import (
     star_extend,
 )
 from planarflows.basis import (
-    eval_expansion,
     flag_assignment,
     flag_values_from_network,
     interval_values_from_weights,
     intervals,
-    laurent_expand,
     pressed_assignment,
     pressed_basis,
     pressed_values_from_network,
     reconstruct_value,
-    weights_from_intervals,
-    weights_from_pressed,
 )
 from planarflows.errors import DivisionUnsupported, NotInvertible
 from planarflows.flows import FlowFunction, fg_value
 from planarflows.network import build_grid, build_half_grid
 from planarflows.semiring import STAR
+
+from helpers import (
+    eval_expansion,
+    laurent_expand,
+    unit_weights,
+    weights_from_intervals,
+    weights_from_pressed,
+)
 
 
 def random_half_grid(n, spec, rng):
@@ -155,7 +159,7 @@ def test_laurent_expansion_past_sixty_vertices():
     # The half-grid of size 11 has 66 vertices; the expansion has no vertex cap.
     target = {2, 5, 8, 11}
     exp = laurent_expand(11, target)
-    unit = build_half_grid(11).unit_weights(INTEGERS)
+    unit = unit_weights(build_half_grid(11), INTEGERS)
     assert sum(mult for _, mult in exp.monomials) == FlowFunction(INTEGERS, unit)(
         target, range(1, 5))
     assert exp.exponent_range() <= {-1, 0, 1, 2}

@@ -15,6 +15,8 @@ from planarflows.lindstrom import exact_matrix
 from planarflows.network import build_grid, build_half_grid, network_to_json
 from planarflows.patterns import pattern_from_json, pattern_to_json
 
+from helpers import unit_weights
+
 FIXTURES = os.path.join(os.path.dirname(__file__), "fixtures")
 
 
@@ -69,7 +71,7 @@ def test_witness_command(capsys, tmp_path):
 
 def test_verify_relation_command(capsys, tmp_path):
     for spec in (INTEGERS, TROPICAL_INT):
-        net = build_half_grid(3).unit_weights(spec)
+        net = unit_weights(build_half_grid(3), spec)
         net_file = tmp_path / "net.json"
         net_file.write_text(json.dumps(network_to_json(net, spec)))
         code, out = run(
@@ -87,7 +89,7 @@ def test_verify_relation_command(capsys, tmp_path):
 
 
 def test_eval_fg_command(capsys, tmp_path):
-    net = build_half_grid(3).unit_weights(INTEGERS)
+    net = unit_weights(build_half_grid(3), INTEGERS)
     net_file = tmp_path / "net.json"
     net_file.write_text(json.dumps(network_to_json(net, INTEGERS)))
     args_file = tmp_path / "args.json"
@@ -243,7 +245,7 @@ def test_a_file_that_is_not_json_is_refused_naming_the_file(
 
 
 def test_eval_fg_reads_many_star_prefixes_as_one(capsys, tmp_path):
-    net = build_half_grid(3).unit_weights(TROPICAL_INT)
+    net = unit_weights(build_half_grid(3), TROPICAL_INT)
     net_file = tmp_path / "net.json"
     net_file.write_text(json.dumps(network_to_json(net, TROPICAL_INT)))
     for I, Iprime in (([2, 3], [1, 2]), ([1], [3])):  # one flow, then none
@@ -258,7 +260,7 @@ def test_eval_fg_reads_many_star_prefixes_as_one(capsys, tmp_path):
 def test_eval_fg_without_a_zero_values_no_flow_as_star(capsys, tmp_path):
     """Over tropical-int, which has no zero, a value with no flow is "star",
     as verify-relation reads it; the weights are still tropical integers."""
-    net = build_half_grid(3).unit_weights(TROPICAL_INT)
+    net = unit_weights(build_half_grid(3), TROPICAL_INT)
     data = network_to_json(net, TROPICAL_INT)
     net_file, args_file = tmp_path / "net.json", tmp_path / "args.json"
     net_file.write_text(json.dumps(data))
@@ -529,7 +531,7 @@ def test_malformed_patterns_are_refused_naming_the_field(capsys, tmp_path, data,
 
 def _unit_network_file(tmp_path, net):
     net_file = tmp_path / "net.json"
-    net_file.write_text(json.dumps(network_to_json(net.unit_weights(TROPICAL_INT), TROPICAL_INT)))
+    net_file.write_text(json.dumps(network_to_json(unit_weights(net, TROPICAL_INT), TROPICAL_INT)))
     return str(net_file)
 
 
@@ -654,7 +656,7 @@ def test_polynomial_variable_names_are_refused_when_repeated(capsys, tmp_path):
 
 def _half_grid_file(tmp_path):
     net_file = tmp_path / "net.json"
-    net_file.write_text(json.dumps(network_to_json(build_half_grid(3).unit_weights(INTEGERS), INTEGERS)))
+    net_file.write_text(json.dumps(network_to_json(unit_weights(build_half_grid(3), INTEGERS), INTEGERS)))
     return str(net_file)
 
 
@@ -694,7 +696,7 @@ def _half_grid_file(tmp_path):
     ("verify-relation", "--sets", {"Y": [1, 2, 3], "Xprime": [1], "Yprime": [5]},
      "Yprime: index 5 is not in 1..3"),
     ("verify-relation", "--network",
-     network_to_json(build_half_grid(2).unit_weights(INTEGERS), INTEGERS),
+     network_to_json(unit_weights(build_half_grid(2), INTEGERS), INTEGERS),
      "Y: index 3 is not in 1..2 (default sets; pass --sets)"),    ("eval-fg", "--args", {"I": [], "Iprime": [1, 3]},
      "error: Iprime: expected as many indices as I (0), got 2"),
 ])
@@ -827,7 +829,7 @@ def _isolation_argv(tmp_path, command):
     ("eval-fg", 0, _FLOWS),
     ("compile-matrix", 0, _CORE | {"lindstrom", "network", "semiring"}),
     ("schur", 0, _FLOWS | {"schur"}),
-    ("reconstruct", 0, _FLOWS | {"basis"}),
+    ("reconstruct", 0, _CORE | {"basis", "flows", "semiring"}),
     ("validate-network", 0, _CORE | {"network"}),
 ])
 def test_each_command_imports_only_the_modules_it_uses(tmp_path, command, code, modules):
@@ -847,3 +849,12 @@ def test_each_command_imports_only_the_modules_it_uses(tmp_path, command, code, 
     loaded = json.loads(proc.stdout.splitlines()[-1])
     assert set(loaded) == {f"planarflows.{m}" for m in modules}
     assert json.loads(proc.stdout.splitlines()[-2]) == []
+
+
+@pytest.mark.parametrize("command", ["verify-relation", "eval-fg", "reconstruct"])
+def test_an_unknown_semiring_is_refused_naming_the_option(capsys, tmp_path, command):
+    argv = _isolation_argv(tmp_path, command)
+    argv[argv.index("--semiring") + 1] = "star:floats"
+    assert main([command] + argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == "error: semiring: unknown semiring 'floats'\n"

@@ -40,6 +40,7 @@ from helpers import (
     diamond_network,
     flow_weight,
     random_unbalanced_patterns,
+    unit_weights,
 )
 
 
@@ -72,7 +73,7 @@ def test_empty_flow():
     flows = enumerate_flows(build_grid(2, 2), [], [])
     assert len(flows) == 1
     assert flows[0].paths == ()
-    assert fg_value(INTEGERS, build_grid(2, 2).unit_weights(INTEGERS), [], []) == 1
+    assert fg_value(INTEGERS, unit_weights(build_grid(2, 2), INTEGERS), [], []) == 1
 
 
 def test_enumeration_matches_brute_force():
@@ -93,21 +94,21 @@ def test_errors():
     with pytest.raises(SizeMismatch):
         enumerate_flows(g, [1, 2], [1])
     # empty flow set over a semiring with no zero
-    net = diamond_network().unit_weights(TROPICAL_INT)
+    net = unit_weights(diamond_network(), TROPICAL_INT)
     with pytest.raises(EmptySumWithoutNeutral):
         fg_value(TROPICAL_INT, net, [1], [3])
 
 
 def test_fg_counts_and_star():
-    g = build_grid(3, 3).unit_weights(INTEGERS)
+    g = unit_weights(build_grid(3, 3), INTEGERS)
     assert fg_value(INTEGERS, g, [3], [3]) == 6  # monotone lattice paths
     assert fg_value(INTEGERS, g, [2], [1]) == 1
     star_trop = star_extend(TROPICAL_INT)
-    h = build_grid(2, 2).unit_weights(star_trop)
+    h = unit_weights(build_grid(2, 2), star_trop)
     from planarflows.semiring import STAR
 
     assert fg_value(star_trop, h, [2], [1]) == 0  # tropical one is 0
-    net = diamond_network().unit_weights(star_trop)
+    net = unit_weights(diamond_network(), star_trop)
     assert fg_value(star_trop, net, [1], [3]) is STAR
 
 
@@ -252,7 +253,7 @@ class _CountingIntegers(type(INTEGERS)):
 
 def test_flow_function_reuses_walk_states_across_sources():
     spec = _CountingIntegers()
-    net = build_grid(4, 4).unit_weights(INTEGERS)
+    net = unit_weights(build_grid(4, 4), INTEGERS)
     f = FlowFunction(spec, net)
     assert f([3, 4], [1, 2]) == fg_value(INTEGERS, net, [3, 4], [1, 2])
     spec.products = 0
@@ -265,7 +266,7 @@ def test_flow_function_reuses_walk_states_across_sources():
 
 def test_a_repeated_query_is_answered_without_a_walk():
     spec = _CountingIntegers()
-    f = FlowFunction(spec, build_grid(4, 4).unit_weights(INTEGERS))
+    f = FlowFunction(spec, unit_weights(build_grid(4, 4), INTEGERS))
     first = f([2, 4], [1, 2])
     spec.products = 0
     assert f((4, 2), frozenset({2, 1})) == first and spec.products == 0

@@ -5,11 +5,10 @@ from itertools import permutations
 import pytest
 
 from planarflows import INTEGERS, RATIONALS, TROPICAL_INT, polynomial_ring
-from planarflows.errors import InconsistentSets, PatternsUnbalanced, RingRequired, SizeMismatch
+from planarflows.errors import InconsistentSets, RingRequired, SizeMismatch
 from planarflows.lindstrom import (
     GadgetFactor,
     _assemble,
-    check_matrix_sq,
     compile_matrix_to_network,
     exact_matrix,
     flow_matrix,
@@ -27,9 +26,13 @@ from planarflows.network import (
 from planarflows.patterns import one_pattern, stock_pattern
 
 from helpers import (
+    PatternsUnbalanced,
     adjacent_swap_gadget,
+    check_matrix_sq,
+    factor_matrix,
     product_matrix,
     quasi_diagonal_gadget,
+    unit_weights,
     validate_oracle,
     verify_lindstrom,
 )
@@ -85,7 +88,7 @@ def test_minor_matches_leibniz():
 
 
 def test_flow_matrix_binomials():
-    g = build_grid(4, 4).unit_weights(INTEGERS)
+    g = unit_weights(build_grid(4, 4), INTEGERS)
     fm = flow_matrix(g, INTEGERS)
     from math import comb
 
@@ -253,7 +256,7 @@ def test_each_gadget_realizes_its_factor_matrix(kind):
         for i in range(1, r):
             factor = GadgetFactor(kind, (r, r), i, None if kind == "swap" else Fraction(-3, 2))
             net = _assemble([factor], RATIONALS)
-            assert flow_matrix(net, RATIONALS).entries == factor.matrix.entries
+            assert flow_matrix(net, RATIONALS).entries == factor_matrix(factor).entries
             assert validate(net)["ok"]
             assert verify_lindstrom(net, RATIONALS)["ok"]
 

@@ -242,6 +242,19 @@ def test_validate_detects_bad_terminal_order():
     assert report["terminal_issues"]
 
 
+@pytest.mark.parametrize("net", [
+    build_grid(1, 3), build_grid(1, 4), build_gv_grid(1, 3), build_grid(3, 1), build_gv_grid(3, 1),
+], ids=["grid-1-3", "grid-1-4", "gv-1-3", "grid-3-1", "gv-3-1"])
+def test_collinear_drawings_are_in_order_either_way_along_the_segment(net):
+    report = validate(net)
+    assert report["ok"] and report == validate_oracle(net)
+    if len(net.sinks) >= 3:  # sinks out of order along the segment are still refused
+        tangled = PlanarNetwork(net.vertices, net.edges, net.sources,
+                                net.sinks[1:2] + net.sinks[:1] + net.sinks[2:])
+        report = validate(tangled)
+        assert not report["terminal_order_ok"] and report == validate_oracle(tangled)
+
+
 def test_concatenate_identity_gadgets():
     one = [Fraction(1)] * 3
     a = quasi_diagonal_gadget(one, 3, 3)

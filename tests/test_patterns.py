@@ -3,22 +3,18 @@ from collections import Counter
 
 import pytest
 
-from planarflows.errors import BadParams, BadSizes, NotProper, SizeMismatch
+from planarflows.errors import BadParams, NotProper, SizeMismatch
 from planarflows.patterns import (
     LOWER,
     UPPER,
     PlanarMatching,
     _circle_points,
     _normalize_pattern,
-    apply_exchange,
     embed_matching,
     embed_two,
     feasible_matchings,
-    flag_feasible_matchings,
     is_balanced,
     is_noncrossing,
-    matching_from_parts,
-    matching_multiset,
     one_pattern,
     pattern_from_json,
     pattern_to_json,
@@ -27,10 +23,15 @@ from planarflows.patterns import (
 )
 
 from helpers import (
+    BadSizes,
     all_feasible_matchings_bruteforce,
+    apply_exchange,
     balance_by_matching_multisets,
     feasible_matchings_search,
+    flag_feasible_matchings,
     is_noncrossing_pairwise,
+    matching_from_parts,
+    matching_multiset,
     perfect_matchings,
     proper_pairs,
     random_balanced_patterns,

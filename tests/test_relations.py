@@ -14,18 +14,23 @@ from planarflows.lindstrom import (
     exact_matrix,
     minor,
 )
-from planarflows.network import build_grid, build_half_grid
+from planarflows.network import PlanarNetwork, build_grid, build_half_grid
 from planarflows.patterns import embed_two, one_pattern, stock_pattern
 from planarflows.relations import (
     InstanceConfig,
     RelationInstance,
     evaluate_sq,
-    flag_manifold_relation,
     verify_symbolic,
 )
 from planarflows.schur import gv_grid, verify_schur_identity
 
-from helpers import random_balanced_patterns, random_unbalanced_patterns
+from helpers import (
+    flag_manifold_relation,
+    random_balanced_patterns,
+    random_unbalanced_patterns,
+    substitute,
+    unit_weights,
+)
 
 
 def test_relation_instance_validation():
@@ -81,7 +86,7 @@ def test_star_wrapping_for_semirings_without_zero():
     from planarflows.semiring import STAR
 
     # sink 3 is unreachable, so tropical evaluation needs the star wrapper
-    net = diamond_network().unit_weights(TROPICAL_INT)
+    net = unit_weights(diamond_network(), TROPICAL_INT)
     a0 = one_pattern(3, 2, [{1, 3}])
     ri = RelationInstance(
         set(),
@@ -96,8 +101,9 @@ def test_star_wrapping_for_semirings_without_zero():
     assert result["lhs"] is STAR and result["equal"]
 
 
-def test_verify_symbolic_p3_all_half_grids():
-    a0, b0 = stock_pattern("p3")
+def _p3_half_grid_instances():
+    """Every p3 placement on the half-grids of sizes 3 to 5: 49 entries on
+    three network objects."""
     instances = []
     for n in range(3, 6):
         net = build_half_grid(n)
@@ -111,9 +117,36 @@ def test_verify_symbolic_p3_all_half_grids():
                     instances.append(
                         (net, frozenset(X), frozenset(Y), Xp, Yp)
                     )
+    return instances
+
+
+def test_verify_symbolic_p3_all_half_grids():
+    a0, b0 = stock_pattern("p3")
+    instances = _p3_half_grid_instances()
     report = verify_symbolic(a0, b0, instances=instances)
     assert report["all_equal"]
     assert len(report["cases"]) == len(instances)
+
+
+def test_explicit_instances_on_one_network_share_its_ring(monkeypatch):
+    rings = []
+    polynomial_ring = relations.sr.polynomial_ring
+
+    def counting(*variables):
+        rings.append(variables)
+        return polynomial_ring(*variables)
+
+    monkeypatch.setattr(relations.sr, "polynomial_ring", counting)
+    a0, b0 = stock_pattern("p3")
+    instances = _p3_half_grid_instances()
+    shared = verify_symbolic(a0, b0, instances=instances)
+    assert len(instances) == 49 and len(rings) == 3
+    # A copy of the network per entry gets a ring per entry, and the same report.
+    rings.clear()
+    copies = [(PlanarNetwork(net.vertices, net.edges, net.sources, net.sinks), *sets)
+              for net, *sets in instances]
+    assert verify_symbolic(a0, b0, instances=copies) == shared
+    assert len(rings) == 49
 
 
 def test_verify_symbolic_refuses_patterns_on_different_shapes():
@@ -255,8 +288,8 @@ def test_integer_substitution_matches_symbolic():
             {v: values[k] for k, v in enumerate(net.vertices)}
         )
         res = evaluate_sq(ri, INTEGERS, int_net)
-        assert res["lhs"] == sym["lhs"].substitute(values)
-        assert res["rhs"] == sym["rhs"].substitute(values)
+        assert res["lhs"] == substitute(sym["lhs"], values)
+        assert res["rhs"] == substitute(sym["rhs"], values)
 
 
 def test_flag_manifold_relation():

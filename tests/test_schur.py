@@ -5,6 +5,7 @@ import pytest
 from helpers import (
     NotAFlow,
     NotSemistandard,
+    count_flows,
     flow_to_tableau,
     set_to_partition,
     tableau_poly,
@@ -15,9 +16,7 @@ from planarflows.flows import fg_value
 from planarflows.lindstrom import flow_matrix, minor
 from planarflows.schur import (
     Partition,
-    count_flows,
     gv_grid,
-    partition,
     partition_to_set,
     schur_poly,
     ssyt_fillings,
@@ -36,11 +35,11 @@ def all_partitions_inside(box, length):
 
 
 def test_partition_set_correspondence():
-    assert partition_to_set(partition(6, 5, 3, 3, 2), 5) == frozenset({3, 5, 6, 9, 11})
-    assert partition_to_set(partition(2, 2, 1, 1, 0), 5) == frozenset({1, 3, 4, 6, 7})
-    assert partition_to_set(partition(0, 0, 0), 3) == frozenset({1, 2, 3})
+    assert partition_to_set(Partition((6, 5, 3, 3, 2)), 5) == frozenset({3, 5, 6, 9, 11})
+    assert partition_to_set(Partition((2, 2, 1, 1, 0)), 5) == frozenset({1, 3, 4, 6, 7})
+    assert partition_to_set(Partition((0, 0, 0)), 3) == frozenset({1, 2, 3})
     with pytest.raises(BadLength):
-        partition_to_set(partition(1, 1), 3)
+        partition_to_set(Partition((1, 1)), 3)
     rng = random.Random(2)
     for _ in range(100):
         r = rng.randint(1, 5)
@@ -50,21 +49,21 @@ def test_partition_set_correspondence():
 
 
 def test_schur_poly_basics():
-    val, ring = schur_poly(partition(1), None, 4)
+    val, ring = schur_poly(Partition((1,)), None, 4)
     ones = [
         m for m in val.terms if sum(m) == 1
     ]
     assert len(ones) == 4 and all(c == 1 for c in val.terms.values())
-    val, _ = schur_poly(partition(2, 1), None, 3)
+    val, _ = schur_poly(Partition((2, 1)), None, 3)
     assert sum(val.terms.values()) == 8  # eight tableaux
     assert val.terms[(1, 1, 1)] == 2
-    val, ring = schur_poly(partition(0, 0), None, 3)
+    val, ring = schur_poly(Partition((0, 0)), None, 3)
     assert val == ring.one()
 
 
 def test_schur_poly_is_symmetric():
     rng = random.Random(4)
-    lam = partition(3, 1)
+    lam = Partition((3, 1))
     val, _ = schur_poly(lam, None, 3)
     for _ in range(5):
         i, j = rng.sample(range(3), 2)
@@ -77,7 +76,7 @@ def test_schur_poly_is_symmetric():
 
 
 def test_displayed_tableau_flow():
-    lam, mu = partition(6, 5, 3, 3, 2), partition(2, 2, 1, 1, 0)
+    lam, mu = Partition((6, 5, 3, 3, 2)), Partition((2, 2, 1, 1, 0))
     rows = [[1, 3, 3, 5], [2, 4, 4], [1, 3], [2, 6], [2, 5]]
     flow = tableau_to_flow(lam, mu, rows, 6)
     assert flow.source_idx == (1, 3, 4, 6, 7)
@@ -127,7 +126,7 @@ def test_round_trip_exhaustive_small_shapes():
 
 
 def test_single_cell_tableau():
-    flow = tableau_to_flow(partition(1), partition(0), [[1]], 2)
+    flow = tableau_to_flow(Partition((1,)), Partition((0,)), [[1]], 2)
     horizontal = [
         (a, b)
         for a, b in zip(flow.paths[0], flow.paths[0][1:])
@@ -220,12 +219,12 @@ def test_condensation_identity():
 
 def test_tableau_validation_errors():
     with pytest.raises(NotSemistandard):
-        tableau_to_flow(partition(2), partition(0), [[2, 1]], 2)
+        tableau_to_flow(Partition((2,)), Partition((0,)), [[2, 1]], 2)
     with pytest.raises(NotSemistandard):
-        tableau_to_flow(partition(1, 1), partition(0, 0), [[1], [1]], 2)
+        tableau_to_flow(Partition((1, 1)), Partition((0, 0)), [[1], [1]], 2)
     with pytest.raises(BadParams):
         Partition((1, 2))
-    flow = tableau_to_flow(partition(1), partition(0), [[1]], 2)
+    flow = tableau_to_flow(Partition((1,)), Partition((0,)), [[1]], 2)
     broken = type(flow)(flow.source_idx, flow.sink_idx, (flow.paths[0][:-1],))
     with pytest.raises(NotAFlow):
         flow_to_tableau(broken, 2)

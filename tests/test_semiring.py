@@ -7,7 +7,6 @@ from itertools import combinations
 import pytest
 
 from planarflows import semiring as sr
-from planarflows.basis import _weight_exponents, laurent_expand
 from planarflows.errors import (
     DivisionUnsupported,
     EmptySumWithoutNeutral,
@@ -15,7 +14,14 @@ from planarflows.errors import (
 )
 from planarflows.network import build_half_grid
 
-from helpers import TuplePolynomial, brute_force_flows
+from helpers import (
+    TuplePolynomial,
+    brute_force_flows,
+    laurent_expand,
+    power,
+    substitute,
+    weight_exponents,
+)
 
 ALL_SPECS = [
     sr.INTEGERS,
@@ -62,7 +68,7 @@ def test_divide_inverts_multiplication(spec):
         b = spec.random_value(rng)
         if spec is sr.RATIONALS and b == 0:
             continue
-        assert spec.equal(sr.divide(spec, spec.mul(a, b), b), a)
+        assert spec.equal(spec.divide(spec.mul(a, b), b), a)
 
 
 def test_fold_sum_examples():
@@ -77,7 +83,7 @@ def test_fold_sum_examples():
 
 
 def test_fold_product_examples():
-    assert sr.divide(sr.TROPICAL_INT, 5, 3) == 2
+    assert sr.TROPICAL_INT.divide(5, 3) == 2
     assert sr.fold_product(
         sr.POSITIVE_RATIONALS, [Fraction(1, 2), Fraction(4)]
     ) == Fraction(2)
@@ -91,13 +97,13 @@ def test_fold_product_examples():
 
 def test_division_errors():
     with pytest.raises(DivisionUnsupported):
-        sr.divide(sr.INTEGERS, 4, 2)
+        sr.INTEGERS.divide(4, 2)
     with pytest.raises(NotInvertible):
-        sr.divide(sr.RATIONALS, Fraction(1), Fraction(0))
+        sr.RATIONALS.divide(Fraction(1), Fraction(0))
     star_trop = sr.star_extend(sr.TROPICAL_INT)
     with pytest.raises(NotInvertible):
-        sr.divide(star_trop, 3, sr.STAR)
-    assert sr.divide(star_trop, sr.STAR, 3) is sr.STAR
+        star_trop.divide(3, sr.STAR)
+    assert star_trop.divide(sr.STAR, 3) is sr.STAR
 
 
 def test_star_laws():
@@ -127,7 +133,7 @@ def test_polynomial_canonical_form():
     x, y = ring.var("x"), ring.var("y")
     p = ring.add(ring.mul(x, y), ring.negate(ring.mul(y, x)))
     assert p == ring.zero()
-    assert ring.zero().is_zero()
+    assert not ring.zero().terms
     # Laurent exponents are allowed
     inv = sr.Polynomial(2, {(-1, 0): 1})
     assert ring.mul(inv, x) == ring.one()
@@ -161,10 +167,10 @@ def test_parse_semiring():
 
 
 def test_power():
-    assert sr.power(sr.RATIONALS, Fraction(2, 3), 3) == Fraction(8, 27)
-    assert sr.power(sr.RATIONALS, Fraction(2, 3), -2) == Fraction(9, 4)
-    assert sr.power(sr.RATIONALS, Fraction(2, 3), 0) == 1
-    assert sr.power(sr.TROPICAL_INT, 5, -3) == -15
+    assert power(sr.RATIONALS, Fraction(2, 3), 3) == Fraction(8, 27)
+    assert power(sr.RATIONALS, Fraction(2, 3), -2) == Fraction(9, 4)
+    assert power(sr.RATIONALS, Fraction(2, 3), 0) == 1
+    assert power(sr.TROPICAL_INT, 5, -3) == -15
 
 
 # ---------------------------------------------------------------------------
@@ -197,11 +203,11 @@ def _check_against(got, want, seen):
     assert ring.from_json(ring.to_json(got)) == got
     if all(0 <= e <= 2 for exps in want.terms for e in exps):
         values = [Fraction(k + 2, 3) for k in range(got.nvars)]
-        assert got.substitute(values) == want.substitute(values)
+        assert substitute(got, values) == want.substitute(values)
         seen["substituted"] += 1
     elif any(e < 0 for exps in want.terms for e in exps):
         with pytest.raises(ValueError):
-            got.substitute([1] * got.nvars)
+            substitute(got, [1] * got.nvars)
 
 
 def test_packed_polynomials_match_the_tuple_reference():
@@ -281,7 +287,7 @@ def test_a_unit_monomial_product_shares_its_factors_terms():
 def test_laurent_expansions_match_the_brute_force_flows():
     """Each flow of the half-grid adds its vertices' Laurent exponents."""
     for n in range(1, 6):
-        exponents = _weight_exponents(n)
+        exponents = weight_exponents(n)
         net = build_half_grid(n)
         for k in range(1, n + 1):
             for target in combinations(range(1, n + 1), k):

@@ -10,7 +10,6 @@ from planarflows.patterns import (
     _normalize_pattern,
     embed_matching,
     feasible_matchings,
-    matching_from_parts,
     one_pattern,
     stock_pattern,
     two_pattern,
@@ -22,7 +21,13 @@ from planarflows.witness import (
     find_discriminating_matching,
 )
 
-from helpers import audit_by_masks, contexts_for, proper_pairs, random_unbalanced_patterns
+from helpers import (
+    audit_by_masks,
+    contexts_for,
+    matching_from_parts,
+    proper_pairs,
+    random_unbalanced_patterns,
+)
 
 
 def test_find_discriminating_matching():
