@@ -14,11 +14,6 @@ from .errors import BadParams, DivisionUnsupported
 from .flows import FlowFunction
 
 
-def intervals(n):
-    """The nonempty intervals (p, q) of [n], by start then end."""
-    return [(p, q) for p in range(1, n + 1) for q in range(p, n + 1)]
-
-
 def _pressed(k, kp):
     """The pressed double interval ending at (k, k'), of length min(k, k');
     ``((), ())`` when that length is 0."""

@@ -37,10 +37,6 @@ class BadLength(PlanarFlowsError):
     """Partition length does not match the requested size."""
 
 
-class CoupleNotInMatching(PlanarFlowsError):
-    """An exchange was requested along a couple absent from the matching."""
-
-
 class PatternsBalanced(PlanarFlowsError):
     """A counterexample was requested for patterns that are balanced."""
 

@@ -14,17 +14,8 @@ from . import semiring as sr
 from .errors import PlanarFlowsError, SizeMismatch
 
 
-class Flow(namedtuple("Flow", "source_idx sink_idx paths")):
-    """I and I' ascending, and one vertex-id tuple per index, left to right."""
-
-    __slots__ = ()
-
-    def edges(self):
-        out = set()
-        for path in self.paths:
-            for a, b in zip(path, path[1:]):
-                out.add((a, b))
-        return out
+# I and I' ascending, and one vertex-id tuple per index, left to right.
+Flow = namedtuple("Flow", "source_idx sink_idx paths")
 
 
 def _check_indices(network, I, Iprime):

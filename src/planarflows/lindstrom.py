@@ -145,9 +145,6 @@ def flow_matrix(network, spec):
 # quasi-diagonal, None for swap.
 GadgetFactor = namedtuple("GadgetFactor", "kind size index value")
 
-# ``factors`` run bottom (applied first) to top.
-GadgetChain = namedtuple("GadgetChain", "factors")
-
 
 def _assemble(factors, spec):
     """Edge-weighted network realizing the ordered product of ``factors``
@@ -218,7 +215,8 @@ def compile_matrix_to_network(matrix):
     entry is zero), and row k from the right by the mirror rule on columns.
     Each entry costs at most one adjacent factor, so an n'×n matrix gives at
     most 1 + 2nn' factors.  Inverting the operation sequence yields the
-    factorization, laid bottom-up on one set of wires.
+    factorization, laid bottom-up on one set of wires.  Returns the network
+    and the tuple of factors, bottom (applied first) to top.
     """
     nprime, n = matrix.n_rows, matrix.n_cols
     work = [[Fraction(v) for v in row] for row in matrix.entries]
@@ -275,4 +273,4 @@ def compile_matrix_to_network(matrix):
     factors = [GadgetFactor(kind, (n, n), i, x) for kind, i, x in col_ops]
     factors.append(GadgetFactor("quasi-diagonal", (nprime, n), 0, diag))
     factors += [GadgetFactor(kind, (nprime, nprime), i, x) for kind, i, x in reversed(row_ops)]
-    return _assemble(factors, sr.RATIONALS), GadgetChain(tuple(factors))
+    return _assemble(factors, sr.RATIONALS), tuple(factors)

@@ -58,9 +58,7 @@ class RelationInstance:
 
         def side(family):
             terms = []
-            for (A, Ap), mult in sorted(
-                family.items(), key=lambda kv: (sorted(kv[0][0]), sorted(kv[0][1]))
-            ):
+            for (A, Ap), mult in family.items():
                 terms += [spec.mul(f(X | A, Xp | Ap), f(X | (Y - A), Xp | (Yp - Ap)))] * mult
             return sr.fold_sum(spec, terms)
 

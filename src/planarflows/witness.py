@@ -53,10 +53,9 @@ _SIDES = (
 
 # ``network`` has unit integer weights in vertex mode; ``matching`` is the
 # PlanarMatching on the original (Y, Y'); ``edge_class`` maps each edge to
-# thin, lower-bridge, upper-bridge, b-edge, v-edge or extra; ``couple_paths``
-# maps each tilde couple to its ordered vertex tuple; ``flows`` is the
-# integer FlowFunction that answers every count.
-WitnessNetwork = namedtuple("WitnessNetwork", "network matching edge_class couple_paths flows")
+# thin, lower-bridge, upper-bridge, b-edge, v-edge or extra; ``flows`` is
+# the integer FlowFunction that answers every count.
+WitnessNetwork = namedtuple("WitnessNetwork", "network matching edge_class flows")
 
 
 def _nesting_children(couples):
@@ -86,7 +85,6 @@ def _build_core(n_tilde, matching, points, xterms):
     """
     vertices = {}
     edge_class = {}  # in insertion order, the network's edges
-    couple_paths = {}
 
     for e in range(1, n_tilde + 1):
         for side in _SIDES:
@@ -116,7 +114,6 @@ def _build_core(n_tilde, matching, points, xterms):
                     vertices[name] = (a[0] + frac * (b[0] - a[0]), a[1] + frac * (b[1] - a[1]))
                     inner.append(name)
                 names = [f"{side.terminal}{i}", *inner, f"{side.terminal}{j}"]
-            couple_paths[((side.key, i), (side.key, j))] = tuple(names)
             evens[(side.key, i, j)] = inner[0::2]
             odds[(side.key, i, j)] = inner[1::2]
             for k in range(len(names) - 1):
@@ -202,11 +199,10 @@ def _build_core(n_tilde, matching, points, xterms):
             lo, hi = names_of_crossing[((b[0], b[1]), (i, j))]
             chain.extend([hi, lo])
         chain.append(f"t{j}")
-        couple_paths[((LOWER, i), (UPPER, j))] = tuple(chain)
         for k in range(0, len(chain) - 1, 2):
             edge_class[chain[k], chain[k + 1]] = "v-edge"
 
-    return vertices, edge_class, couple_paths
+    return vertices, edge_class
 
 
 def build_witness_network(X, Y, Xp, Yp, matching):
@@ -264,7 +260,7 @@ def build_witness_network(X, Y, Xp, Yp, matching):
         tuple(sorted(((p[0], tilde_pos[p]), (q[0], tilde_pos[q]))))
         for p, q in matching.couples
     ]
-    vertices, edge_class, couple_paths = _build_core(
+    vertices, edge_class = _build_core(
         2 * len(X) + len(Y), PlanarMatching(couples), points, xterms
     )
     vertices.update(pads)
@@ -275,8 +271,7 @@ def build_witness_network(X, Y, Xp, Yp, matching):
     report = validate(network)
     if not report["ok"]:
         raise WitnessGeometryError(f"layout failed validation: {report}")
-    return WitnessNetwork(network, matching, edge_class, couple_paths,
-                          FlowFunction(sr.INTEGERS, network))
+    return WitnessNetwork(network, matching, edge_class, FlowFunction(sr.INTEGERS, network))
 
 
 def find_discriminating_matching(pattern_a, pattern_b):

@@ -18,12 +18,6 @@ from planarflows.basis import (
     pressed_values_from_network,
     reconstruct_value,
 )
-from planarflows.doubleflows import (
-    decompose_double_flow,
-    enumerate_double_flows,
-    exchange,
-    split_vertices,
-)
 from planarflows.flows import fg_value
 from planarflows.lindstrom import compile_matrix_to_network, exact_matrix, flow_matrix
 from planarflows.network import (
@@ -48,7 +42,11 @@ from helpers import (
     check_matrix_sq,
     contexts_for,
     count_flows,
+    decompose_double_flow,
+    enumerate_double_flows,
+    exchange,
     flag_feasible_matchings,
+    flow_edges,
     flow_to_tableau,
     laurent_expand,
     matching_from_parts,
@@ -56,6 +54,7 @@ from helpers import (
     product_matrix,
     random_balanced_patterns,
     random_unbalanced_patterns,
+    split_vertices,
     tableau_to_flow,
     unit_weights,
     verify_lindstrom,
@@ -174,8 +173,8 @@ def test_criterion_4_lindstrom_and_compiler():
                 for _ in range(nr)
             ],
         )
-        net, chain = compile_matrix_to_network(mat)
-        assert product_matrix(chain).entries == mat.entries
+        net, factors = compile_matrix_to_network(mat)
+        assert product_matrix(factors).entries == mat.entries
         assert flow_matrix(net, RATIONALS).entries == mat.entries
     _report(4, "Lindstrom corpus + 100 compiler round trips", started, 120.0)
 
@@ -370,7 +369,7 @@ def test_criterion_8_double_flow_algebra():
                         total_flows += len(dfs)
                         for df in dfs:
                             dec = decompose_double_flow(df)
-                            sym = df.phi.edges() ^ df.phi_prime.edges()
+                            sym = flow_edges(df.phi) ^ flow_edges(df.phi_prime)
                             pieces = set()
                             for circuit in dec.circuits:
                                 pieces |= set(circuit)
@@ -391,10 +390,10 @@ def test_criterion_8_double_flow_algebra():
                                 new = exchange(df, pick)
                                 exchanges += 1
                                 before = Counter(
-                                    list(df.phi.edges()) + list(df.phi_prime.edges())
+                                    list(flow_edges(df.phi)) + list(flow_edges(df.phi_prime))
                                 )
                                 after = Counter(
-                                    list(new.phi.edges()) + list(new.phi_prime.edges())
+                                    list(flow_edges(new.phi)) + list(flow_edges(new.phi_prime))
                                 )
                                 assert before == after
                                 assert decompose_double_flow(new).matching == dec.matching

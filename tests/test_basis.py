@@ -15,7 +15,6 @@ from planarflows.basis import (
     flag_assignment,
     flag_values_from_network,
     interval_values_from_weights,
-    intervals,
     pressed_assignment,
     pressed_basis,
     pressed_values_from_network,
@@ -28,6 +27,7 @@ from planarflows.semiring import STAR
 
 from helpers import (
     eval_expansion,
+    intervals,
     laurent_expand,
     unit_weights,
     weights_from_intervals,

@@ -1,6 +1,7 @@
 import json
 import os
 import random
+import resource
 import subprocess
 import sys
 from fractions import Fraction
@@ -599,6 +600,30 @@ def test_check_balance_on_a_nested_pair_of_400_points(tmp_path):
         )
         assert proc.returncode == 0, proc.stderr
         assert json.loads(proc.stdout) == {"balanced": True}
+
+
+def _one_gigabyte():
+    resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+
+@pytest.mark.parametrize("basis, target", [
+    ({"case": "flag-intervals", "n": 10 ** 6, "values": {"1..1": 1}}, "1"),
+    ({"case": "pressed-double-intervals", "n": 10 ** 6, "n_prime": 10 ** 6,
+      "values": {"1..1|1..1": 1}}, "1|1"),
+])
+def test_reconstruct_from_one_value_of_a_basis_over_a_million_points(tmp_path, basis, target):
+    # Checking the keys and the target lists neither the basis nor 1..n, so
+    # this runs in well under the 1 GB address space the child gets.
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(planarflows.__file__)))
+    basis_file = tmp_path / "basis.json"
+    basis_file.write_text(json.dumps(basis))
+    proc = subprocess.run(
+        [sys.executable, "-m", "planarflows.cli", "reconstruct", "--basis", str(basis_file),
+         "--semiring", "tropical-int", "--target", target],
+        env=env, capture_output=True, text=True, timeout=60, preexec_fn=_one_gigabyte,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == {"value": 1}
 
 
 @pytest.mark.parametrize("data, message", [

@@ -5,9 +5,9 @@ A public module-level function or class (a ``namedtuple`` assignment
 included) counts as used when library code outside its own definition names
 it, as a name or an attribute (comments and docstrings do not count), when a
 ``perfbench`` module names it, or when the wrapper list of
-``perfbench/spans.py`` names it as a string.  Any other unit must be listed
-in ``ALLOWED`` with the reason it stays; oracles and input generators that
-only tests call belong in ``tests/helpers.py``.
+``perfbench/spans.py`` names it as a string.  There is no exception: oracles,
+input generators and paper models that only tests call belong in
+``tests/helpers.py``.
 """
 
 import ast
@@ -16,14 +16,6 @@ import pathlib
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 LIBRARY = {p.stem: ast.parse(p.read_text()) for p in (ROOT / "src" / "planarflows").glob("*.py")}
 BENCH = [ast.parse(p.read_text()) for p in (ROOT / "perfbench").glob("*.py")]
-
-# The double-flow model of the paper's sufficiency proof has no command yet;
-# a per-matching view of both sides of a relation would be its first caller.
-ALLOWED = {
-    f"doubleflows.{name}": "double flows have no command yet"
-    for name in ("split_vertices", "edge_to_vertex_mode", "enumerate_double_flows", "exchange")
-}
-
 
 def _names(node):
     """Every identifier ``node`` reads: names and attribute names."""
@@ -74,10 +66,7 @@ def _unused():
 
 
 def test_every_public_library_unit_has_a_caller_outside_the_tests():
-    unused = _unused()
-    assert sorted(unused - ALLOWED.keys()) == []
-    # The allow-list names only units that exist and still have no caller.
-    assert sorted(ALLOWED.keys() - unused) == []
+    assert sorted(_unused()) == []
 
 
 def test_the_scan_sees_units_and_callers():

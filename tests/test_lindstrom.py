@@ -158,9 +158,9 @@ def test_identity_compiles_to_parallel_edges():
         RATIONALS,
         [[Fraction(int(i == j)) for j in range(3)] for i in range(3)],
     )
-    net, chain = compile_matrix_to_network(eye)
-    assert len(chain.factors) == 1
-    assert chain.factors[0].kind == "quasi-diagonal"
+    net, factors = compile_matrix_to_network(eye)
+    assert len(factors) == 1
+    assert factors[0].kind == "quasi-diagonal"
     assert len(net.edges) == 3
 
 
@@ -185,8 +185,8 @@ def test_compiler_round_trip_random():
             for _ in range(nr)
         ]
         mat = exact_matrix(RATIONALS, rows)
-        net, chain = compile_matrix_to_network(mat)
-        assert product_matrix(chain).entries == mat.entries
+        net, factors = compile_matrix_to_network(mat)
+        assert product_matrix(factors).entries == mat.entries
         assert flow_matrix(net, RATIONALS).entries == mat.entries
         assert validate(net)["ok"]
 
@@ -196,7 +196,7 @@ def test_compiler_handles_rank_deficiency():
         RATIONALS,
         [[Fraction(0), Fraction(1)], [Fraction(0), Fraction(0)]],
     )
-    net, chain = compile_matrix_to_network(mat)
+    net, _ = compile_matrix_to_network(mat)
     assert flow_matrix(net, RATIONALS).entries == mat.entries
     zero = exact_matrix(RATIONALS, [[Fraction(0)] * 3 for _ in range(2)])
     net, _ = compile_matrix_to_network(zero)
@@ -217,8 +217,8 @@ def test_compiled_networks_add_a_bounded_number_of_vertices_per_factor():
     rng = random.Random(41)
     for _ in range(20):
         nr, nc = rng.randint(3, 6), rng.randint(3, 6)
-        net, chain = compile_matrix_to_network(_random_matrix(rng, nr, nc, rng.random()))
-        assert len(net.vertices) <= nc + 2 * nr + 3 * len(chain.factors)
+        net, factors = compile_matrix_to_network(_random_matrix(rng, nr, nc, rng.random()))
+        assert len(net.vertices) <= nc + 2 * nr + 3 * len(factors)
         assert all(v == f"{x},{y}" for v, (x, y) in net.vertices.items())
 
 
@@ -235,9 +235,9 @@ def test_neville_elimination_emits_at_most_one_factor_per_entry():
         col, row = _random_matrix(rng, nr, 1).entries, _random_matrix(rng, 1, nc).entries[0]
         mats.append(exact_matrix(RATIONALS, [[a * b for b in row] for (a,) in col]))
         for mat in mats:
-            net, chain = compile_matrix_to_network(mat)
-            assert len(chain.factors) <= 1 + 2 * nr * nc
-            assert product_matrix(chain).entries == mat.entries
+            net, factors = compile_matrix_to_network(mat)
+            assert len(factors) <= 1 + 2 * nr * nc
+            assert product_matrix(factors).entries == mat.entries
             assert flow_matrix(net, RATIONALS).entries == mat.entries
             report = validate(net)
             assert report["ok"] and report == validate_oracle(net)
@@ -246,8 +246,8 @@ def test_neville_elimination_emits_at_most_one_factor_per_entry():
     for n in range(3, 9):
         rows = [[Fraction(rng.choice([-1, 1]) * rng.randint(1, 9), rng.randint(1, 5))
                  for _ in range(n)] for _ in range(n)]
-        _, chain = compile_matrix_to_network(exact_matrix(RATIONALS, rows))
-        assert len(chain.factors) <= n * (n - 1) + 1
+        _, factors = compile_matrix_to_network(exact_matrix(RATIONALS, rows))
+        assert len(factors) <= n * (n - 1) + 1
 
 
 @pytest.mark.parametrize("kind", ["swap", "add", "upper-add"])

@@ -8,7 +8,6 @@ from itertools import combinations
 import pytest
 
 from planarflows import INTEGERS, RATIONALS, polynomial_ring
-from planarflows.doubleflows import edge_to_vertex_mode, split_vertices
 from planarflows.errors import ArityMismatch, BadInput, PlanarFlowsError
 from planarflows.flows import enumerate_flows, fg_value
 from planarflows.lindstrom import (
@@ -39,10 +38,12 @@ from helpers import (
     adjacent_add_gadget,
     adjacent_swap_gadget,
     contexts_for,
+    edge_to_vertex_mode,
     mat_mul,
     quasi_diagonal_gadget,
     random_unbalanced_patterns,
     scanned_hull_position,
+    split_vertices,
     validate_oracle,
 )
 

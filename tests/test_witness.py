@@ -7,6 +7,8 @@ from planarflows.errors import NotPlanarMatching, PatternsBalanced
 from planarflows.flows import enumerate_flows, fg_value
 from planarflows.network import PlanarNetwork, validate
 from planarflows.patterns import (
+    LOWER,
+    UPPER,
     _normalize_pattern,
     embed_matching,
     feasible_matchings,
@@ -66,7 +68,9 @@ def test_drawn_seven_terminal_instance():
     wn = build_witness_network(set(), Y, set(), Y, matching)
     assert validate(wn.network)["ok"]
     # the long couple 16 subdivides into 5 interior vertices
-    assert len(wn.couple_paths[((0, 1), (0, 6))]) == 7
+    assert sorted(v for v in wn.network.vertices if v.startswith("L1.6.")) == [
+        f"L1.6.{k}" for k in range(1, 6)
+    ]
     # one middle bridge per lower couple
     b_chains = {
         e[0]
@@ -209,17 +213,28 @@ def test_thin_components_are_couple_paths():
     )
     wn = build_witness_network(set(), {1, 2, 3, 4}, set(), {1, 2, 3, 4}, matching)
     thin = {"thin", "v-edge", "extra"}
-    seen = {}
-    for e, cls in wn.edge_class.items():
+    adjacent = {}
+    for (a, b), cls in wn.edge_class.items():
         if cls in thin:
-            seen.setdefault(e[0], set()).add(e)
-            seen.setdefault(e[1], set()).add(e)
-    for couple, path in wn.couple_paths.items():
-        edges_on_path = set()
-        for v in path:
-            edges_on_path |= seen.get(v, set())
-        for e in edges_on_path:
-            assert e[0] in path and e[1] in path
+            adjacent.setdefault(a, set()).add(b)
+            adjacent.setdefault(b, set()).add(a)
+    # each component of these edges joins the two terminals of one couple
+    terminals = set(wn.network.sources) | set(wn.network.sinks)
+    ends = []
+    unseen = set(adjacent)
+    while unseen:
+        stack = [unseen.pop()]
+        component = set(stack)
+        while stack:
+            for u in adjacent[stack.pop()] - component:
+                component.add(u)
+                stack.append(u)
+        unseen -= component
+        ends.append(sorted(component & terminals))
+    name = {LOWER: "s", UPPER: "t"}
+    assert sorted(ends) == sorted(
+        sorted(f"{name[side]}{e}" for side, e in couple) for couple in matching.couples
+    )
 
 
 def test_rejects_crossing_matching():
