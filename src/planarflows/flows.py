@@ -21,15 +21,15 @@ Flow = namedtuple("Flow", "source_idx sink_idx paths")
 def _check_indices(network, I, Iprime):
     I, Iprime = tuple(sorted(I)), tuple(sorted(Iprime))
     if len(I) != len(Iprime):
-        raise SizeMismatch(f"|I|={len(I)} but |I'|={len(Iprime)}")
+        raise SizeMismatch(f"Iprime: |I|={len(I)} but |I'|={len(Iprime)}")
     if len(set(I)) != len(I) or len(set(Iprime)) != len(Iprime):
-        raise PlanarFlowsError("index sets must not repeat elements")
+        raise PlanarFlowsError(f"{'I' if len(set(I)) != len(I) else 'Iprime'}: an index repeats")
     n, nprime = len(network.sources), len(network.sinks)
     if I and not (1 <= I[0] and I[-1] <= n and 1 <= Iprime[0] and Iprime[-1] <= nprime):
-        for what, idx, top in (("source", I, n), ("sink", Iprime, nprime)):
+        for where, what, idx, top in (("I", "source", I, n), ("Iprime", "sink", Iprime, nprime)):
             for i in idx:
                 if not 1 <= i <= top:
-                    raise PlanarFlowsError(f"{what} index {i} out of range")
+                    raise PlanarFlowsError(f"{where}: {what} index {i} is not in 1..{top}")
     return I, Iprime
 
 
@@ -119,8 +119,9 @@ class FlowFunction:
 
     The network is checked once and each (I, I') is walked once: a repeated
     query is one lookup.  Each target tuple I' keeps one walk memo across
-    calls, so calls that share I' share every walk state.  The answers and
-    memos live as long as the object: hold one per caller, not globally.
+    calls, so calls that share I' share every walk state, until
+    ``drop_memos``.  The answers live as long as the object, one per (I, I')
+    asked; a shape cache that keeps one drops its memos after every check.
     """
 
     def __init__(self, spec, network):
@@ -144,6 +145,10 @@ class FlowFunction:
             value = _walk(self.network, I, Iprime, self._step, self.spec.add, self._one, memo)
             self._values[key] = sr.fold_sum(self.spec, []) if value is None else value
         return self._values[key]
+
+    def drop_memos(self):
+        """Forget the walk states; the answers stay."""
+        self._memos = {}
 
 
 def fg_value(spec, network, I, Iprime):

@@ -45,9 +45,9 @@ class ExactMatrix(namedtuple("ExactMatrix", "spec entries")):
 
 def exact_matrix(spec, rows):
     entries = tuple(tuple(row) for row in rows)
-    widths = {len(row) for row in entries}
-    if len(widths) > 1:
-        raise SizeMismatch("ragged matrix")
+    for r, row in enumerate(entries):
+        if len(row) != len(entries[0]):
+            raise SizeMismatch(f"rows[{r}]: has {len(row)} entries, rows[0] has {len(entries[0])}")
     return ExactMatrix(spec, entries)
 
 
@@ -82,16 +82,16 @@ def minor(matrix, I, Iprime):
     """
     I, Iprime = tuple(sorted(I)), tuple(sorted(Iprime))
     if len(I) != len(Iprime):
-        raise SizeMismatch(f"|I|={len(I)} vs |I'|={len(Iprime)}")
+        raise SizeMismatch(f"Iprime: |I|={len(I)} vs |I'|={len(Iprime)}")
     spec = matrix.spec
     if not spec.has_additive_inverse:
         raise RingRequired("minors need additive inverses")
     for i in I:
         if not 1 <= i <= matrix.n_cols:
-            raise SizeMismatch(f"column {i} out of range")
+            raise SizeMismatch(f"I: column {i} is not in 1..{matrix.n_cols}")
     for j in Iprime:
         if not 1 <= j <= matrix.n_rows:
-            raise SizeMismatch(f"row {j} out of range")
+            raise SizeMismatch(f"Iprime: row {j} is not in 1..{matrix.n_rows}")
 
     k = len(I)
     dets = {(): spec.one()}

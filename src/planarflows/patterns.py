@@ -177,29 +177,37 @@ def two_pattern(m, m_prime, members):
     members merged; a member outside ([m], [m']) or off the parity condition
     is refused by its position, as ``members[k]``."""
     ground, ground_p = frozenset(range(1, m + 1)), frozenset(range(1, m_prime + 1))
-    counter = Counter()
+    excess, merged = len(ground) - len(ground_p), {}
     for k, item in enumerate(members):
         A, Ap, mult = item if len(item) == 3 else (*item, 1)
         A, Ap = frozenset(A), frozenset(Ap)
-        for field, S, G in (("A", A, ground), ("Aprime", Ap, ground_p)):
-            if not S <= G:
-                raise NotProper(f"members[{k}].{field}: {sorted(S)} escapes [{len(G)}]")
-        if not is_proper(ground, ground_p, A, Ap):
+        if not A <= ground:
+            raise NotProper(f"members[{k}].A: {sorted(A)} escapes [{len(ground)}]")
+        if not Ap <= ground_p:
+            raise NotProper(f"members[{k}].Aprime: {sorted(Ap)} escapes [{len(ground_p)}]")
+        if excess != 2 * (len(A) - len(Ap)):
             raise NotProper(
                 f"members[{k}]: ({sorted(A)},{sorted(Ap)}) violates the parity condition")
-        counter[A, Ap] += mult
+        merged[A, Ap] = merged.get((A, Ap), 0) + mult
+    return _merged_pattern(m, m_prime, merged)
+
+
+def _merged_pattern(m, m_prime, merged):
+    """The TwoPattern of checked members {(A, A'): multiplicity}, ordered by
+    their sorted elements."""
     return TwoPattern(m, m_prime, tuple(sorted(
-        ((A, Ap, mult) for (A, Ap), mult in counter.items()),
+        ((A, Ap, mult) for (A, Ap), mult in merged.items()),
         key=lambda t: (sorted(t[0]), sorted(t[1])))))
 
 
 def one_pattern(m, p, members):
     """The flag pattern of p-subsets A of [m], given as A or (A, multiplicity),
     as the 2-pattern it stands for: Y' = [|2p - m|], with A' all of Y' when
-    2p >= m and empty otherwise."""
+    2p >= m and empty otherwise.  Such members always meet the parity
+    condition."""
     m_prime = abs(2 * p - m)
     ap = frozenset(range(1, m_prime + 1)) if 2 * p >= m else frozenset()
-    ground, out = frozenset(range(1, m + 1)), []
+    ground, merged = frozenset(range(1, m + 1)), {}
     for k, item in enumerate(members):
         if isinstance(item, tuple) and len(item) == 2 and isinstance(item[1], int) and not isinstance(item[0], int):
             A, mult = item
@@ -208,17 +216,16 @@ def one_pattern(m, p, members):
         A = frozenset(A)
         if not A <= ground or len(A) != p:
             raise NotProper(f"members[{k}].A: {sorted(A)} is not a {p}-subset of [{m}]")
-        out.append((A, ap, mult))
-    return two_pattern(m, m_prime, out)
+        merged[A, ap] = merged.get((A, ap), 0) + mult
+    return _merged_pattern(m, m_prime, merged)
 
 
 def embed_two(pattern, Y, Yp):
     """Apply the order-preserving bijections [m] -> Y and [m'] -> Y'."""
     Y, Yp = sorted(Y), sorted(Yp)
     if len(Y) != pattern.m or len(Yp) != pattern.m_prime:
-        raise SizeMismatch(
-            f"|Y|={len(Y)} |Y'|={len(Yp)} but pattern is on ([{pattern.m}],[{pattern.m_prime}])"
-        )
+        raise SizeMismatch(f"{'Y' if len(Y) != pattern.m else 'Yprime'}: |Y|={len(Y)} "
+                           f"|Y'|={len(Yp)} but pattern is on ([{pattern.m}],[{pattern.m_prime}])")
     gamma = {i + 1: y for i, y in enumerate(Y)}
     gamma_p = {i + 1: y for i, y in enumerate(Yp)}
     out = Counter()
@@ -270,7 +277,7 @@ def is_balanced(a, b):
     """Decide balancedness; when unbalanced, report the first differing matching."""
     if (a.m, a.m_prime) != (b.m, b.m_prime):
         raise SizeMismatch(
-            f"patterns live on different shapes ({a.m},{a.m_prime}) vs ({b.m},{b.m_prime})")
+            f"B0: patterns live on different shapes ({a.m},{a.m_prime}) vs ({b.m},{b.m_prime})")
     points, ma = _chord_multiset(a)
     mb = _chord_multiset(b)[1]
     if ma == mb:

@@ -19,16 +19,19 @@ def check_sets(X, Y, Xp, Yp):
     """(X, Y, X', Y') as frozensets; overlapping sides or sizes with
     2|X| + |Y| != 2|X'| + |Y'| are refused."""
     X, Y, Xp, Yp = frozenset(X), frozenset(Y), frozenset(Xp), frozenset(Yp)
-    if X & Y or Xp & Yp:
-        raise InconsistentSets("X,Y (and X',Y') must be disjoint")
+    if X & Y:
+        raise InconsistentSets(f"Y: {sorted(X & Y)} also in X; X and Y must be disjoint")
+    if Xp & Yp:
+        raise InconsistentSets(f"Yprime: {sorted(Xp & Yp)} also in Xprime; X' and Y' must be disjoint")
     if 2 * len(X) + len(Y) != 2 * len(Xp) + len(Yp):
-        raise InconsistentSets("2|X| + |Y| must equal 2|X'| + |Y'|")
+        raise InconsistentSets(f"sets: 2|X| + |Y| = {2 * len(X) + len(Y)} must equal "
+                               f"2|X'| + |Y'| = {2 * len(Xp) + len(Yp)}")
     return X, Y, Xp, Yp
 
 
 def _pattern_pair(a, b):
     if (a.m, a.m_prime) != (b.m, b.m_prime):
-        raise InconsistentSets("patterns live on different shapes")
+        raise InconsistentSets(f"B0: shape ({b.m},{b.m_prime}) differs from A0's ({a.m},{a.m_prime})")
     return a, b
 
 
@@ -70,10 +73,17 @@ def evaluate_sq(ri, spec, network):
     """Both sides of the quadratic identity on ``network`` over ``spec``.
 
     When the base semiring lacks a zero, empty flow sets are absorbed by
-    moving to its star extension.
+    moving to its star extension.  A generic network from ``_generic`` is
+    read through the FlowFunction it carries, whose walk memos are dropped
+    afterwards; any other network gets a FlowFunction for this call.
     """
     spec = spec if spec.has_zero else sr.star_extend(spec)
-    return dict(ri.sides(spec, FlowFunction(spec, network)), spec=spec)
+    f = getattr(network, "flows", None)
+    if f is None or f.spec is not spec:
+        f = FlowFunction(spec, network)
+    sides = ri.sides(spec, f)
+    f.drop_memos()
+    return dict(sides, spec=spec)
 
 
 # Sampling knobs for symbolic verification.
@@ -154,14 +164,16 @@ def default_instances(m, m_prime, config=None):
 
 def _generic(instances):
     """Each (network, X, Y, X', Y') as (ring, weighted network, X, Y, X', Y'):
-    the network weighted by one variable of the ring per vertex.  Entries
-    that hold one network object share its ring and weighted network."""
+    the network weighted by one variable of the ring per vertex, carrying its
+    FlowFunction as ``flows``.  Entries that hold one network object share
+    its ring, weighted network and flow values."""
     out, generic = [], {}
     for net, X, Y, Xp, Yp in instances:
         if id(net) not in generic:
             ring = sr.polynomial_ring(*[f"w_{v}" for v in net.vertices])
-            weights = {v: ring.var(k) for k, v in enumerate(net.vertices)}
-            generic[id(net)] = ring, net.with_vertex_weights(weights)
+            weighted = net.with_vertex_weights({v: ring.var(k) for k, v in enumerate(net.vertices)})
+            weighted.flows = FlowFunction(ring, weighted)
+            generic[id(net)] = ring, weighted
         out.append((*generic[id(net)], X, Y, Xp, Yp))
     return tuple(out)
 
@@ -169,7 +181,8 @@ def _generic(instances):
 @lru_cache
 def _default_generic(m, m_prime, config):
     """The generic ``default_instances`` of a shape, built once per shape.
-    Only inputs are kept: each check walks them with its own FlowFunction."""
+    Their flow values stay with the entry, so each (I, I') of a shape is
+    walked once; walk memos do not outlive a check."""
     return _generic(default_instances(m, m_prime, config))
 
 

@@ -28,9 +28,9 @@ class Partition(namedtuple("Partition", "parts")):
 
     def __new__(cls, parts):
         if any(p < 0 for p in parts):
-            raise BadParams("partition parts must be nonnegative")
+            raise BadParams(f"parts: {parts} has a negative part")
         if any(parts[i] < parts[i + 1] for i in range(len(parts) - 1)):
-            raise BadParams(f"{parts} is not weakly decreasing")
+            raise BadParams(f"parts: {parts} is not weakly decreasing")
         return super().__new__(cls, parts)
 
     @property
@@ -126,10 +126,12 @@ def schur_poly(lam, mu=None, N=1):
 def gv_grid(N, width):
     """The lattice network whose flows carry tableaux, with x_h level weights.
     Built once per (N, width) and shared by every caller, who must not
-    change it; each value is walked by its own FlowFunction."""
+    change it.  It carries the FlowFunction of ``verify_schur_identity`` as
+    ``flows``, so its values stay with the entry."""
     ring = schur_ring(N)
     level_weights = {h: ring.var(h - 1) for h in range(1, N + 1)}
     net = build_gv_grid(N, width, level_weights)
+    net.flows = FlowFunction(ring, net)
     return net, ring
 
 
@@ -140,25 +142,27 @@ def verify_schur_identity(kind, params, N):
     if kind in ("tworow", "two-row", "tworowproduct"):
         i, j, k, ell = params
         if not (i < j <= k < ell):
-            raise BadParams("need i < j <= k < l")
+            raise BadParams(f"params: need i < j <= k < l, got {i},{j},{k},{ell}")
         shapes = [(k, i), (ell, j), (ell, i), (k, j), (j - 1, i), (ell, k + 1)]
     elif kind == "condensation":
         lam = tuple(params)
         r = len(lam)
         if r < 2 or lam[-1] <= 0:
-            raise BadParams("need at least two parts, the last one positive")
+            raise BadParams("params: need at least two parts, the last one positive")
         shapes = [
             lam[: r - 1], lam[1:], lam[1: r - 1], lam,
             tuple(p - 1 for p in lam[1:]), tuple(p + 1 for p in lam[: r - 1]),
         ]
     else:
-        raise BadParams(f"unknown identity kind {kind!r}")
+        raise BadParams(f"kind: unknown identity kind {kind!r}")
     shapes = [_partition(shape) for shape in shapes]
     ring = schur_ring(N)
     # One lattice, as wide as the widest shape, carries all six values.
     width = max(lam.parts[0] + lam.length for lam in shapes if lam.length)
-    flows = FlowFunction(ring, gv_grid(N, width)[0]) if N >= 1 else None
+    flows = gv_grid(N, width)[0].flows if N >= 1 else None
     a, b, c, d, e, f = (_flow_value(lam, (0,) * lam.length, N, flows) for lam in shapes)
+    if flows is not None:
+        flows.drop_memos()
     lhs = ring.mul(a, b)
     rhs = ring.add(ring.mul(c, d), ring.mul(e, f))
     return {"lhs": lhs, "rhs": rhs, "equal": lhs == rhs, "ring": ring}

@@ -278,7 +278,7 @@ def find_discriminating_matching(pattern_a, pattern_b):
     """A matching with different multiplicities in the two multisets."""
     result = is_balanced(pattern_a, pattern_b)
     if result.balanced:
-        raise PatternsBalanced("patterns are balanced; no witness exists")
+        raise PatternsBalanced("patterns: A0 and B0 are balanced; no witness exists")
     return result.witness, result.count_a, result.count_b
 
 

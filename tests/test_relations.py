@@ -1,14 +1,15 @@
 import gc
 import random
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, combinations_with_replacement
 from types import FunctionType, ModuleType
+import weakref
 
 import pytest
 
 from planarflows import INTEGERS, RATIONALS, TROPICAL_INT, polynomial_ring, relations
 from planarflows.errors import BadInput, InconsistentSets, RingRequired
-from planarflows.flows import fg_value
+from planarflows.flows import FlowFunction, fg_value
 from planarflows.lindstrom import (
     compile_matrix_to_network,
     exact_matrix,
@@ -248,14 +249,91 @@ def _reachable(roots):
     return seen.values()
 
 
-def test_the_instance_caches_hold_no_flow_values():
+def test_an_unbalanced_pair_after_a_balanced_one_of_its_shape_stays_unequal():
+    a0, b0 = stock_pattern("p3")
+    unbalanced = one_pattern(3, 2, [{1, 2}])
+    config = InstanceConfig(max_cases=3)
+    relations._default_generic.cache_clear()
+    cold = verify_symbolic(a0, unbalanced, config)
+    relations._default_generic.cache_clear()
+    assert verify_symbolic(a0, b0, config)["all_equal"]
+    warm = verify_symbolic(a0, unbalanced, config)
+    assert warm == cold and not warm["cases"][0]["equal"]
+
+
+def _schur_cases():
+    """Every tworow (i < j <= k < l <= 5) and condensation (two or three
+    parts of at most 3) identity at N = 3 and 4."""
+    cases = []
+    for N in (3, 4):
+        cases += [("tworow", (i, j, k, ell), N)
+                  for i, j, k, ell in combinations(range(1, 6), 4)]
+        cases += [("tworow", (i, j, j, ell), N) for i, j, ell in combinations(range(1, 6), 3)]
+        cases += [("condensation", parts, N)
+                  for r in (2, 3) for parts in combinations_with_replacement((3, 2, 1), r)]
+    return cases
+
+
+def test_schur_answers_are_the_same_with_the_lattice_cache_cold_and_warm():
+    cases = _schur_cases()
+    assert len(cases) == 62
+    cold = []
+    for case in cases:
+        gv_grid.cache_clear()
+        cold.append(verify_schur_identity(*case))
+    # Warm, in the reverse order: each lattice's values were asked for by other cases.
+    warm = [verify_schur_identity(*case) for case in reversed(cases)][::-1]
+    for c, w in zip(cold, warm, strict=True):
+        assert (c["lhs"], c["rhs"], c["equal"]) == (w["lhs"], w["rhs"], w["equal"])
+    assert all(c["equal"] for c in cold)
+
+
+def _reachable(roots):
+    """Everything reachable from ``roots`` through containers and instance
+    fields, not through classes, modules or functions."""
+    stack, seen = list(roots), {}
+    while stack:
+        obj = stack.pop()
+        if id(obj) in seen or isinstance(obj, (type, ModuleType, FunctionType)):
+            continue
+        seen[id(obj)] = obj
+        stack.extend(gc.get_referents(obj))
+    return seen.values()
+
+
+def test_the_instance_caches_keep_asked_values_and_no_walk_memo(monkeypatch):
+    asked, call = {}, FlowFunction.__call__
+
+    def recording(self, I, Iprime):
+        asked.setdefault(id(self), set()).add((tuple(sorted(I)), tuple(sorted(Iprime))))
+        return call(self, I, Iprime)
+
+    monkeypatch.setattr(FlowFunction, "__call__", recording)
+    relations._default_generic.cache_clear()
+    gv_grid.cache_clear()
     a0, b0 = stock_pattern("dodgson")
     assert verify_symbolic(a0, b0)["all_equal"]
+    assert verify_symbolic(b0, a0)["all_equal"]
     assert verify_schur_identity("tworow", (1, 2, 3, 4), 3)["equal"]
-    roots = [relations._default_generic(a0.m, a0.m_prime, InstanceConfig()), gv_grid(3, 5)]
-    kinds = {type(obj).__name__ for obj in _reachable(roots)}
+    assert verify_schur_identity("tworow", (1, 2, 2, 4), 3)["equal"]
+    generic = relations._default_generic(a0.m, a0.m_prime, InstanceConfig())
+    roots = [generic, gv_grid(3, 6)]
+    reachable = list(_reachable(roots))
+    kinds = {type(obj).__name__ for obj in reachable}
     assert {"PlanarNetwork", "PolynomialRing", "Polynomial"} <= kinds
-    assert "FlowFunction" not in kinds
+    # One FlowFunction per cached network, and no other.
+    flows = [obj for obj in reachable if isinstance(obj, FlowFunction)]
+    carried = [net.flows for _, net, *_ in generic] + [gv_grid(3, 6)[0].flows]
+    assert {id(f) for f in flows} == {id(f) for f in carried}
+    for f in flows:
+        assert not f._memos
+        assert f._values and set(f._values) <= asked[id(f)]
+    refs = [weakref.ref(f) for f in flows]
+    del reachable, flows, carried, generic, roots, f
+    relations._default_generic.cache_clear()
+    gv_grid.cache_clear()
+    gc.collect()
+    assert not any(ref() for ref in refs)
 
 
 def test_soundness_on_random_balanced_sample():
