@@ -11,7 +11,6 @@ from __future__ import annotations
 
 from collections import namedtuple
 from fractions import Fraction
-from itertools import combinations
 
 from . import semiring as sr
 from .errors import BadInput, PlanarFlowsError, RingRequired, SizeMismatch
@@ -73,41 +72,99 @@ def matrix_from_json(data, spec):
     return exact_matrix(spec, rows)
 
 
-def minor(matrix, I, Iprime):
-    """Determinant of the submatrix with columns I and rows I'; exact.
+class Minors:
+    """The minors of one matrix, sharing their sub-minors across queries.
 
-    Cofactor expansion built bottom up: the minors on the last s rows of I',
-    for every s-subset of I, come from those on s - 1 rows.  It divides
-    nowhere, so it works in any ring.
+    ``minors(I, I')`` is the determinant of the submatrix with columns I and
+    rows I'.  It expands along the first row of I', skipping zero entries,
+    so each sub-minor keeps a suffix of I' as its rows.  A set of indices is
+    a bit mask, bit i - 1 for index i, and the memo is keyed by the column
+    mask and the row mask together, so every query on the matrix reuses the
+    sub-minors an earlier one computed.  The expansion runs on an explicit
+    stack, so no recursion grows with k, and it divides nowhere, so it
+    works in any ring.
     """
-    I, Iprime = tuple(sorted(I)), tuple(sorted(Iprime))
-    if len(I) != len(Iprime):
-        raise SizeMismatch(f"Iprime: |I|={len(I)} vs |I'|={len(Iprime)}")
-    spec = matrix.spec
-    if not spec.has_additive_inverse:
-        raise RingRequired("minors need additive inverses")
-    for i in I:
-        if not 1 <= i <= matrix.n_cols:
-            raise SizeMismatch(f"I: column {i} is not in 1..{matrix.n_cols}")
-    for j in Iprime:
-        if not 1 <= j <= matrix.n_rows:
-            raise SizeMismatch(f"Iprime: row {j} is not in 1..{matrix.n_rows}")
 
-    k = len(I)
-    dets = {(): spec.one()}
-    for s in range(1, k + 1):
-        row = Iprime[k - s]
-        level = {}
-        for cols in combinations(I, s):
-            acc = spec.zero()
-            for p, col in enumerate(cols):
-                term = spec.mul(matrix.entry(row, col), dets[cols[:p] + cols[p + 1:]])
-                if p % 2:
-                    term = spec.negate(term)
-                acc = spec.add(acc, term)
-            level[cols] = acc
-        dets = level
-    return dets[I]
+    def __init__(self, matrix):
+        if not matrix.spec.has_additive_inverse:
+            raise RingRequired("spec: minors need additive inverses")
+        spec = matrix.spec
+        self.matrix = matrix
+        self._ops = spec.add, spec.mul, spec.negate, spec.zero()
+        self._nonzero = {}  # row bit -> (mask of its nonzero columns, entries)
+        self._memo = {0: spec.one()}  # cols | rows << n_cols -> minor
+
+    def __call__(self, I, Iprime):
+        I, Iprime = sorted(I), sorted(Iprime)
+        if len(I) != len(Iprime):
+            raise SizeMismatch(f"Iprime: |I|={len(I)} vs |I'|={len(Iprime)}")
+        for where, what, idx, top in (("I", "column", I, self.matrix.n_cols),
+                                      ("Iprime", "row", Iprime, self.matrix.n_rows)):
+            if idx and not (1 <= idx[0] and idx[-1] <= top):
+                bad = next(i for i in idx if not 1 <= i <= top)
+                raise SizeMismatch(f"{where}: {what} {bad} is not in 1..{top}")
+        cols, rows = (sum(1 << (i - 1) for i in set(idx)) for idx in (I, Iprime))
+        if cols.bit_count() < len(I) or rows.bit_count() < len(Iprime):
+            return self._ops[3]  # a repeated column or row
+        return self.at(cols, rows)
+
+    def at(self, cols, rows):
+        """The minor on column and row masks of equal size, in range; unchecked."""
+        memo, shift = self._memo, self.matrix.n_cols
+        key = cols | rows << shift
+        value = memo.get(key)
+        if value is not None:
+            return value
+        add, mul, negate, zero = self._ops
+        nonzero = self._nonzero
+        # The top frame is summed once every sub-minor it needs is known;
+        # until then it stays, under frames for those still missing.
+        stack = [(cols, rows)]
+        while stack:
+            c, r = stack[-1]
+            k = c | r << shift
+            if k in memo:
+                stack.pop()
+                continue
+            first = r & -r
+            row = nonzero.get(first)
+            if row is None:
+                row = self._row(first)
+            support, entries = row
+            below, hits = r ^ first, support & c
+            acc, missing = zero, False
+            while hits:
+                bit = hits & -hits
+                hits ^= bit
+                value = memo.get(c ^ bit | below << shift)
+                if value is None:
+                    stack.append((c ^ bit, below))
+                    missing = True
+                elif not missing:
+                    term = mul(entries[bit.bit_length() - 1], value)
+                    # The sign is that of the column's place within c.
+                    acc = add(acc, negate(term) if (c & bit - 1).bit_count() & 1 else term)
+            if not missing:
+                memo[k] = acc
+                stack.pop()
+        return memo[key]
+
+    def _row(self, bit):
+        """(mask of the nonzero columns, entries) of the row on ``bit``, kept."""
+        equal, zero = self.matrix.spec.equal, self._ops[3]
+        entries = self.matrix.entries[bit.bit_length() - 1]
+        support = 0
+        for col, a in enumerate(entries):
+            if not equal(a, zero):
+                support |= 1 << col
+        self._nonzero[bit] = support, entries
+        return support, entries
+
+
+def minor(matrix, I, Iprime):
+    """Determinant of the submatrix with columns I and rows I'; exact (a
+    one-shot ``Minors``)."""
+    return Minors(matrix)(I, Iprime)
 
 
 def flow_matrix(network, spec):
@@ -115,7 +172,7 @@ def flow_matrix(network, spec):
     weight is one), by one forward sweep per source over the vertices that
     reach a sink."""
     if not spec.has_zero or not spec.has_additive_inverse:
-        raise RingRequired("flow matrices are defined over rings")
+        raise RingRequired("spec: flow matrices are defined over rings")
     order, rank, succ = network.view
     weights, vertex_mode = network.weights, network.weight_mode == "vertex"
     live = {rank[t] for t in network.sinks}

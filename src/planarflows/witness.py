@@ -11,6 +11,13 @@ the tangent half-angle parametrization; each matching couple becomes a
 segment subdivided into an alternating thin path; bridges (thick edges) tie
 the paths together; crossings of middle bridges with vertical segments are
 resolved by splitting the crossing point into a short extra edge.
+
+Counting: a witness is built only when it passes ``validate``, so its
+terminals sit in order on the boundary of a planar drawing, and by
+Lindström's lemma each flow count f(I|I') is the minor of its integer
+path-count matrix with columns I and rows I'.  One ``lindstrom.Minors`` per
+witness answers both sides of the identity and every audit count, and they
+share its sub-minors.
 """
 
 from __future__ import annotations
@@ -22,9 +29,10 @@ from . import semiring as sr
 from .errors import (
     NotPlanarMatching,
     PatternsBalanced,
+    SizeMismatch,
     WitnessGeometryError,
 )
-from .flows import FlowFunction
+from .lindstrom import Minors, flow_matrix
 from .network import PlanarNetwork, proper_intersection_point, validate
 from .patterns import (
     LOWER,
@@ -54,7 +62,8 @@ _SIDES = (
 # ``network`` has unit integer weights in vertex mode; ``matching`` is the
 # PlanarMatching on the original (Y, Y'); ``edge_class`` maps each edge to
 # thin, lower-bridge, upper-bridge, b-edge, v-edge or extra; ``flows`` is
-# the integer FlowFunction that answers every count.
+# the ``Minors`` of the network's integer path-count matrix, which answers
+# every count f(I, I').
 WitnessNetwork = namedtuple("WitnessNetwork", "network matching edge_class flows")
 
 
@@ -219,9 +228,9 @@ def build_witness_network(X, Y, Xp, Yp, matching):
     elems = matching.elements()
     expected = {(LOWER, y) for y in Y} | {(UPPER, y) for y in Yp}
     if elems != expected:
-        raise NotPlanarMatching("matching must cover Y u Y' exactly")
+        raise NotPlanarMatching("matching: must cover Y u Y' exactly")
     if not is_noncrossing(Y, Yp, matching):
-        raise NotPlanarMatching("matching chords cross")
+        raise NotPlanarMatching("matching: chords cross")
 
     # One walk per side over the ground set, in terminal order: an element
     # of Y takes one tilde position, an element of X two adjacent ones whose
@@ -271,7 +280,8 @@ def build_witness_network(X, Y, Xp, Yp, matching):
     report = validate(network)
     if not report["ok"]:
         raise WitnessGeometryError(f"layout failed validation: {report}")
-    return WitnessNetwork(network, matching, edge_class, FlowFunction(sr.INTEGERS, network))
+    return WitnessNetwork(network, matching, edge_class,
+                          Minors(flow_matrix(network, sr.INTEGERS)))
 
 
 def find_discriminating_matching(pattern_a, pattern_b):
@@ -289,8 +299,15 @@ def audit_witness(wn, X, Y, Xp, Yp):
     encoded matching is feasible for (C, C'), and at least one is empty
     otherwise.  Pairs come in mask order of C, then of C'.
     """
-    X, Y, Xp, Yp = map(frozenset, (X, Y, Xp, Yp))
-    f = wn.flows
+    X, Y, Xp, Yp = check_sets(X, Y, Xp, Yp)
+    # Every count below takes its indices from X u Y and X' u Y', so this
+    # one range check stands for the per-query checks ``Minors.at`` skips.
+    for what, ground, top in (("source", X | Y, wn.network.n_sources),
+                              ("sink", Xp | Yp, wn.network.n_sinks)):
+        for i in sorted(ground):
+            if not 1 <= i <= top:
+                raise SizeMismatch(f"sets: {what} index {i} is not in 1..{top}")
+    minor = wn.flows.at
     cases = []
     Ys, Yps = sorted(Y), sorted(Yp)
     # The rule of ``patterns._odd_points`` on bit masks: bit k stands for
@@ -301,22 +318,31 @@ def audit_witness(wn, X, Y, Xp, Yp):
     bit = {(LOWER, y): 1 << k for k, y in enumerate(Ys)}
     bit.update({(UPPER, y): 1 << (len(Ys) + k) for k, y in enumerate(Yps)})
     ends = [(bit.get(p, 0), bit.get(q, 0)) for p, q in wn.matching.couples]
+
+    def index_masks(ground, xs):
+        """In mask order over ``ground`` (ascending, bit k for ground[k]):
+        the subset C on the mask, and the index masks (bit i - 1 for index
+        i) of the two counts it enters, xs with C and xs with the rest."""
+        subsets = [((), 0)]
+        for y in ground:
+            subsets += [(C + (y,), mask | 1 << (y - 1)) for C, mask in subsets]
+        base, full = sum(1 << (x - 1) for x in xs), subsets[-1][1]
+        return [(C, base | mask, base | (full ^ mask)) for C, mask in subsets]
+
     # (C, C') is proper when 2|C'| = 2|C| - |Y| + |Y'|: each C meets only the
     # C' of one size, listed by 2|C'| in mask order with their odd points.
     uppers = {}
-    for maskp in range(1 << len(Yps)):
-        Cp = frozenset(Yps[k] for k in range(len(Yps)) if maskp >> k & 1)
+    for maskp, (Cp, rows, rows_rest) in enumerate(index_masks(Yps, Xp)):
         odd_upper = ((1 << len(Yps)) - 1 - maskp) << len(Ys)
-        uppers.setdefault(2 * len(Cp), []).append((Cp, odd_upper))
-    for mask in range(1 << len(Ys)):
-        C = frozenset(Ys[k] for k in range(len(Ys)) if mask >> k & 1)
-        for Cp, odd_upper in uppers.get(2 * len(C) - len(Y) + len(Yp), ()):
+        uppers.setdefault(2 * len(Cp), []).append((Cp, rows, rows_rest, odd_upper))
+    for mask, (C, cols, cols_rest) in enumerate(index_masks(Ys, X)):
+        for Cp, rows, rows_rest, odd_upper in uppers.get(2 * len(C) - len(Y) + len(Yp), ()):
             odd = mask | odd_upper
             feasible = all(bool(odd & p) != bool(odd & q) for p, q in ends)
-            count1 = f(X | C, Xp | Cp)
-            count2 = f(X | (Y - C), Xp | (Yp - Cp))
+            count1 = minor(cols, rows)
+            count2 = minor(cols_rest, rows_rest)
             good = count1 == count2 == 1 if feasible else 0 in (count1, count2)
-            cases.append({"C": sorted(C), "Cprime": sorted(Cp), "feasible": feasible,
+            cases.append({"C": list(C), "Cprime": list(Cp), "feasible": feasible,
                           "counts": [count1, count2], "ok": good})
     return {"ok": all(case["ok"] for case in cases), "cases": cases}
 

@@ -5,7 +5,7 @@ among them), and a small branching network."""
 import random
 from collections import Counter, namedtuple
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, permutations
 
 from planarflows.basis import _pressed
 from planarflows.errors import (
@@ -841,7 +841,25 @@ def eval_expansion(spec, expansion, values):
 
 
 # ---------------------------------------------------------------------------
-# Lindstrom oracles: matrix products, single gadgets and the minor check
+# Lindstrom oracles: determinants, matrix products, single gadgets and the
+# minor check
+
+def leibniz_det(rows):
+    """Independent determinant oracle: signed permutation expansion."""
+    n = len(rows)
+    total = 0
+    for perm in permutations(range(n)):
+        sign = 1
+        for i in range(n):
+            for j in range(i + 1, n):
+                if perm[i] > perm[j]:
+                    sign = -sign
+        term = sign
+        for i in range(n):
+            term *= rows[i][perm[i]]
+        total += term
+    return total
+
 
 def mat_mul(a, b):
     if a.n_cols != b.n_rows:

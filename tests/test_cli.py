@@ -850,7 +850,7 @@ def _isolation_argv(tmp_path, command):
 @pytest.mark.parametrize("command, code, modules", [
     ("check-balance", 0, _CORE | {"patterns"}),
     ("verify-relation", 0, _FLOWS | {"patterns", "relations"}),
-    ("witness", 1, _FLOWS | {"patterns", "relations", "witness"}),
+    ("witness", 1, _FLOWS | {"lindstrom", "patterns", "relations", "witness"}),
     ("eval-fg", 0, _FLOWS),
     ("compile-matrix", 0, _CORE | {"lindstrom", "network", "semiring"}),
     ("schur", 0, _FLOWS | {"schur"}),

@@ -1,6 +1,6 @@
 import random
 from fractions import Fraction
-from itertools import permutations
+from itertools import combinations
 
 import pytest
 
@@ -8,6 +8,7 @@ from planarflows import INTEGERS, RATIONALS, TROPICAL_INT, polynomial_ring
 from planarflows.errors import InconsistentSets, RingRequired, SizeMismatch
 from planarflows.lindstrom import (
     GadgetFactor,
+    Minors,
     _assemble,
     compile_matrix_to_network,
     exact_matrix,
@@ -30,30 +31,13 @@ from helpers import (
     adjacent_swap_gadget,
     check_matrix_sq,
     factor_matrix,
+    leibniz_det,
     product_matrix,
     quasi_diagonal_gadget,
     unit_weights,
     validate_oracle,
     verify_lindstrom,
 )
-
-
-def leibniz_det(rows):
-    """Independent determinant oracle: signed permutation expansion."""
-    n = len(rows)
-    total = 0
-    for perm in permutations(range(n)):
-        sign = 1
-        seen = list(perm)
-        for i in range(n):
-            for j in range(i + 1, n):
-                if seen[i] > seen[j]:
-                    sign = -sign
-        term = sign
-        for i in range(n):
-            term *= rows[i][perm[i]]
-        total += term
-    return total
 
 
 def test_minor_basics():
@@ -63,7 +47,7 @@ def test_minor_basics():
     assert minor(mat, [2], [1]) == 2
     with pytest.raises(SizeMismatch):
         minor(mat, [1], [1, 2])
-    with pytest.raises(RingRequired):
+    with pytest.raises(RingRequired, match=r"^spec: minors need additive inverses$"):
         minor(exact_matrix(__import__("planarflows").TROPICAL_INT, [[1]]), [1], [1])
 
 
@@ -85,6 +69,37 @@ def test_minor_matches_leibniz():
             I, Ip = sorted(rng.sample(range(1, 10), k)), sorted(rng.sample(range(1, 9), k))
             sub = [[rows[j - 1][i - 1] for i in I] for j in Ip]
             assert minor(mat, I, Ip) == leibniz_det(sub)
+
+
+def test_shared_minors_match_the_one_shot_minor_and_leibniz_in_any_order():
+    rng = random.Random(34)
+    for n_rows, n_cols in [(1, 1), (2, 3), (3, 2), (4, 4), (5, 3), (5, 6), (6, 6), (6, 6)]:
+        # About a third of the entries are zero, so the expansion skips some.
+        rows = [[rng.choice([0, 0, 1, -1, 2, -3]) for _ in range(n_cols)]
+                for _ in range(n_rows)]
+        mat = exact_matrix(INTEGERS, rows)
+        queries = [(I, Ip) for k in range(min(n_rows, n_cols) + 1)
+                   for I in combinations(range(1, n_cols + 1), k)
+                   for Ip in combinations(range(1, n_rows + 1), k)]
+        expected = {(I, Ip): leibniz_det([[rows[j - 1][i - 1] for i in I] for j in Ip])
+                    for I, Ip in queries}
+        for order in (queries, queries[::-1]):
+            shared = Minors(mat)
+            for I, Ip in order:
+                assert shared(I, Ip) == minor(mat, I, Ip) == expected[I, Ip]
+            # Every answer again, now from a warm memo.
+            for I, Ip in order:
+                assert shared(I, Ip) == expected[I, Ip]
+    # A repeated column or row gives two equal lines: the minor is zero.
+    assert Minors(mat)([2, 2], [1, 3]) == minor(mat, [1, 3], [4, 4]) == 0
+
+
+def test_a_minor_of_order_1200_needs_no_recursion():
+    rng = random.Random(1200)
+    n = 1200
+    rows = [[rng.randint(-3, 3) if j < i else int(j == i) for j in range(n)] for i in range(n)]
+    full = range(1, n + 1)
+    assert minor(exact_matrix(INTEGERS, rows), full, full) == 1
 
 
 def test_flow_matrix_binomials():
@@ -377,7 +392,7 @@ def test_flow_matrix_matches_path_weight_sums():
     ), INTEGERS))
     for net, spec in nets:
         assert flow_matrix(net, spec).entries == _path_sum_matrix(net, spec)
-    with pytest.raises(RingRequired):
+    with pytest.raises(RingRequired, match=r"^spec: flow matrices are defined over rings$"):
         flow_matrix(chain, TROPICAL_INT)
 
 

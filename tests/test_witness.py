@@ -2,8 +2,13 @@ from collections import Counter
 
 import pytest
 
-from planarflows import INTEGERS, flows
-from planarflows.errors import NotPlanarMatching, PatternsBalanced
+from planarflows import INTEGERS, flows, lindstrom, witness
+from planarflows.errors import (
+    InconsistentSets,
+    NotPlanarMatching,
+    PatternsBalanced,
+    SizeMismatch,
+)
 from planarflows.flows import enumerate_flows, fg_value
 from planarflows.network import PlanarNetwork, validate
 from planarflows.patterns import (
@@ -202,7 +207,8 @@ def test_every_feasible_matching_up_to_eight_points_builds_and_audits():
                 for M in sorted(matchings):
                     wn = build_witness_network(X, Y, Xp, Yp, embed_matching(M, Y, Yp))
                     assert validate(wn.network)["ok"]
-                    assert audit_witness(wn, X, Y, Xp, Yp)["ok"]
+                    audit = audit_witness(wn, X, Y, Xp, Yp)
+                    assert audit["ok"] and audit == audit_by_masks(wn, X, Y, Xp, Yp)
                     builds += 1
     assert builds == 350
 
@@ -239,10 +245,10 @@ def test_thin_components_are_couple_paths():
 
 def test_rejects_crossing_matching():
     bad = matching_from_parts(vertical=[(1, 2), (2, 1)])
-    with pytest.raises(NotPlanarMatching):
+    with pytest.raises(NotPlanarMatching, match=r"^matching: chords cross$"):
         build_witness_network(set(), {1, 2}, set(), {1, 2}, bad)
     incomplete = matching_from_parts(vertical=[(1, 1)])
-    with pytest.raises(NotPlanarMatching):
+    with pytest.raises(NotPlanarMatching, match=r"^matching: must cover Y u Y' exactly$"):
         build_witness_network(set(), {1, 2}, set(), {1, 2}, incomplete)
 
 
@@ -254,26 +260,29 @@ def test_audit_lists_the_cases_of_the_mask_loop_with_fresh_counts():
             assert audit_witness(wn, *ctx) == audit_by_masks(wn, *ctx)
 
 
-def test_a_witness_walks_each_flow_query_once(monkeypatch):
-    """Both sides and the audit read the witness's one counter, so the audit's
-    complementary pairs and the sides' terms are walked once between them."""
-    walks = Counter()
-    walk = flows._walk
+def test_a_witness_counts_from_one_flow_matrix_and_never_walks(monkeypatch):
+    """Both sides and the audit read the shared minors of one path-count
+    matrix per witness; no count walks the network."""
+    def no_walk(*args):
+        raise AssertionError("a witness count walked the network")
 
-    def counted(network, I, Iprime, *rest):
-        walks[I, Iprime] += 1
-        return walk(network, I, Iprime, *rest)
+    calls = []
+    original = lindstrom.flow_matrix
 
-    monkeypatch.setattr(flows, "_walk", counted)
+    def counted(network, spec):
+        calls.append(network)
+        return original(network, spec)
+
+    monkeypatch.setattr(flows, "_walk", no_walk)
+    for module in (lindstrom, witness):
+        monkeypatch.setattr(module, "flow_matrix", counted)
     for a, b in random_unbalanced_patterns(43, 8):
         shape = _normalize_pattern(a)
         for ctx in contexts_for(shape.m, shape.m_prime):
-            walks.clear()
+            calls.clear()
             result = demonstrate_violation(a, b, *ctx)
-            sides = sum(walks.values())
-            audit = audit_witness(result["network"], *ctx)
-            assert audit["ok"] and sides and max(walks.values()) == 1
-            assert sum(walks.values()) < 2 * len(audit["cases"]) + sides
+            assert audit_witness(result["network"], *ctx)["ok"]
+            assert calls == [result["network"].network]
 
 
 def test_a_witness_is_peeled_once(monkeypatch):
@@ -294,3 +303,13 @@ def test_a_witness_is_peeled_once(monkeypatch):
             result = demonstrate_violation(a, b, *ctx)
             assert audit_witness(result["network"], *ctx)["ok"]
             assert dict(calls) == {id(result["network"].network): 1}
+
+
+def test_an_audit_on_sets_the_witness_was_not_built_for_is_refused():
+    a = one_pattern(3, 2, [{1, 3}])
+    b = one_pattern(3, 2, [{1, 2}])
+    wn = demonstrate_violation(a, b, set(), {1, 2, 3}, {1}, {2})["network"]
+    with pytest.raises(SizeMismatch, match=r"^sets: source index 4 is not in 1\.\.3$"):
+        audit_witness(wn, set(), {1, 2, 3, 4}, {1}, {2, 3})
+    with pytest.raises(InconsistentSets, match=r"^sets: "):
+        audit_witness(wn, set(), {1, 2, 3}, {1}, {2, 3})
